@@ -1,16 +1,19 @@
 """Upper and lower estimates for the squared Frobenius deviation of the
 pseudoinverses of a matrix pair, plus the classical unsquared norm bounds.
 
-Every estimator returns a ``BoundValue`` carrying its applicability; the
-inapplicable ones record why.  ``full_report`` evaluates the whole family,
-forms the tightest envelope from the applicable squared estimates, and can
-check it against the exact deviation.
+The family is one table, ``ESTIMATORS``: each row names an estimator, what
+it bounds, the hypotheses it needs and its formula.  The hypotheses come
+from a closed set of requirements; a row whose requirement fails reports
+itself as not applicable, with that requirement's reason.  ``full_report``
+evaluates the whole table, forms the tightest envelope from the applicable
+squared estimates, and can check it against the exact deviation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,12 +26,13 @@ from .geometry import (
 
 SQUARED = "squared_frobenius"
 NORM = "norm"
+UI = "unitarily_invariant"
 
 # multiplier for the general-rank unsquared bound, by norm family
 MU = {
     "spectral": (1.0 + math.sqrt(5.0)) / 2.0,
     "frobenius": math.sqrt(2.0),
-    "unitarily_invariant": 3.0,
+    UI: 3.0,
 }
 
 
@@ -37,12 +41,8 @@ def equal_rank_multiplier(m, n, r, norm):
     if r == m == n:
         return 1.0
     if r == min(m, n) and m != n:
-        return {"spectral": math.sqrt(2.0), "frobenius": 1.0, "unitarily_invariant": 2.0}[norm]
-    return {
-        "spectral": MU["spectral"],
-        "frobenius": math.sqrt(2.0),
-        "unitarily_invariant": 3.0,
-    }[norm]
+        return {"spectral": math.sqrt(2.0), "frobenius": 1.0, UI: 2.0}[norm]
+    return MU[norm]
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class BoundValue:
     """
 
     name: str
-    kind: str  # "upper" or "lower"
+    kind: str  # "upper" or "lower"; the rendered report adds "exact" and "envelope" rows
     target: str
     norm_used: str
     applicable: bool
@@ -63,172 +63,127 @@ class BoundValue:
     reason: str = ""
 
 
-def _skip(name, kind, target, norm, reason):
-    return BoundValue(
-        name=name, kind=kind, target=target, norm_used=norm, applicable=False, value=None, reason=reason
-    )
-
-
-def _up(name, value, target=SQUARED, norm="frobenius"):
-    return BoundValue(
-        name=name, kind="upper", target=target, norm_used=norm, applicable=True, value=float(value)
-    )
-
-
-def _lo(name, value, target=SQUARED, norm="frobenius"):
-    return BoundValue(
-        name=name, kind="lower", target=target, norm_used=norm, applicable=True,
-        value=float(max(value, 0.0)),
-    )
-
-
 def _d(t):
     """Clamp tiny negative roundoff in terms that are nonnegative exactly."""
     return t if t > 0.0 else 0.0
 
 
-def wedin(p, norm="frobenius"):
-    """General-rank unsquared bound: mu * max(|a+|, |b+|)^2 * |e|."""
-    name = f"wedin_{norm}"
-    if norm == "unitarily_invariant":
-        return _skip(
-            name, "upper", NORM, norm,
-            "constant 3 holds for every unitarily invariant norm; no single norm to evaluate",
-        )
-    nm = p.norms
-    e_norm = nm.ef if norm == "frobenius" else nm.es
-    return _up(name, MU[norm] * max(nm.nai, nm.nbi) ** 2 * e_norm, target=NORM, norm=norm)
+@dataclass(frozen=True)
+class Requirement:
+    """A hypothesis an estimator needs: when ``violated(p)``, ``reason(p)`` says why it is skipped."""
+
+    violated: Callable[[PerturbationPair], bool]
+    reason: Callable[[PerturbationPair], str]
 
 
-def wedin_equal_rank(p, norm="frobenius"):
-    """Sharper unsquared bound nu * |a+| * |b+| * |e| when the ranks agree."""
-    name = f"wedin_equal_rank_{norm}"
-    if p.rank_a != p.rank_b:
-        return _skip(
-            name, "upper", NORM, norm, f"needs equal ranks, got {p.rank_a} and {p.rank_b}"
-        )
-    m, n = p.shape
-    nu = equal_rank_multiplier(m, n, p.rank_a, norm)
-    if norm == "unitarily_invariant":
-        return _skip(
-            name, "upper", NORM, norm,
-            f"constant {nu:g} holds for every unitarily invariant norm; no single norm to evaluate",
-        )
-    nm = p.norms
-    e_norm = nm.ef if norm == "frobenius" else nm.es
-    return _up(name, nu * nm.nai * nm.nbi * e_norm, target=NORM, norm=norm)
+# the closed set of requirements; each row checks its own in the order listed
+_EQUAL_RANKS = Requirement(
+    lambda p: p.rank_a != p.rank_b,
+    lambda p: f"needs equal ranks, got {p.rank_a} and {p.rank_b}",
+)
+_PINV_NONZERO = Requirement(
+    lambda p: p.norms.nai == 0.0 or p.norms.nbi == 0.0,
+    lambda p: "needs both operands nonzero, a pseudoinverse norm is 0",
+)
+_SPECTRAL_NONZERO = Requirement(
+    lambda p: p.norms.na == 0.0 or p.norms.nb == 0.0,
+    lambda p: "needs both operands nonzero, a spectral norm is 0",
+)
+_ANY_NONZERO = Requirement(
+    lambda p: max(p.norms.na, p.norms.nb) == 0.0,
+    lambda p: "needs a nonzero operand, both spectral norms are 0",
+)
+_B_NONZERO = Requirement(
+    lambda p: p.norms.nbi == 0.0,
+    lambda p: "needs b nonzero, its pseudoinverse norm is 0",
+)
+_FULL_COLUMN_RANK_A = Requirement(
+    lambda p: p.rank_a != p.shape[1],
+    lambda p: f"needs full column rank of a, got rank {p.rank_a} of {p.shape[1]}",
+)
+_FULL_COLUMN_RANK_BOTH = Requirement(
+    lambda p: p.rank_a != p.shape[1] or p.rank_b != p.shape[1],
+    lambda p: f"needs both ranks equal to {p.shape[1]}, got {p.rank_a} and {p.rank_b}",
+)
 
 
-def meng_zheng(p):
-    """Unsquared Frobenius bound with constant 1: max(|a+|, |b+|)^2 * |e|_F."""
-    nm = p.norms
-    return _up("meng_zheng", max(nm.nai, nm.nbi) ** 2 * nm.ef, target=NORM)
+def _no_single_norm(constant):
+    """Never met: the bound holds with ``constant(p)`` for every unitarily invariant norm."""
+    return Requirement(
+        lambda p: True,
+        lambda p: f"constant {constant(p):g} holds for every unitarily invariant norm; "
+        "no single norm to evaluate",
+    )
 
 
-def meng_zheng_equal_rank(p):
-    """Equal-rank refinement |a+| * |b+| * |e|_F."""
-    if p.rank_a != p.rank_b:
-        return _skip(
-            "meng_zheng_equal_rank", "upper", NORM, "frobenius",
-            f"needs equal ranks, got {p.rank_a} and {p.rank_b}",
-        )
-    nm = p.norms
-    return _up("meng_zheng_equal_rank", nm.nai * nm.nbi * nm.ef, target=NORM)
+@dataclass(frozen=True)
+class Estimator:
+    """One row of the family; ``formula(p.norms, p)`` runs only when every requirement holds."""
+
+    name: str
+    kind: str  # "upper" or "lower"
+    formula: Callable | None
+    requires: tuple[Requirement, ...] = ()
+    target: str = SQUARED
+    norm: str = "frobenius"
+
+    def evaluate(self, p):
+        for req in self.requires:
+            if req.violated(p):
+                return BoundValue(
+                    self.name, self.kind, self.target, self.norm, False, None, req.reason(p)
+                )
+        value = self.formula(p.norms, p)
+        if self.kind == "lower":
+            value = max(value, 0.0)
+        return BoundValue(self.name, self.kind, self.target, self.norm, True, float(value))
 
 
-def li_refined(p):
-    """Squared bound subtracting the aligned cross mass from the worst-case energy."""
-    nm = p.norms
-    if nm.nai == 0.0 or nm.nbi == 0.0:
-        return _skip(
-            "li_refined", "upper", SQUARED, "frobenius",
-            "needs both operands nonzero, a pseudoinverse norm is 0",
-        )
+def _nu(p, norm):
+    return equal_rank_multiplier(*p.shape, p.rank_a, norm)
+
+
+def _li_refined(nm, p):
+    """Worst-case energy minus the aligned cross mass."""
     ratio = max(nm.nai**2 / nm.nbi**2, nm.nbi**2 / nm.nai**2)
-    val = max(nm.nai, nm.nbi) ** 4 * nm.e2 - 0.5 * (ratio - 1.0) * (nm.x + nm.y)
-    return _up("li_refined", _d(val))
+    return _d(max(nm.nai, nm.nbi) ** 4 * nm.e2 - 0.5 * (ratio - 1.0) * (nm.x + nm.y))
 
 
-def li_full_column_rank(p):
-    """Squared bound available when a has full column rank."""
-    m, n = p.shape
-    if p.rank_a != n:
-        return _skip(
-            "li_full_column_rank", "upper", SQUARED, "frobenius",
-            f"needs full column rank of a, got rank {p.rank_a} of {n}",
-        )
-    nm = p.norms
-    if nm.nbi == 0.0:
-        return _skip(
-            "li_full_column_rank", "upper", SQUARED, "frobenius",
-            "needs b nonzero, its pseudoinverse norm is 0",
-        )
+def _li_full_column_rank(nm, p):
     pref = nm.nai**2 * nm.nbi**2 / (nm.nai**2 + nm.nbi**2)
-    val = pref * (nm.ea + nm.eb + (n - p.rank_b) * nm.nai**2 / nm.nbi**2)
-    return _up("li_full_column_rank", val)
+    return pref * (nm.ea + nm.eb + (p.shape[1] - p.rank_b) * nm.nai**2 / nm.nbi**2)
 
 
-def li_full_rank_pair(p):
-    """Squared bound when both operands have full column rank."""
-    m, n = p.shape
-    if p.rank_a != n or p.rank_b != n:
-        return _skip(
-            "li_full_rank_pair", "upper", SQUARED, "frobenius",
-            f"needs both ranks equal to {n}, got {p.rank_a} and {p.rank_b}",
-        )
-    nm = p.norms
-    return _up("li_full_rank_pair", min(nm.nbi**2 * nm.ea, nm.nai**2 * nm.eb))
-
-
-def _sv_core(p):
+def _singular_value_bound(p, c):
+    """total + c * aligned, from the two singular value lists only (c = +-2)."""
     ra = 1.0 / p.fa.sigma1
     rb = 1.0 / p.fb.sigma1
     total = float(np.sum(ra**2) + np.sum(rb**2))
     k = min(ra.size, rb.size)
     # largest reciprocal pairs with largest: the trace bound for the aligned part
     aligned = float(np.sum(np.sort(ra)[::-1][:k] * np.sort(rb)[::-1][:k]))
-    return total, aligned
+    return total + c * aligned
 
 
-def singular_value_lower(p):
-    """Deviation bounded below using only the two singular value lists."""
-    total, aligned = _sv_core(p)
-    return _lo("singular_value_lower", total - 2.0 * aligned)
-
-
-def singular_value_upper(p):
-    """Deviation bounded above using only the two singular value lists."""
-    total, aligned = _sv_core(p)
-    return _up("singular_value_upper", total + 2.0 * aligned)
-
-
-def alpha_upper(p):
-    """Projected-residual upper bound, minimum over the two routes."""
-    nm = p.norms
+def _alpha_upper(nm, p):
+    """Projected-residual route, minimum over the two."""
     a1 = nm.nai**2 * _d(nm.ae - nm.aebb) + nm.nbi**2 * _d(nm.eb - nm.aaeb)
     a2 = nm.nai**2 * _d(nm.ea - nm.bbea) + nm.nbi**2 * _d(nm.be - nm.beaa)
-    return _up("alpha_upper", min(a1 + nm.x, a2 + nm.y))
+    return min(a1 + nm.x, a2 + nm.y)
 
 
-def beta_upper(p):
-    """Weaker route replacing inverted products by raw perturbation energy."""
-    nm = p.norms
+def _beta_upper(nm, p):
+    """Inverted products replaced by raw perturbation energy."""
     b1 = nm.nai**4 * _d(nm.e2 - nm.ebb) + nm.nbi**4 * _d(nm.e2 - nm.aae)
     b2 = nm.nai**4 * _d(nm.e2 - nm.bbe) + nm.nbi**4 * _d(nm.e2 - nm.eaa)
-    return _up("beta_upper", min(b1 + nm.x, b2 + nm.y))
+    return min(b1 + nm.x, b2 + nm.y)
 
 
-def gamma_upper(p):
-    """Route subtracting the cross mass scaled back through the inverse norms."""
-    nm = p.norms
-    if nm.nai == 0.0 or nm.nbi == 0.0:
-        return _skip(
-            "gamma_upper", "upper", SQUARED, "frobenius",
-            "needs both operands nonzero, a pseudoinverse norm is 0",
-        )
+def _gamma_upper(nm, p):
+    """Cross mass scaled back through the inverse norms."""
     g1 = nm.nai**2 * _d(nm.ae - nm.y / nm.nbi**2) + nm.nbi**2 * _d(nm.eb - nm.y / nm.nai**2)
     g2 = nm.nai**2 * _d(nm.ea - nm.x / nm.nbi**2) + nm.nbi**2 * _d(nm.be - nm.x / nm.nai**2)
-    return _up("gamma_upper", min(g1 + nm.x, g2 + nm.y))
+    return min(g1 + nm.x, g2 + nm.y)
 
 
 def _delta_terms(nm):
@@ -238,149 +193,131 @@ def _delta_terms(nm):
     return d1, d2
 
 
-def delta_upper(p):
+def _delta_upper(nm, p):
     """Energy route with the aligned core subtracted before amplification."""
-    nm = p.norms
-    if nm.nai == 0.0 or nm.nbi == 0.0:
-        return _skip(
-            "delta_upper", "upper", SQUARED, "frobenius",
-            "needs both operands nonzero, a pseudoinverse norm is 0",
-        )
     d1, d2 = _delta_terms(nm)
-    return _up("delta_upper", min(d1 + nm.x, d2 + nm.y))
+    return min(d1 + nm.x, d2 + nm.y)
 
 
-def averaged_upper(p):
+def _averaged_upper(nm, p):
     """Mean of the two delta routes; never below either minimum component."""
-    nm = p.norms
-    if nm.nai == 0.0 or nm.nbi == 0.0:
-        return _skip(
-            "averaged_upper", "upper", SQUARED, "frobenius",
-            "needs both operands nonzero, a pseudoinverse norm is 0",
-        )
     d1, d2 = _delta_terms(nm)
-    return _up("averaged_upper", 0.5 * (d1 + d2 + nm.x + nm.y))
+    return 0.5 * (d1 + d2 + nm.x + nm.y)
 
 
-def epsilon_upper(p):
+def _epsilon_upper(nm, p):
     """Equal-rank sharpening of the energy route."""
-    nm = p.norms
-    if p.rank_a != p.rank_b:
-        return _skip(
-            "epsilon_upper", "upper", SQUARED, "frobenius",
-            f"needs equal ranks, got {p.rank_a} and {p.rank_b}",
-        )
-    if nm.nai == 0.0 or nm.nbi == 0.0:
-        return _skip(
-            "epsilon_upper", "upper", SQUARED, "frobenius",
-            "needs both operands nonzero, a pseudoinverse norm is 0",
-        )
     pref = nm.nai**2 * nm.nbi**2
     e1 = pref * _d(nm.e2 - max(nm.bbea / nm.nai**2, nm.beaa / nm.nbi**2))
     e2 = pref * _d(nm.e2 - max(nm.aaeb / nm.nbi**2, nm.aebb / nm.nai**2))
-    return _up("epsilon_upper", min(e1 + nm.x, e2 + nm.y))
+    return min(e1 + nm.x, e2 + nm.y)
 
 
-def alpha_lower(p):
+def _alpha_lower(nm, p):
     """Lower counterpart of the projected-residual route, maximum of the two."""
-    nm = p.norms
-    if nm.na == 0.0 or nm.nb == 0.0:
-        return _skip(
-            "alpha_lower", "lower", SQUARED, "frobenius",
-            "needs both operands nonzero, a spectral norm is 0",
-        )
     a1 = _d(nm.ae - nm.aebb) / nm.na**2 + _d(nm.eb - nm.aaeb) / nm.nb**2
     a2 = _d(nm.ea - nm.bbea) / nm.na**2 + _d(nm.be - nm.beaa) / nm.nb**2
-    return _lo("alpha_lower", max(a1 + nm.x, a2 + nm.y))
+    return max(a1 + nm.x, a2 + nm.y)
 
 
-def beta_lower(p):
+def _beta_lower(nm, p):
     """Lower counterpart of the raw-energy route."""
-    nm = p.norms
-    if nm.na == 0.0 or nm.nb == 0.0:
-        return _skip(
-            "beta_lower", "lower", SQUARED, "frobenius",
-            "needs both operands nonzero, a spectral norm is 0",
-        )
     b1 = _d(nm.e2 - nm.ebb) / nm.na**4 + _d(nm.e2 - nm.aae) / nm.nb**4
     b2 = _d(nm.e2 - nm.bbe) / nm.na**4 + _d(nm.e2 - nm.eaa) / nm.nb**4
-    return _lo("beta_lower", max(b1 + nm.x, b2 + nm.y))
+    return max(b1 + nm.x, b2 + nm.y)
 
 
-def gamma_lower(p):
-    """Lower route with the cross mass scaled up; terms may legitimately go negative."""
-    nm = p.norms
-    if nm.na == 0.0 or nm.nb == 0.0:
-        return _skip(
-            "gamma_lower", "lower", SQUARED, "frobenius",
-            "needs both operands nonzero, a spectral norm is 0",
-        )
+def _gamma_lower(nm, p):
+    """Cross mass scaled up; terms may legitimately go negative."""
     g1 = (nm.ae - nm.nb**2 * nm.y) / nm.na**2 + (nm.eb - nm.na**2 * nm.y) / nm.nb**2
     g2 = (nm.ea - nm.nb**2 * nm.x) / nm.na**2 + (nm.be - nm.na**2 * nm.x) / nm.nb**2
-    return _lo("gamma_lower", max(g1 + nm.x, g2 + nm.y))
+    return max(g1 + nm.x, g2 + nm.y)
 
 
-def delta_lower(p):
+def _delta_lower(nm, p):
     """Lower energy route normalized by the larger spectral norm."""
-    nm = p.norms
-    if max(nm.na, nm.nb) == 0.0:
-        return _skip(
-            "delta_lower", "lower", SQUARED, "frobenius",
-            "needs a nonzero operand, both spectral norms are 0",
-        )
     big = max(nm.na, nm.nb) ** 4
     d1 = (nm.e2 - min(nm.nb**2 * nm.aaeb, nm.na**2 * nm.aebb)) / big
     d2 = (nm.e2 - min(nm.na**2 * nm.bbea, nm.nb**2 * nm.beaa)) / big
-    return _lo("delta_lower", max(d1 + nm.x, d2 + nm.y))
+    return max(d1 + nm.x, d2 + nm.y)
 
 
-def epsilon_lower(p):
+def _epsilon_lower(nm, p):
     """Equal-rank sharpening of the lower energy route."""
-    nm = p.norms
-    if p.rank_a != p.rank_b:
-        return _skip(
-            "epsilon_lower", "lower", SQUARED, "frobenius",
-            f"needs equal ranks, got {p.rank_a} and {p.rank_b}",
-        )
-    if nm.na == 0.0 or nm.nb == 0.0:
-        return _skip(
-            "epsilon_lower", "lower", SQUARED, "frobenius",
-            "needs both operands nonzero, a spectral norm is 0",
-        )
     pref = nm.na**2 * nm.nb**2
     e1 = (nm.e2 - min(nm.na**2 * nm.bbea, nm.nb**2 * nm.beaa)) / pref
     e2 = (nm.e2 - min(nm.nb**2 * nm.aaeb, nm.na**2 * nm.aebb)) / pref
-    return _lo("epsilon_lower", max(e1 + nm.x, e2 + nm.y))
+    return max(e1 + nm.x, e2 + nm.y)
+
+
+# The whole family in its fixed report order.  The unsquared rows are the
+# general-rank bound mu * max(|a+|, |b+|)^2 * |e|, its equal-rank refinement
+# nu * |a+| * |b+| * |e|, and both again with constant 1 in the Frobenius norm.
+ESTIMATORS = (
+    Estimator(
+        "wedin_spectral", "upper",
+        lambda nm, p: MU["spectral"] * max(nm.nai, nm.nbi) ** 2 * nm.es,
+        target=NORM, norm="spectral",
+    ),
+    Estimator(
+        "wedin_frobenius", "upper",
+        lambda nm, p: MU["frobenius"] * max(nm.nai, nm.nbi) ** 2 * nm.ef,
+        target=NORM,
+    ),
+    Estimator(
+        "wedin_unitarily_invariant", "upper", None,
+        (_no_single_norm(lambda p: MU[UI]),), target=NORM, norm=UI,
+    ),
+    Estimator(
+        "wedin_equal_rank_spectral", "upper",
+        lambda nm, p: _nu(p, "spectral") * nm.nai * nm.nbi * nm.es,
+        (_EQUAL_RANKS,), target=NORM, norm="spectral",
+    ),
+    Estimator(
+        "wedin_equal_rank_frobenius", "upper",
+        lambda nm, p: _nu(p, "frobenius") * nm.nai * nm.nbi * nm.ef,
+        (_EQUAL_RANKS,), target=NORM,
+    ),
+    Estimator(
+        "wedin_equal_rank_unitarily_invariant", "upper", None,
+        (_EQUAL_RANKS, _no_single_norm(lambda p: _nu(p, UI))), target=NORM, norm=UI,
+    ),
+    Estimator(
+        "meng_zheng", "upper", lambda nm, p: max(nm.nai, nm.nbi) ** 2 * nm.ef, target=NORM
+    ),
+    Estimator(
+        "meng_zheng_equal_rank", "upper", lambda nm, p: nm.nai * nm.nbi * nm.ef,
+        (_EQUAL_RANKS,), target=NORM,
+    ),
+    Estimator("li_refined", "upper", _li_refined, (_PINV_NONZERO,)),
+    Estimator(
+        "li_full_column_rank", "upper", _li_full_column_rank,
+        (_FULL_COLUMN_RANK_A, _B_NONZERO),
+    ),
+    Estimator(
+        "li_full_rank_pair", "upper",
+        lambda nm, p: min(nm.nbi**2 * nm.ea, nm.nai**2 * nm.eb),
+        (_FULL_COLUMN_RANK_BOTH,),
+    ),
+    Estimator("singular_value_upper", "upper", lambda nm, p: _singular_value_bound(p, 2.0)),
+    Estimator("alpha_upper", "upper", _alpha_upper),
+    Estimator("beta_upper", "upper", _beta_upper),
+    Estimator("gamma_upper", "upper", _gamma_upper, (_PINV_NONZERO,)),
+    Estimator("delta_upper", "upper", _delta_upper, (_PINV_NONZERO,)),
+    Estimator("epsilon_upper", "upper", _epsilon_upper, (_EQUAL_RANKS, _PINV_NONZERO)),
+    Estimator("averaged_upper", "upper", _averaged_upper, (_PINV_NONZERO,)),
+    Estimator("singular_value_lower", "lower", lambda nm, p: _singular_value_bound(p, -2.0)),
+    Estimator("alpha_lower", "lower", _alpha_lower, (_SPECTRAL_NONZERO,)),
+    Estimator("beta_lower", "lower", _beta_lower, (_SPECTRAL_NONZERO,)),
+    Estimator("gamma_lower", "lower", _gamma_lower, (_SPECTRAL_NONZERO,)),
+    Estimator("delta_lower", "lower", _delta_lower, (_ANY_NONZERO,)),
+    Estimator("epsilon_lower", "lower", _epsilon_lower, (_EQUAL_RANKS, _SPECTRAL_NONZERO)),
+)
 
 
 def evaluate_all(p):
     """The whole family in a fixed, deterministic order."""
-    return [
-        wedin(p, "spectral"),
-        wedin(p, "frobenius"),
-        wedin(p, "unitarily_invariant"),
-        wedin_equal_rank(p, "spectral"),
-        wedin_equal_rank(p, "frobenius"),
-        wedin_equal_rank(p, "unitarily_invariant"),
-        meng_zheng(p),
-        meng_zheng_equal_rank(p),
-        li_refined(p),
-        li_full_column_rank(p),
-        li_full_rank_pair(p),
-        singular_value_upper(p),
-        alpha_upper(p),
-        beta_upper(p),
-        gamma_upper(p),
-        delta_upper(p),
-        epsilon_upper(p),
-        averaged_upper(p),
-        singular_value_lower(p),
-        alpha_lower(p),
-        beta_lower(p),
-        gamma_lower(p),
-        delta_lower(p),
-        epsilon_lower(p),
-    ]
+    return [row.evaluate(p) for row in ESTIMATORS]
 
 
 @dataclass(frozen=True)
@@ -444,32 +381,39 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _report_rows(report):
+    """Every rendered row: the exact deviations, the estimators, the envelope."""
+
+    def row(name, kind, target, norm, value):
+        return BoundValue(name, kind, target, norm, True, value)
+
+    lo, up = report.envelope
+    return (
+        row("exact_squared_frobenius", "exact", SQUARED, "frobenius", report.exact_sq),
+        row("exact_frobenius", "exact", NORM, "frobenius", report.exact_fro),
+        row("exact_spectral", "exact", NORM, "spectral", report.exact_spectral),
+        *report.values,
+        row("envelope_lower", "envelope", SQUARED, "frobenius", lo),
+        row("envelope_upper", "envelope", SQUARED, "frobenius", up),
+    )
+
+
 def report_csv(report):
     """Machine-readable report: name, kind, target, norm, applicable, value."""
     lines = ["name,kind,target,norm,applicable,value"]
-    lines.append(f"exact_squared_frobenius,exact,{SQUARED},frobenius,true,{_fmt(report.exact_sq)}")
-    lines.append(f"exact_frobenius,exact,{NORM},frobenius,true,{_fmt(report.exact_fro)}")
-    lines.append(f"exact_spectral,exact,{NORM},spectral,true,{_fmt(report.exact_spectral)}")
-    for v in report.values:
+    for v in _report_rows(report):
         flag = "true" if v.applicable else "false"
         val = _fmt(v.value) if v.applicable else ""
         lines.append(f"{v.name},{v.kind},{v.target},{v.norm_used},{flag},{val}")
-    lines.append(f"envelope_lower,envelope,{SQUARED},frobenius,true,{_fmt(report.envelope[0])}")
-    lines.append(f"envelope_upper,envelope,{SQUARED},frobenius,true,{_fmt(report.envelope[1])}")
     return "\n".join(lines) + "\n"
 
 
 def report_table(report):
     """Human-readable report with one row per estimator."""
     rows = [("name", "kind", "target", "norm", "value", "note")]
-    rows.append(("exact_squared_frobenius", "exact", SQUARED, "frobenius", _fmt(report.exact_sq), ""))
-    rows.append(("exact_frobenius", "exact", NORM, "frobenius", _fmt(report.exact_fro), ""))
-    rows.append(("exact_spectral", "exact", NORM, "spectral", _fmt(report.exact_spectral), ""))
-    for v in report.values:
+    for v in _report_rows(report):
         val = _fmt(v.value) if v.applicable else "-"
         rows.append((v.name, v.kind, v.target, v.norm_used, val, v.reason))
-    rows.append(("envelope_lower", "envelope", SQUARED, "frobenius", _fmt(report.envelope[0]), ""))
-    rows.append(("envelope_upper", "envelope", SQUARED, "frobenius", _fmt(report.envelope[1]), ""))
     widths = [max(len(r[c]) for r in rows) for c in range(6)]
     out = []
     for r in rows:

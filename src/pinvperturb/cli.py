@@ -8,7 +8,8 @@ Subcommands:
   sweep               closed-form parameter sweep (cases 1 and 2)
 
 Exit codes: 0 success, 2 usage or input error, 3 numerical invariant
-violation.  All numbers print with 17 significant digits.
+violation or numerical failure (no convergence, overflow, a missing kernel
+backend).  All numbers print with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -180,6 +181,9 @@ def main(argv=None):
     except (ShapeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

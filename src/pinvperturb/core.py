@@ -38,29 +38,6 @@ def conj_transpose(a):
     return as_matrix(a).conj().T
 
 
-def _same_shape(a, b, what):
-    if a.shape != b.shape:
-        raise ShapeError(f"cannot {what} shapes {a.shape} and {b.shape}")
-
-
-def add(a, b):
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _same_shape(a, b, "add")
-    return a + b
-
-
-def subtract(a, b):
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _same_shape(a, b, "subtract")
-    return a - b
-
-
-def scale(c, a):
-    return complex(c) * as_matrix(a)
-
-
 def matmul(a, b):
     a = as_matrix(a)
     b = as_matrix(b)

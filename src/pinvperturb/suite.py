@@ -11,10 +11,11 @@ caught; it passes only when violations are observed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import SQUARED, _d, full_report, singular_value_lower
+from .bounds import SQUARED, _d, full_report
 from .core import penrose_residuals, pinv, spectral_norm
 from .geometry import (
     angle_bounds,
@@ -45,6 +46,47 @@ TOL_RECON = 1e-12
 TOL_PENROSE = 1e-10
 TOL_IDENTITY = 1e-9
 TOL_BOUND = 1e-8
+
+
+class Property(NamedTuple):
+    """Registry entry: the residual tolerance, and whether violations are the goal."""
+
+    tol: float
+    expect_violation: bool = False
+
+
+# every property in report order, with its tolerance; the sentinel passes
+# only when it is violated somewhere
+PROPERTIES = {
+    "svd_unitarity": Property(TOL_UNITARY),
+    "svd_reconstruction": Property(TOL_RECON),
+    "penrose": Property(TOL_PENROSE),
+    "pinv_involution": Property(TOL_IDENTITY),
+    "pinv_spectral_reciprocal": Property(TOL_IDENTITY),
+    "lstsq_residual_optimal": Property(TOL_IDENTITY),
+    "lstsq_min_norm": Property(TOL_IDENTITY),
+    "identity_sum_a": Property(TOL_IDENTITY),
+    "identity_sum_b": Property(TOL_IDENTITY),
+    "cross_term_blocks": Property(TOL_IDENTITY),
+    "proof_identity_u": Property(TOL_IDENTITY),
+    "proof_identity_v": Property(TOL_IDENTITY),
+    "energy_split_a": Property(TOL_IDENTITY),
+    "energy_split_b": Property(TOL_IDENTITY),
+    "equal_rank_angles": Property(TOL_IDENTITY),
+    "angle_sandwich": Property(TOL_IDENTITY),
+    "bound_sandwich": Property(TOL_BOUND),
+    "norm_bound_domination": Property(TOL_BOUND),
+    "bound_orderings": Property(TOL_BOUND),
+    "scale_covariance": Property(TOL_IDENTITY),
+    "rank_jump_witness": Property(TOL_BOUND),
+    "von_neumann_upper": Property(TOL_IDENTITY),
+    "von_neumann_attainment": Property(TOL_IDENTITY),
+    "mutation_sentinel": Property(TOL_BOUND, expect_violation=True),
+}
+
+
+def _with_tol(residuals):
+    return [(name, resid, PROPERTIES[name].tol) for name, resid in residuals]
 
 
 @dataclass
@@ -133,12 +175,12 @@ def identity_checks(p):
     out = []
     dev = deviation_sq(p)
     sdev = 1.0 + dev
-    out.append(("identity_sum_a", abs(sum(identity_terms_a(p)) - dev) / sdev, TOL_IDENTITY))
-    out.append(("identity_sum_b", abs(sum(identity_terms_b(p)) - dev) / sdev, TOL_IDENTITY))
+    out.append(("identity_sum_a", abs(sum(identity_terms_a(p)) - dev) / sdev))
+    out.append(("identity_sum_b", abs(sum(identity_terms_b(p)) - dev) / sdev))
     nm = p.norms
     x_alt, y_alt = cross_term_blocks(p)
     cross = max(abs(x_alt - nm.x) / (1.0 + nm.x), abs(y_alt - nm.y) / (1.0 + nm.y))
-    out.append(("cross_term_blocks", cross, TOL_IDENTITY))
+    out.append(("cross_term_blocks", cross))
     for name, fn, minuend in (
         ("proof_identity_u", proof_identity_u, "eb"),
         ("proof_identity_v", proof_identity_v, "ae"),
@@ -150,18 +192,18 @@ def identity_checks(p):
             # roundoff budget scales with the minuend, not the result
             big = getattr(q.norms, minuend)
             resid = max(resid, abs(lhs - rhs) / (1.0 + lhs + big))
-        out.append((name, resid, TOL_IDENTITY))
+        out.append((name, resid))
     e2 = nm.e2
-    out.append(("energy_split_a", abs(sum(energy_terms_a(p)) - e2) / (1.0 + e2), TOL_IDENTITY))
-    out.append(("energy_split_b", abs(sum(energy_terms_b(p)) - e2) / (1.0 + e2), TOL_IDENTITY))
+    out.append(("energy_split_a", abs(sum(energy_terms_a(p)) - e2) / (1.0 + e2)))
+    out.append(("energy_split_b", abs(sum(energy_terms_b(p)) - e2) / (1.0 + e2)))
     if p.rank_a == p.rank_b:
-        out.append(("equal_rank_angles", equal_rank_angle_gap(p), TOL_IDENTITY))
+        out.append(("equal_rank_angles", equal_rank_angle_gap(p)))
     ab = angle_bounds(p)
     sandwich = max(
         0.0, dev - ab.upper_a, dev - ab.upper_b, ab.lower_a - dev, ab.lower_b - dev
     ) / sdev
-    out.append(("angle_sandwich", sandwich, TOL_IDENTITY))
-    return out
+    out.append(("angle_sandwich", sandwich))
+    return _with_tol(out)
 
 
 def _factor_contract_residuals(f, a):
@@ -188,16 +230,16 @@ def bound_checks(p, rep):
             continue
         gap = (dev - v.value) if v.kind == "upper" else (v.value - dev)
         viol = max(viol, gap / sdev)
-    out.append(("bound_sandwich", max(viol, 0.0), TOL_BOUND))
+    out.append(("bound_sandwich", max(viol, 0.0)))
     nviol = 0.0
     for v in rep.values:
         if not v.applicable or v.target == SQUARED:
             continue
         exact = rep.exact_spectral if v.norm_used == "spectral" else rep.exact_fro
         nviol = max(nviol, (exact - v.value) / (1.0 + exact))
-    out.append(("norm_bound_domination", max(nviol, 0.0), TOL_BOUND))
-    out.append(("bound_orderings", ordering_violation(rep, p), TOL_BOUND))
-    return out
+    out.append(("norm_bound_domination", max(nviol, 0.0)))
+    out.append(("bound_orderings", ordering_violation(rep, p)))
+    return _with_tol(out)
 
 
 def ordering_violation(rep, p):
@@ -339,33 +381,10 @@ def run_property_suite(
     ``gen_pair(replace(spec, seed=worst_seed))`` with the matching spec.
     """
     specs = default_specs(seed) if specs is None else list(specs)
-    names = [
-        ("svd_unitarity", TOL_UNITARY, False),
-        ("svd_reconstruction", TOL_RECON, False),
-        ("penrose", TOL_PENROSE, False),
-        ("pinv_involution", TOL_IDENTITY, False),
-        ("pinv_spectral_reciprocal", TOL_IDENTITY, False),
-        ("lstsq_residual_optimal", TOL_IDENTITY, False),
-        ("lstsq_min_norm", TOL_IDENTITY, False),
-        ("identity_sum_a", TOL_IDENTITY, False),
-        ("identity_sum_b", TOL_IDENTITY, False),
-        ("cross_term_blocks", TOL_IDENTITY, False),
-        ("proof_identity_u", TOL_IDENTITY, False),
-        ("proof_identity_v", TOL_IDENTITY, False),
-        ("energy_split_a", TOL_IDENTITY, False),
-        ("energy_split_b", TOL_IDENTITY, False),
-        ("equal_rank_angles", TOL_IDENTITY, False),
-        ("angle_sandwich", TOL_IDENTITY, False),
-        ("bound_sandwich", TOL_BOUND, False),
-        ("norm_bound_domination", TOL_BOUND, False),
-        ("bound_orderings", TOL_BOUND, False),
-        ("scale_covariance", TOL_IDENTITY, False),
-        ("rank_jump_witness", TOL_BOUND, False),
-        ("von_neumann_upper", TOL_IDENTITY, False),
-        ("von_neumann_attainment", TOL_IDENTITY, False),
-        ("mutation_sentinel", TOL_BOUND, True),
-    ]
-    props = {n: PropertyResult(name=n, tol=t, expect_violation=e) for n, t, e in names}
+    props = {
+        n: PropertyResult(name=n, tol=pr.tol, expect_violation=pr.expect_violation)
+        for n, pr in PROPERTIES.items()
+    }
 
     for t in range(trials):
         sp = specs[t % len(specs)]
@@ -411,7 +430,7 @@ def run_property_suite(
         )
 
         if pair.rank_b > pair.rank_a:
-            sv = singular_value_lower(pair).value
+            sv = rep.by_name("singular_value_lower").value
             wit = rank_jump_witness(pair)
             props["rank_jump_witness"].record(max(0.0, wit - sv) / (1.0 + wit), tseed)
 
@@ -438,4 +457,4 @@ def run_property_suite(
         att = abs(trace_real(au @ mm @ av, nn) - vn) / (1.0 + vn)
         props["von_neumann_attainment"].record(att, t)
 
-    return SuiteResult(results=[props[n] for n, _t, _e in names])
+    return SuiteResult(results=list(props.values()))

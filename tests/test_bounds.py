@@ -181,6 +181,111 @@ def test_unitarily_invariant_rows_declared_only():
     assert "constant 3" in rep.by_name("wedin_unitarily_invariant").reason
 
 
+def _ui_reason(constant):
+    return f"constant {constant} holds for every unitarily invariant norm; no single norm to evaluate"
+
+
+PINV_ZERO = "needs both operands nonzero, a pseudoinverse norm is 0"
+SPECTRAL_ZERO = "needs both operands nonzero, a spectral norm is 0"
+
+
+# reasons depend only on ranks and exact zero tests, so they are exact on any BLAS
+@pytest.mark.parametrize(
+    "a, b, reasons",
+    [
+        (
+            np.zeros((3, 2)),
+            np.zeros((3, 2)),
+            {
+                "wedin_unitarily_invariant": _ui_reason(3),
+                "wedin_equal_rank_unitarily_invariant": _ui_reason(3),
+                "li_refined": PINV_ZERO,
+                "li_full_column_rank": "needs full column rank of a, got rank 0 of 2",
+                "li_full_rank_pair": "needs both ranks equal to 2, got 0 and 0",
+                "gamma_upper": PINV_ZERO,
+                "delta_upper": PINV_ZERO,
+                "epsilon_upper": PINV_ZERO,
+                "averaged_upper": PINV_ZERO,
+                "alpha_lower": SPECTRAL_ZERO,
+                "beta_lower": SPECTRAL_ZERO,
+                "gamma_lower": SPECTRAL_ZERO,
+                "delta_lower": "needs a nonzero operand, both spectral norms are 0",
+                "epsilon_lower": SPECTRAL_ZERO,
+            },
+        ),
+        (
+            np.diag([1.0, 0.0]),
+            np.eye(2),
+            {
+                "wedin_unitarily_invariant": _ui_reason(3),
+                "wedin_equal_rank_spectral": "needs equal ranks, got 1 and 2",
+                "wedin_equal_rank_frobenius": "needs equal ranks, got 1 and 2",
+                "wedin_equal_rank_unitarily_invariant": "needs equal ranks, got 1 and 2",
+                "meng_zheng_equal_rank": "needs equal ranks, got 1 and 2",
+                "li_full_column_rank": "needs full column rank of a, got rank 1 of 2",
+                "li_full_rank_pair": "needs both ranks equal to 2, got 1 and 2",
+                "epsilon_upper": "needs equal ranks, got 1 and 2",
+                "epsilon_lower": "needs equal ranks, got 1 and 2",
+            },
+        ),
+        (
+            np.eye(3)[:, :2],
+            np.zeros((3, 2)),
+            {
+                "wedin_unitarily_invariant": _ui_reason(3),
+                "wedin_equal_rank_spectral": "needs equal ranks, got 2 and 0",
+                "wedin_equal_rank_frobenius": "needs equal ranks, got 2 and 0",
+                "wedin_equal_rank_unitarily_invariant": "needs equal ranks, got 2 and 0",
+                "meng_zheng_equal_rank": "needs equal ranks, got 2 and 0",
+                "li_refined": PINV_ZERO,
+                "li_full_column_rank": "needs b nonzero, its pseudoinverse norm is 0",
+                "li_full_rank_pair": "needs both ranks equal to 2, got 2 and 0",
+                "gamma_upper": PINV_ZERO,
+                "delta_upper": PINV_ZERO,
+                "epsilon_upper": "needs equal ranks, got 2 and 0",
+                "averaged_upper": PINV_ZERO,
+                "alpha_lower": SPECTRAL_ZERO,
+                "beta_lower": SPECTRAL_ZERO,
+                "gamma_lower": SPECTRAL_ZERO,
+                "epsilon_lower": "needs equal ranks, got 2 and 0",
+            },
+        ),
+        (
+            np.eye(2),
+            2.0 * np.eye(2),
+            {
+                "wedin_unitarily_invariant": _ui_reason(3),
+                "wedin_equal_rank_unitarily_invariant": _ui_reason(1),
+            },
+        ),
+        (
+            np.eye(3)[:, :2],
+            2.0 * np.eye(3)[:, :2],
+            {
+                "wedin_unitarily_invariant": _ui_reason(3),
+                "wedin_equal_rank_unitarily_invariant": _ui_reason(2),
+            },
+        ),
+        (
+            np.diag([1.0, 0.0, 0.0]),
+            np.diag([2.0, 0.0, 0.0]),
+            {
+                "wedin_unitarily_invariant": _ui_reason(3),
+                "wedin_equal_rank_unitarily_invariant": _ui_reason(3),
+                "li_full_column_rank": "needs full column rank of a, got rank 1 of 3",
+                "li_full_rank_pair": "needs both ranks equal to 3, got 1 and 1",
+            },
+        ),
+    ],
+    ids=["zero", "rank_one_vs_identity", "b_zero", "nu1_square", "nu2_rectangular", "nu3_deficient"],
+)
+def test_inapplicable_reasons_exact(a, b, reasons):
+    values = evaluate_all(make_pair(a, b))
+    assert {v.name: v.reason for v in values if not v.applicable} == reasons
+    assert all(v.value is None for v in values if not v.applicable)
+    assert all(v.reason == "" for v in values if v.applicable)
+
+
 def test_zero_pair_degenerates_cleanly():
     rep = full_report(make_pair(np.zeros((3, 2)), np.zeros((3, 2))))
     assert rep.exact_sq == 0.0

@@ -105,6 +105,27 @@ def test_bounds_envelope_guard_exit3(pair_files, capsys, monkeypatch):
     assert "envelope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, target, exc",
+    [
+        ("pinv", "svd_factors", RuntimeError("no convergence in 60 jacobi sweeps")),
+        ("pinv", "svd_factors", RuntimeError("compiled backend requested but not importable")),
+        ("bounds", "full_report", OverflowError("(34, 'Numerical result out of range')")),
+        ("bounds", "full_report", ZeroDivisionError("float division by zero")),
+    ],
+)
+def test_numerical_failure_exit3(pair_files, capsys, monkeypatch, command, target, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    args = [command, pair_files[0]] if command == "pinv" else [command, *pair_files]
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {exc}\n"
+    assert captured.out == ""
+
+
 def test_verify_identities_ok(pair_files, capsys):
     a, b = pair_files
     assert cli.main(["verify-identities", a, b]) == 0

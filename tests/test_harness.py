@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pinvperturb.bounds import full_report, singular_value_lower
+from pinvperturb.bounds import full_report
 from pinvperturb.core import svd_factors
 from pinvperturb.geometry import make_pair
 from pinvperturb.randmat import (
@@ -173,7 +173,7 @@ def test_rank_jump_witness_spot_and_floor():
         )
         q = gen_pair(sp)
         wit = rank_jump_witness(q)
-        sv = singular_value_lower(q).value
+        sv = full_report(q).by_name("singular_value_lower").value
         assert wit <= sv + 1e-8 * (1.0 + wit)
 
 
