@@ -2,10 +2,11 @@
 and lower perturbation bounds on the squared Frobenius deviation between the
 pseudoinverses of two matrices.
 
-The SVD kernel has a compiled and a pure numpy implementation selected at
-import time; see ``backends``.  ``geometry`` carries the exact deviation
-identities, ``bounds`` the estimator family, ``suite`` the randomized
-property harness, and ``sweeps`` two closed-form parameter studies.
+The SVD kernel has a compiled and a pure numpy implementation, one of which
+serves the whole process; see ``backends``.  ``geometry`` carries the exact
+deviation identities, ``bounds`` the estimator family, ``suite`` the
+randomized property harness, and ``sweeps`` two closed-form parameter
+studies.
 """
 
 from .backends import available_backends, default_backend

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_EPS = float(np.finfo(np.float64).eps)
-DEFAULT_MAX_SWEEPS = 60
 
-
-def orthogonalize_columns(w, v, eps=DEFAULT_EPS, max_sweeps=DEFAULT_MAX_SWEEPS):
+def orthogonalize_columns(w, v, eps, max_sweeps):
     """Sweep over column pairs of ``w`` rotating each pair orthogonal.
+
+    A pair counts as orthogonal once |w_i* w_j| <= eps |w_i| |w_j|.
 
     Returns the number of sweeps used, or -1 if the pass limit was reached
     before a sweep completed with no rotations.

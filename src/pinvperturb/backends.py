@@ -1,10 +1,12 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when built; the numpy twin is always
+One kernel serves every SVD in a process, so the two factorizations of a
+pair and every norm read from them come from the same arithmetic.  The
+compiled extension is preferred when built; the numpy twin is always
 available.  ``PINVPERTURB_BACKEND`` (``compiled`` or ``python``) forces a
-choice for the whole process, and every public routine also takes an explicit
-``backend`` argument.  When the extension fails to import, the error is kept
-in ``compiled_import_error`` and the numpy twin is used without a message.
+choice and is the only way to make one; any other value is rejected.  When
+the extension fails to import, the error is kept in ``compiled_import_error``
+and the numpy twin is used without a message.
 """
 
 from __future__ import annotations
@@ -35,15 +37,19 @@ def available_backends():
 
 
 def default_backend():
-    """Backend used when none is requested explicitly."""
+    """The process's backend: ``PINVPERTURB_BACKEND`` if set, else the preferred one."""
     forced = os.environ.get("PINVPERTURB_BACKEND")
     if forced:
+        if forced not in ("compiled", "python"):
+            raise ValueError(
+                f"PINVPERTURB_BACKEND={forced!r} is not a backend, expected 'compiled' or 'python'"
+            )
         return forced
     return "compiled" if _jacobi_cy is not None else "python"
 
 
 def get_kernel(backend=None):
-    """Resolve a backend name to its kernel module."""
+    """Resolve a backend name, by default the process's, to its kernel module."""
     name = backend if backend is not None else default_backend()
     if name == "compiled":
         if _jacobi_cy is None:

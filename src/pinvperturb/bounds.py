@@ -133,7 +133,12 @@ class Estimator:
                 return BoundValue(
                     self.name, self.kind, self.target, self.norm, False, None, req.reason(p)
                 )
-        value = self.formula(p.norms, p)
+        try:
+            value = self.formula(p.norms, p)
+        except ArithmeticError as exc:
+            # an overflow's own message is only "(34, 'Numerical result out of range')"
+            detail = exc.args[-1] if exc.args else type(exc).__name__
+            raise type(exc)(f"estimator {self.name} failed: {detail}") from exc
         if self.kind == "lower":
             value = max(value, 0.0)
         return BoundValue(self.name, self.kind, self.target, self.norm, True, float(value))

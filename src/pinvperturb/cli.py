@@ -7,9 +7,10 @@ Subcommands:
   suite               randomized property suite
   sweep               closed-form parameter sweep (cases 1 and 2)
 
-Exit codes: 0 success, 2 usage or input error, 3 numerical invariant
-violation or numerical failure (no convergence, overflow, a missing kernel
-backend).  All numbers print with 17 significant digits.
+Exit codes: 0 success, 2 usage or input error (an unknown
+``PINVPERTURB_BACKEND`` included), 3 numerical invariant violation or
+numerical failure (no convergence, overflow, a missing kernel backend).
+All numbers print with 17 significant digits.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Dense linear algebra core.
 
-Full singular value decompositions come from a one-sided Jacobi kernel
-(compiled or numpy, see ``backends``); on top of that sit the Moore-Penrose
-inverse, spectral/Frobenius norms, orthogonal projectors and minimum-norm
-least squares.  Everything works internally in complex128 and accepts any
-real or complex 2-d array-like.
+Full singular value decompositions come from a one-sided Jacobi kernel,
+the one ``backends.get_kernel()`` picks for the whole process (compiled or
+numpy, chosen only through ``PINVPERTURB_BACKEND``); on top of that sit the
+Moore-Penrose inverse, spectral/Frobenius norms, orthogonal projectors and
+minimum-norm least squares.  Everything works internally in complex128 and
+accepts any real or complex 2-d array-like.
 """
 
 from __future__ import annotations
@@ -118,10 +119,12 @@ def _complete_basis(u1, m):
     return out
 
 
-_EPS = float(np.finfo(np.float64).eps)
+# the kernel's convergence threshold (relative to the column norms) and pass limit
+JACOBI_EPS = float(np.finfo(np.float64).eps)
+JACOBI_MAX_SWEEPS = 60
 
 
-def jacobi_svd(a, backend=None, eps=_EPS, max_sweeps=60):
+def jacobi_svd(a):
     """Full SVD via one-sided Jacobi: returns (u, sigma, v), all factors full.
 
     ``sigma`` is sorted decreasing with min(m, n) entries.  Wide inputs are
@@ -130,14 +133,16 @@ def jacobi_svd(a, backend=None, eps=_EPS, max_sweeps=60):
     a = as_matrix(a)
     m, n = a.shape
     if m < n:
-        u, sig, v = jacobi_svd(a.conj().T, backend=backend, eps=eps, max_sweeps=max_sweeps)
+        u, sig, v = jacobi_svd(a.conj().T)
         return v, sig, u
     w = np.array(a, dtype=np.complex128, order="F", copy=True)
     v = np.asfortranarray(np.eye(n, dtype=np.complex128))
-    kernel = backends.get_kernel(backend)
-    sweeps = kernel.orthogonalize_columns(w, v, eps, max_sweeps)
+    kernel = backends.get_kernel()
+    sweeps = kernel.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS)
     if sweeps < 0:
-        raise RuntimeError(f"no convergence in {max_sweeps} jacobi sweeps for shape {a.shape}")
+        raise RuntimeError(
+            f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {a.shape}"
+        )
     sig = np.linalg.norm(w, axis=0)
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
@@ -149,53 +154,53 @@ def jacobi_svd(a, backend=None, eps=_EPS, max_sweeps=60):
     return u, sig, v
 
 
-def svd_factors(a, tol=None, backend=None):
+def svd_factors(a, tol=None):
     """Factor ``a`` and resolve its numerical rank.
 
     ``tol=None`` applies the default cutoff from ``default_cutoff``; an
     explicit ``tol`` is an absolute threshold.
     """
     a = as_matrix(a)
-    u, sig, v = jacobi_svd(a, backend=backend)
+    u, sig, v = jacobi_svd(a)
     cut = default_cutoff(a.shape, sig[0]) if tol is None else float(tol)
     rank = int(np.count_nonzero(sig > cut))
     return SvdFactors(u=u, sigma=sig, v=v, rank=rank, tol=cut)
 
 
-def pinv(a, tol=None, backend=None):
+def pinv(a, tol=None):
     """Moore-Penrose inverse v1 @ diag(1/sigma1) @ u1*.
 
     Accepts a matrix or precomputed ``SvdFactors``.
     """
-    f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol, backend=backend)
+    f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
     m, n = f.shape
     if f.rank == 0:
         return np.zeros((n, m), dtype=np.complex128)
     return (f.v1 / f.sigma1) @ f.u1.conj().T
 
 
-def spectral_norm(a, backend=None):
+def spectral_norm(a):
     """Largest singular value."""
-    return float(jacobi_svd(a, backend=backend)[1][0])
+    return float(jacobi_svd(a)[1][0])
 
 
 def frobenius_norm(a):
     return float(np.linalg.norm(as_matrix(a), "fro"))
 
 
-def projector_col(a, tol=None, backend=None):
+def projector_col(a, tol=None):
     """Orthogonal projector onto the column space (equals a @ pinv(a))."""
-    f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol, backend=backend)
+    f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
     return f.u1 @ f.u1.conj().T
 
 
-def projector_row(a, tol=None, backend=None):
+def projector_row(a, tol=None):
     """Orthogonal projector onto the row space (equals pinv(a) @ a)."""
-    f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol, backend=backend)
+    f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
     return f.v1 @ f.v1.conj().T
 
 
-def lstsq_min_norm(a, b, tol=None, backend=None):
+def lstsq_min_norm(a, b, tol=None):
     """Minimum-norm least-squares solution pinv(a) @ b.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.
@@ -209,7 +214,7 @@ def lstsq_min_norm(a, b, tol=None, backend=None):
         raise ShapeError(
             f"cannot solve a {a.shape} system with right-hand side of shape {np.asarray(b).shape}"
         )
-    x = pinv(a, tol=tol, backend=backend) @ bb
+    x = pinv(a, tol=tol) @ bb
     return x[:, 0] if vec else x
 
 

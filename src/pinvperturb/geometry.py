@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ShapeError, SvdFactors, as_matrix, jacobi_svd, pinv, svd_factors
+from .core import ShapeError, SvdFactors, as_matrix, jacobi_svd, pinv, spectral_norm, svd_factors
 
 
 def _fro2(x):
@@ -87,13 +87,13 @@ class PerturbationPair:
         return _product_norms(self)
 
 
-def make_pair(a, b, tol=None, backend=None):
+def make_pair(a, b, tol=None):
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise ShapeError(f"pair shapes differ: {a.shape} vs {b.shape}")
-    fa = svd_factors(a, tol=tol, backend=backend)
-    fb = svd_factors(b, tol=tol, backend=backend)
+    fa = svd_factors(a, tol=tol)
+    fb = svd_factors(b, tol=tol)
     return PerturbationPair(
         a=a, b=b, e=b - a, fa=fa, fb=fb, pinv_a=pinv(fa), pinv_b=pinv(fb)
     )
@@ -121,7 +121,7 @@ def _product_norms(p):
         nbi=p.fb.pinv_norm2,
         e2=_fro2(e),
         ef=float(np.linalg.norm(e)),
-        es=float(jacobi_svd(e)[1][0]),
+        es=spectral_norm(e),
         ae=_fro2(pae),
         ea=_fro2(epa),
         be=_fro2(pbe),
@@ -148,8 +148,8 @@ def deviation_fro(p):
     return float(np.linalg.norm(p.pinv_b - p.pinv_a))
 
 
-def deviation_spectral(p, backend=None):
-    return float(jacobi_svd(p.pinv_b - p.pinv_a, backend=backend)[1][0])
+def deviation_spectral(p):
+    return spectral_norm(p.pinv_b - p.pinv_a)
 
 
 def identity_terms_a(p):
@@ -292,7 +292,7 @@ def trace_real(m_, n_):
     return float(np.real(np.vdot(n_, m_)))
 
 
-def von_neumann_sum(m_, n_, backend=None):
+def von_neumann_sum(m_, n_):
     """Sum of pairwise products of the decreasing singular value lists.
 
     This is the sharp upper bound for |Re tr(u m v n*)| over unitary u, v.
@@ -301,13 +301,13 @@ def von_neumann_sum(m_, n_, backend=None):
     n_ = as_matrix(n_)
     if m_.shape != n_.shape:
         raise ShapeError(f"trace pairing needs equal shapes, got {m_.shape} and {n_.shape}")
-    sm = jacobi_svd(m_, backend=backend)[1]
-    sn = jacobi_svd(n_, backend=backend)[1]
+    sm = jacobi_svd(m_)[1]
+    sn = jacobi_svd(n_)[1]
     return float(np.dot(sm, sn))
 
 
-def aligning_unitaries(m_, n_, backend=None):
+def aligning_unitaries(m_, n_):
     """Unitaries (u, v) with trace_real(u @ m @ v, n) == von_neumann_sum(m, n)."""
-    um, _, vm = jacobi_svd(m_, backend=backend)
-    un, _, vn = jacobi_svd(n_, backend=backend)
+    um, _, vm = jacobi_svd(m_)
+    un, _, vn = jacobi_svd(n_)
     return un @ um.conj().T, vm @ vn.conj().T

@@ -93,7 +93,7 @@ def gen_fixed_rank(spec, rank=None, rng=None):
     return (q1 * s) @ q2.conj().T
 
 
-def gen_pair(spec, tol=None, backend=None, perturbation_scale=None):
+def gen_pair(spec, perturbation_scale=None):
     """A pair drawn from the ensemble ``spec`` describes.
 
     By default the two matrices are independent with ranks ``rank_a`` and
@@ -109,4 +109,4 @@ def gen_pair(spec, tol=None, backend=None, perturbation_scale=None):
         if spec.field == "complex":
             g = g + 1j * rng.standard_normal((spec.m, spec.n))
         b = a + float(perturbation_scale) * g
-    return make_pair(a, b, tol=tol, backend=backend)
+    return make_pair(a, b)

@@ -307,13 +307,13 @@ def rank_jump_witness(p):
     return witness
 
 
-def scale_covariance_residual(p, rep, c, tol=None, backend=None):
+def scale_covariance_residual(p, rep, c):
     """Rescaling both operands by c must move every value by the exact power of c.
 
     Squared estimators combine intermediates as large as the worst-case
     energy, so their roundoff budget is normalized by that magnitude.
     """
-    pc = make_pair(c * p.a, c * p.b, tol=tol, backend=backend)
+    pc = make_pair(c * p.a, c * p.b)
     repc = full_report(pc)
     nm = p.norms
     big = 1.0 + max(nm.nai, nm.nbi) ** 4 * nm.e2
@@ -373,7 +373,6 @@ def run_property_suite(
     trials=DEFAULT_TRIALS,
     seed=DEFAULT_SEED,
     vn_trials=DEFAULT_VN_TRIALS,
-    backend=None,
 ):
     """Run every property over ``trials`` random pairs round-robin over specs.
 
@@ -390,7 +389,7 @@ def run_property_suite(
         sp = specs[t % len(specs)]
         tseed = _trial_seed(sp.seed, t)
         spec_t = replace(sp, seed=tseed)
-        pair = gen_pair(spec_t, backend=backend)
+        pair = gen_pair(spec_t)
         aux = np.random.default_rng([tseed, 3])
 
         for f, mat in ((pair.fa, pair.a), (pair.fb, pair.b)):
@@ -402,13 +401,13 @@ def run_property_suite(
             pr = max(penrose_residuals(mat, px))
             props["penrose"].record(pr / (1.0 + f.norm2 * f.pinv_norm2), tseed)
 
-        back = pinv(pair.pinv_a, backend=backend)
+        back = pinv(pair.pinv_a)
         inv_resid = float(np.abs(back - pair.a).max()) / (1.0 + pair.fa.norm2)
         props["pinv_involution"].record(inv_resid, tseed)
 
         if pair.rank_a >= 1:
             # independent route: factor the explicit pseudoinverse matrix
-            sn = spectral_norm(pair.pinv_a, backend=backend)
+            sn = spectral_norm(pair.pinv_a)
             props["pinv_spectral_reciprocal"].record(
                 abs(sn * pair.fa.sigma1[-1] - 1.0), tseed
             )
@@ -425,9 +424,7 @@ def run_property_suite(
             props[name].record(resid, tseed)
 
         c = 10.0 ** aux.uniform(-1.0, 1.0)
-        props["scale_covariance"].record(
-            scale_covariance_residual(pair, rep, c, backend=backend), tseed
-        )
+        props["scale_covariance"].record(scale_covariance_residual(pair, rep, c), tseed)
 
         if pair.rank_b > pair.rank_a:
             sv = rep.by_name("singular_value_lower").value
@@ -448,12 +445,12 @@ def run_property_suite(
         if fld == "complex":
             mm = mm + 1j * rng.standard_normal((m, n))
             nn = nn + 1j * rng.standard_normal((m, n))
-        vn = von_neumann_sum(mm, nn, backend=backend)
+        vn = von_neumann_sum(mm, nn)
         u = haar_unitary(m, rng, fld)
         v = haar_unitary(n, rng, fld)
         up = max(0.0, trace_real(u @ mm @ v, nn) - vn) / (1.0 + vn)
         props["von_neumann_upper"].record(up, t)
-        au, av = aligning_unitaries(mm, nn, backend=backend)
+        au, av = aligning_unitaries(mm, nn)
         att = abs(trace_real(au @ mm @ av, nn) - vn) / (1.0 + vn)
         props["von_neumann_attainment"].record(att, t)
 

@@ -86,7 +86,7 @@ class SweepResult:
     columns: dict  # name -> array, insertion-ordered
 
 
-def sweep_example(spec, tol=None, backend=None):
+def sweep_example(spec):
     """Evaluate the case over the grid and pair every value with its closed form."""
     forms = CLOSED_FORMS[spec.example]
     taus = np.linspace(spec.tau_min, spec.tau_max, spec.steps)
@@ -98,7 +98,7 @@ def sweep_example(spec, tol=None, backend=None):
         cols[f"{name}_diff"] = []
     for t in taus:
         a, b = case_matrices(spec.example, float(t))
-        rep = full_report(make_pair(a, b, tol=tol, backend=backend))
+        rep = full_report(make_pair(a, b))
         want = forms["exact"](float(t))
         cols["exact"].append(rep.exact_sq)
         cols["exact_closed"].append(want)

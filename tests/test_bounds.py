@@ -8,6 +8,7 @@ import pytest
 from pinvperturb.bounds import (
     MU,
     BoundReport,
+    Estimator,
     envelope_ok,
     equal_rank_multiplier,
     evaluate_all,
@@ -402,3 +403,13 @@ def test_bound_report_type():
     rep = full_report(_rank_drop_pair(0.2))
     assert isinstance(rep, BoundReport)
     assert len(rep.uppers) + len(rep.lowers) == 24
+
+
+def test_estimator_arithmetic_error_names_its_row():
+    probe = Estimator("probe_overflow", "upper", lambda nm, p: 10.0**400)
+    with pytest.raises(OverflowError) as err:
+        probe.evaluate(make_pair(np.eye(2), 2.0 * np.eye(2)))
+    msg = str(err.value)
+    assert "probe_overflow" in msg
+    assert "\n" not in msg
+    assert isinstance(err.value.__cause__, OverflowError)

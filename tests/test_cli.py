@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from importlib import metadata
 from pathlib import Path
 
@@ -126,6 +129,16 @@ def test_numerical_failure_exit3(pair_files, capsys, monkeypatch, command, targe
     assert captured.out == ""
 
 
+def test_unknown_backend_variable_exit2(pair_files, capsys, monkeypatch):
+    monkeypatch.setenv("PINVPERTURB_BACKEND", "fortran")
+    assert cli.main(["pinv", pair_files[0]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "PINVPERTURB_BACKEND" in lines[0] and "fortran" in lines[0]
+
+
 def test_verify_identities_ok(pair_files, capsys):
     a, b = pair_files
     assert cli.main(["verify-identities", a, b]) == 0
@@ -183,6 +196,19 @@ def test_sweep_stdout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "gamma_lower" in lines[0].split(",")
     assert len(lines) == 4
+
+
+def test_python_m_runs_uninstalled_checkout(capsys):
+    args = ["sweep", "--example", "1", "--steps", "3"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pinvperturb", *args],
+        env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(args) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_sweep_bad_range_exit2(capsys):
