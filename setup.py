@@ -1,28 +1,11 @@
 """Build script for the optional compiled Jacobi kernel.
 
-The package works without the extension (a pure numpy twin is selected at
-import time), so a missing compiler or Cython only costs speed.
+``_jacobi.c`` is plain C99 with no Python API; ``backends`` opens the built
+library with ctypes.  Without it the numpy twin is used, so a failed build,
+as with no C compiler, only costs speed.
 """
 
 from setuptools import Extension, setup
 
-try:
-    import numpy as np
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "pinvperturb._jacobi_cy",
-                ["src/pinvperturb/_jacobi_cy.pyx"],
-                include_dirs=[np.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+kernel = Extension("pinvperturb._jacobi", ["src/pinvperturb/_jacobi.c"], extra_compile_args=["-O3"], optional=True)
+setup(ext_modules=[kernel])

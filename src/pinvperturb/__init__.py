@@ -2,8 +2,9 @@
 and lower perturbation bounds on the squared Frobenius deviation between the
 pseudoinverses of two matrices.
 
-The SVD kernel has a compiled and a pure numpy implementation, one of which
-serves the whole process; see ``backends``.  ``geometry`` carries the exact
+The SVD kernel has a C implementation, built at install and loaded with
+ctypes, and a pure numpy one; one of them serves the whole process; see
+``backends``.  ``geometry`` carries the exact
 deviation identities, ``bounds`` the estimator family, ``suite`` the
 randomized property harness, and ``sweeps`` two closed-form parameter
 studies.

@@ -1,6 +1,6 @@
 """Pure numpy twin of the one-sided Jacobi column-orthogonalization kernel.
 
-Used when the compiled extension is unavailable (or forced via
+Used when the C kernel ``_jacobi.c`` is not built (or forced via
 ``PINVPERTURB_BACKEND=python``).  Semantics are identical: plane rotations
 are applied to column pairs of ``w`` until all columns are pairwise
 orthogonal, and every rotation is mirrored into ``v`` so that

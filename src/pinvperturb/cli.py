@@ -120,6 +120,17 @@ def cmd_sweep(args):
     return 0
 
 
+def _trial_count(text):
+    """``--trials``: an integer of at least 1; a suite of no trials checks nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pinvperturb",
@@ -153,7 +164,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("suite", help="randomized property suite")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_trial_count, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_suite)
 

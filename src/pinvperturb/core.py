@@ -1,11 +1,13 @@
 """Dense linear algebra core.
 
 Full singular value decompositions come from a one-sided Jacobi kernel,
-the one ``backends.get_kernel()`` picks for the whole process (compiled or
-numpy, chosen only through ``PINVPERTURB_BACKEND``); on top of that sit the
-Moore-Penrose inverse, spectral/Frobenius norms, orthogonal projectors and
-minimum-norm least squares.  Everything works internally in complex128 and
-accepts any real or complex 2-d array-like.
+the one ``backends.get_kernel()`` picks for the whole process (the C kernel
+when built, else numpy; chosen only through ``PINVPERTURB_BACKEND``).  Its
+threshold and pass limit are ``JACOBI_EPS`` and ``JACOBI_MAX_SWEEPS`` here,
+and nowhere else.  On top of that sit the Moore-Penrose inverse,
+spectral/Frobenius norms, orthogonal projectors and minimum-norm least
+squares.  Everything works internally in complex128 and accepts any real or
+complex 2-d array-like with finite entries.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+def _finite(a):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
 def as_matrix(x):
     """Convert to a 2-d complex128 array, rejecting non-finite entries."""
     a = np.asarray(x)
@@ -28,10 +36,7 @@ def as_matrix(x):
         raise ShapeError(f"expected a 2-d matrix, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"matrix dimensions must be positive, got shape {a.shape}")
-    a = a.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
+    return _finite(a.astype(np.complex128, copy=False))
 
 
 def conj_transpose(a):
@@ -158,9 +163,11 @@ def svd_factors(a, tol=None):
     """Factor ``a`` and resolve its numerical rank.
 
     ``tol=None`` applies the default cutoff from ``default_cutoff``; an
-    explicit ``tol`` is an absolute threshold.
+    explicit ``tol`` is an absolute threshold, finite and non-negative.
     """
     a = as_matrix(a)
+    if tol is not None and not 0.0 <= float(tol) < np.inf:
+        raise ValueError(f"rank cutoff must be finite and non-negative, got {tol}")
     u, sig, v = jacobi_svd(a)
     cut = default_cutoff(a.shape, sig[0]) if tol is None else float(tol)
     rank = int(np.count_nonzero(sig > cut))
@@ -203,10 +210,11 @@ def projector_row(a, tol=None):
 def lstsq_min_norm(a, b, tol=None):
     """Minimum-norm least-squares solution pinv(a) @ b.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.
+    ``b`` may be a vector or a matrix of stacked right-hand sides; its
+    entries must be finite, like those of ``a``.
     """
     a = as_matrix(a)
-    bb = np.asarray(b, dtype=np.complex128)
+    bb = _finite(np.asarray(b, dtype=np.complex128))
     vec = bb.ndim == 1
     if vec:
         bb = bb[:, None]

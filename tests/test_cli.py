@@ -139,6 +139,28 @@ def test_unknown_backend_variable_exit2(pair_files, capsys, monkeypatch):
     assert "PINVPERTURB_BACKEND" in lines[0] and "fortran" in lines[0]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["pinv", "bounds", "verify-identities"])
+def test_invalid_rank_cutoff_exit2(pair_files, capsys, command, tol):
+    # a = diag(1, 0); a negative cutoff used to divide by its zero singular value
+    files = pair_files[:1] if command == "pinv" else pair_files
+    assert cli.main([command, *files, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: rank cutoff")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_suite_trials_below_one_usage_error(trials, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_property_suite", lambda trials, seed: pytest.fail("suite ran"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["suite", "--trials", trials])
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
 def test_verify_identities_ok(pair_files, capsys):
     a, b = pair_files
     assert cli.main(["verify-identities", a, b]) == 0

@@ -132,6 +132,12 @@ def test_lstsq_known_value():
     assert_allclose(x, [2.0], atol=1e-12)
 
 
+def test_lstsq_rejects_non_finite_rhs():
+    for b in ([np.nan, 1.0], [1.0, np.inf], np.array([[1.0], [-np.inf]])):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            lstsq_min_norm(np.eye(2), b)
+
+
 def test_lstsq_min_norm_among_optima():
     rng = np.random.default_rng(19)
     a = _random_lowrank(rng, 4, 6, 2, False)

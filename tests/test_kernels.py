@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-import importlib.util
+import ctypes
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,21 +19,65 @@ from pinvperturb.bounds import full_report
 from pinvperturb.core import jacobi_svd, lstsq_min_norm
 from pinvperturb.geometry import make_pair
 
-BACKENDS = available_backends()
+BACKENDS = ["compiled", "python"]
+KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "pinvperturb" / "_jacobi.c"
+# the name setuptools gives the built kernel
+BUILT_KERNEL = Path(backends.__file__).with_name("_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
+NO_COMPILED = "no built _jacobi library, and no cc to compile src/pinvperturb/_jacobi.c"
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The built kernel, else ``_jacobi.c`` compiled here with ``cc``; None without either."""
+    if backends._jacobi is not None or shutil.which("cc") is None:
+        return backends._jacobi
+    lib = tmp_path_factory.mktemp("kernel") / "_jacobi.so"
+    cmd = ["cc", "-O3", "-shared", "-fPIC", "-std=c99", "-o", str(lib), str(KERNEL_SOURCE)]
+    subprocess.run(cmd, check=True)
+    return backends.load_compiled(lib)
+
+
+@pytest.fixture
+def kernels(monkeypatch, compiled_kernel):
+    """Backend names loadable in the test, the compiled one from ``compiled_kernel``."""
+    monkeypatch.setattr(backends, "_jacobi", compiled_kernel)
+    return available_backends()
+
+
+@pytest.fixture
+def backend(request, kernels, monkeypatch):
+    """Select the kernel named by the (indirect) parameter for the whole test."""
+    if request.param not in kernels:
+        pytest.skip(NO_COMPILED)
+    monkeypatch.setenv("PINVPERTURB_BACKEND", request.param)
+    return request.param
 
 
 @pytest.mark.skipif(
-    importlib.util.find_spec("pinvperturb._jacobi_cy") is None,
-    reason="no built _jacobi_cy extension file for this interpreter (Cython build not run)",
+    not BUILT_KERNEL.exists(),
+    reason=f"no built {BUILT_KERNEL.name} next to backends.py (setup.py build not run)",
 )
 def test_both_backends_present_when_built():
-    assert "python" in BACKENDS
-    # the extension file exists (find_spec locates it without loading it);
-    # if it failed to import this fails loudly, naming the import error
-    assert "compiled" in BACKENDS, f"_jacobi_cy did not import: {backends.compiled_import_error}"
+    assert "python" in available_backends()
+    # the library file exists; if it failed to load this fails loudly, naming the error
+    assert "compiled" in available_backends(), f"_jacobi did not load: {backends.compiled_load_error}"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def test_compiled_kernel_rejects_misfit_arrays(compiled_kernel):
+    # the ctypes signature stands where a typed memoryview would: a float64 or
+    # C-ordered w raises before the C loop can misread its memory
+    if compiled_kernel is None:
+        pytest.skip(NO_COMPILED)
+    v = np.asfortranarray(np.eye(2, dtype=np.complex128))
+    for w in (np.asfortranarray(np.ones((3, 2))), np.ascontiguousarray(np.ones((3, 2), dtype=np.complex128))):
+        with pytest.raises(ctypes.ArgumentError):
+            compiled_kernel.orthogonalize_columns(w, v, 2.220446049250313e-16, 60)
+    w = np.asfortranarray(np.ones((3, 3), dtype=np.complex128))
+    with pytest.raises(ValueError, match="does not fit"):
+        compiled_kernel.orthogonalize_columns(w, v, 2.220446049250313e-16, 60)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_kernel_orthogonalizes_columns(backend):
     rng = np.random.default_rng(11)
     kern = get_kernel(backend)
@@ -47,10 +95,9 @@ def test_kernel_orthogonalizes_columns(backend):
         assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-13)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_svd_matches_reference_singular_values(backend, field, monkeypatch):
-    monkeypatch.setenv("PINVPERTURB_BACKEND", backend)
+def test_svd_matches_reference_singular_values(backend, field):
     rng = np.random.default_rng(23)
     for m, n in [(1, 1), (2, 2), (3, 2), (2, 3), (5, 3), (3, 5), (6, 6), (8, 5), (1, 7)]:
         a = rng.standard_normal((m, n))
@@ -65,26 +112,24 @@ def test_svd_matches_reference_singular_values(backend, field, monkeypatch):
         assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-12 * max(m, n))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_known_rank_deficient_case(backend, monkeypatch):
-    monkeypatch.setenv("PINVPERTURB_BACKEND", backend)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_known_rank_deficient_case(backend):
     # the Gram matrix trick: [[1,2],[2,4]] has singular values exactly (5, 0)
     u, s, v = jacobi_svd(np.array([[1.0, 2.0], [2.0, 4.0]]))
     assert_allclose(s, [5.0, 0.0], atol=1e-13)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_zero_matrix(backend, monkeypatch):
-    monkeypatch.setenv("PINVPERTURB_BACKEND", backend)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_zero_matrix(backend):
     u, s, v = jacobi_svd(np.zeros((3, 2)))
     assert_allclose(s, [0.0, 0.0], atol=0.0)
     assert_allclose(u, np.eye(3), atol=0.0)
     assert_allclose(v.conj().T @ v, np.eye(2), atol=0.0)
 
 
-def test_backends_agree_with_each_other(monkeypatch):
-    if len(BACKENDS) < 2:
-        pytest.skip("only one backend importable")
+def test_backends_agree_with_each_other(monkeypatch, kernels):
+    if len(kernels) < 2:
+        pytest.skip(NO_COMPILED)
     rng = np.random.default_rng(31)
     for _ in range(25):
         m, n = rng.integers(1, 9, 2)
@@ -96,14 +141,14 @@ def test_backends_agree_with_each_other(monkeypatch):
         assert_allclose(s_c, s_p, atol=1e-13 * (1.0 + s_p[0]))
 
 
-def test_graded_singular_values_recovered(monkeypatch):
+def test_graded_singular_values_recovered(monkeypatch, kernels):
     # widely spread spectrum, fixed by construction
     rng = np.random.default_rng(7)
     s_true = np.array([1.0, 1e-2, 1e-4, 1e-6])
     q1 = np.linalg.qr(rng.standard_normal((6, 4)))[0]
     q2 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     a = (q1 * s_true) @ q2.conj().T
-    for backend in BACKENDS:
+    for backend in kernels:
         monkeypatch.setenv("PINVPERTURB_BACKEND", backend)
         s = jacobi_svd(a)[1]
         assert_allclose(s, s_true, rtol=1e-10)
@@ -139,7 +184,7 @@ def test_one_kernel_serves_every_svd(monkeypatch):
         calls["python"] += 1
         return numpy_kernel(*args)
 
-    monkeypatch.setattr(backends, "_jacobi_cy", SimpleNamespace(orthogonalize_columns=compiled))
+    monkeypatch.setattr(backends, "_jacobi", SimpleNamespace(orthogonalize_columns=compiled))
     monkeypatch.setattr(_jacobi_py, "orthogonalize_columns", stray)
     monkeypatch.setenv("PINVPERTURB_BACKEND", "compiled")
     rng = np.random.default_rng(5)
