@@ -170,89 +170,84 @@ def _singular_value_bound(p, c):
     return total + c * aligned
 
 
-def _alpha_upper(nm, p):
-    """Projected-residual route, minimum over the two."""
-    a1 = nm.nai**2 * _d(nm.ae - nm.aebb) + nm.nbi**2 * _d(nm.eb - nm.aaeb)
-    a2 = nm.nai**2 * _d(nm.ea - nm.bbea) + nm.nbi**2 * _d(nm.be - nm.beaa)
-    return min(a1 + nm.x, a2 + nm.y)
+def _upper(route):
+    """The tighter of a route and its a <-> b mirror."""
+    return lambda nm, p: min(route(nm), route(nm.swapped))
 
 
-def _beta_upper(nm, p):
+def _lower(route):
+    """The tighter of a lower route and its a <-> b mirror."""
+    return lambda nm, p: max(route(nm), route(nm.swapped))
+
+
+# Each route below is written once, for the orientation through (a, e); its
+# mirror is the same route on ``nm.swapped``.
+
+
+def _alpha_upper(nm):
+    """Projected-residual route."""
+    return nm.nai**2 * _d(nm.ae - nm.aebb) + nm.nbi**2 * _d(nm.eb - nm.aaeb) + nm.x
+
+
+def _beta_upper(nm):
     """Inverted products replaced by raw perturbation energy."""
-    b1 = nm.nai**4 * _d(nm.e2 - nm.ebb) + nm.nbi**4 * _d(nm.e2 - nm.aae)
-    b2 = nm.nai**4 * _d(nm.e2 - nm.bbe) + nm.nbi**4 * _d(nm.e2 - nm.eaa)
-    return min(b1 + nm.x, b2 + nm.y)
+    return nm.nai**4 * _d(nm.e2 - nm.ebb) + nm.nbi**4 * _d(nm.e2 - nm.aae) + nm.x
 
 
-def _gamma_upper(nm, p):
+def _gamma_upper(nm):
     """Cross mass scaled back through the inverse norms."""
-    g1 = nm.nai**2 * _d(nm.ae - nm.y / nm.nbi**2) + nm.nbi**2 * _d(nm.eb - nm.y / nm.nai**2)
-    g2 = nm.nai**2 * _d(nm.ea - nm.x / nm.nbi**2) + nm.nbi**2 * _d(nm.be - nm.x / nm.nai**2)
-    return min(g1 + nm.x, g2 + nm.y)
+    return (
+        nm.nai**2 * _d(nm.ae - nm.y / nm.nbi**2) + nm.nbi**2 * _d(nm.eb - nm.y / nm.nai**2) + nm.x
+    )
 
 
-def _delta_terms(nm):
+def _delta_term(nm):
+    """Energy with the aligned core subtracted, then amplified."""
     big = max(nm.nai, nm.nbi) ** 4
-    d1 = big * _d(nm.e2 - max(nm.aaeb / nm.nbi**2, nm.aebb / nm.nai**2))
-    d2 = big * _d(nm.e2 - max(nm.bbea / nm.nai**2, nm.beaa / nm.nbi**2))
-    return d1, d2
+    return big * _d(nm.e2 - max(nm.aaeb / nm.nbi**2, nm.aebb / nm.nai**2))
 
 
-def _delta_upper(nm, p):
+def _delta_upper(nm):
     """Energy route with the aligned core subtracted before amplification."""
-    d1, d2 = _delta_terms(nm)
-    return min(d1 + nm.x, d2 + nm.y)
+    return _delta_term(nm) + nm.x
 
 
 def _averaged_upper(nm, p):
     """Mean of the two delta routes; never below either minimum component."""
-    d1, d2 = _delta_terms(nm)
-    return 0.5 * (d1 + d2 + nm.x + nm.y)
+    return 0.5 * (_delta_term(nm) + _delta_term(nm.swapped) + nm.x + nm.y)
 
 
-def _epsilon_upper(nm, p):
+def _epsilon_upper(nm):
     """Equal-rank sharpening of the energy route."""
     pref = nm.nai**2 * nm.nbi**2
-    e1 = pref * _d(nm.e2 - max(nm.bbea / nm.nai**2, nm.beaa / nm.nbi**2))
-    e2 = pref * _d(nm.e2 - max(nm.aaeb / nm.nbi**2, nm.aebb / nm.nai**2))
-    return min(e1 + nm.x, e2 + nm.y)
+    return pref * _d(nm.e2 - max(nm.bbea / nm.nai**2, nm.beaa / nm.nbi**2)) + nm.x
 
 
-def _alpha_lower(nm, p):
-    """Lower counterpart of the projected-residual route, maximum of the two."""
-    a1 = _d(nm.ae - nm.aebb) / nm.na**2 + _d(nm.eb - nm.aaeb) / nm.nb**2
-    a2 = _d(nm.ea - nm.bbea) / nm.na**2 + _d(nm.be - nm.beaa) / nm.nb**2
-    return max(a1 + nm.x, a2 + nm.y)
+def _alpha_lower(nm):
+    """Lower counterpart of the projected-residual route."""
+    return _d(nm.ae - nm.aebb) / nm.na**2 + _d(nm.eb - nm.aaeb) / nm.nb**2 + nm.x
 
 
-def _beta_lower(nm, p):
+def _beta_lower(nm):
     """Lower counterpart of the raw-energy route."""
-    b1 = _d(nm.e2 - nm.ebb) / nm.na**4 + _d(nm.e2 - nm.aae) / nm.nb**4
-    b2 = _d(nm.e2 - nm.bbe) / nm.na**4 + _d(nm.e2 - nm.eaa) / nm.nb**4
-    return max(b1 + nm.x, b2 + nm.y)
+    return _d(nm.e2 - nm.ebb) / nm.na**4 + _d(nm.e2 - nm.aae) / nm.nb**4 + nm.x
 
 
-def _gamma_lower(nm, p):
+def _gamma_lower(nm):
     """Cross mass scaled up; terms may legitimately go negative."""
-    g1 = (nm.ae - nm.nb**2 * nm.y) / nm.na**2 + (nm.eb - nm.na**2 * nm.y) / nm.nb**2
-    g2 = (nm.ea - nm.nb**2 * nm.x) / nm.na**2 + (nm.be - nm.na**2 * nm.x) / nm.nb**2
-    return max(g1 + nm.x, g2 + nm.y)
+    return (nm.ae - nm.nb**2 * nm.y) / nm.na**2 + (nm.eb - nm.na**2 * nm.y) / nm.nb**2 + nm.x
 
 
-def _delta_lower(nm, p):
+def _delta_lower(nm):
     """Lower energy route normalized by the larger spectral norm."""
     big = max(nm.na, nm.nb) ** 4
-    d1 = (nm.e2 - min(nm.nb**2 * nm.aaeb, nm.na**2 * nm.aebb)) / big
-    d2 = (nm.e2 - min(nm.na**2 * nm.bbea, nm.nb**2 * nm.beaa)) / big
-    return max(d1 + nm.x, d2 + nm.y)
+    return (nm.e2 - min(nm.nb**2 * nm.aaeb, nm.na**2 * nm.aebb)) / big + nm.x
 
 
-def _epsilon_lower(nm, p):
+def _epsilon_lower(nm):
     """Equal-rank sharpening of the lower energy route."""
     pref = nm.na**2 * nm.nb**2
-    e1 = (nm.e2 - min(nm.na**2 * nm.bbea, nm.nb**2 * nm.beaa)) / pref
-    e2 = (nm.e2 - min(nm.nb**2 * nm.aaeb, nm.na**2 * nm.aebb)) / pref
-    return max(e1 + nm.x, e2 + nm.y)
+    return (nm.e2 - min(nm.na**2 * nm.bbea, nm.nb**2 * nm.beaa)) / pref + nm.x
 
 
 # The whole family in its fixed report order.  The unsquared rows are the
@@ -301,22 +296,22 @@ ESTIMATORS = (
     ),
     Estimator(
         "li_full_rank_pair", "upper",
-        lambda nm, p: min(nm.nbi**2 * nm.ea, nm.nai**2 * nm.eb),
+        _upper(lambda nm: nm.nbi**2 * nm.ea),
         (_FULL_COLUMN_RANK_BOTH,),
     ),
     Estimator("singular_value_upper", "upper", lambda nm, p: _singular_value_bound(p, 2.0)),
-    Estimator("alpha_upper", "upper", _alpha_upper),
-    Estimator("beta_upper", "upper", _beta_upper),
-    Estimator("gamma_upper", "upper", _gamma_upper, (_PINV_NONZERO,)),
-    Estimator("delta_upper", "upper", _delta_upper, (_PINV_NONZERO,)),
-    Estimator("epsilon_upper", "upper", _epsilon_upper, (_EQUAL_RANKS, _PINV_NONZERO)),
+    Estimator("alpha_upper", "upper", _upper(_alpha_upper)),
+    Estimator("beta_upper", "upper", _upper(_beta_upper)),
+    Estimator("gamma_upper", "upper", _upper(_gamma_upper), (_PINV_NONZERO,)),
+    Estimator("delta_upper", "upper", _upper(_delta_upper), (_PINV_NONZERO,)),
+    Estimator("epsilon_upper", "upper", _upper(_epsilon_upper), (_EQUAL_RANKS, _PINV_NONZERO)),
     Estimator("averaged_upper", "upper", _averaged_upper, (_PINV_NONZERO,)),
     Estimator("singular_value_lower", "lower", lambda nm, p: _singular_value_bound(p, -2.0)),
-    Estimator("alpha_lower", "lower", _alpha_lower, (_SPECTRAL_NONZERO,)),
-    Estimator("beta_lower", "lower", _beta_lower, (_SPECTRAL_NONZERO,)),
-    Estimator("gamma_lower", "lower", _gamma_lower, (_SPECTRAL_NONZERO,)),
-    Estimator("delta_lower", "lower", _delta_lower, (_ANY_NONZERO,)),
-    Estimator("epsilon_lower", "lower", _epsilon_lower, (_EQUAL_RANKS, _SPECTRAL_NONZERO)),
+    Estimator("alpha_lower", "lower", _lower(_alpha_lower), (_SPECTRAL_NONZERO,)),
+    Estimator("beta_lower", "lower", _lower(_beta_lower), (_SPECTRAL_NONZERO,)),
+    Estimator("gamma_lower", "lower", _lower(_gamma_lower), (_SPECTRAL_NONZERO,)),
+    Estimator("delta_lower", "lower", _lower(_delta_lower), (_ANY_NONZERO,)),
+    Estimator("epsilon_lower", "lower", _lower(_epsilon_lower), (_EQUAL_RANKS, _SPECTRAL_NONZERO)),
 )
 
 

@@ -44,14 +44,6 @@ def conj_transpose(a):
     return as_matrix(a).conj().T
 
 
-def matmul(a, b):
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def default_cutoff(shape, sigma_max):
     """Rank cutoff used when no absolute tolerance is given.
 
@@ -149,6 +141,8 @@ def jacobi_svd(a):
             f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {a.shape}"
         )
     sig = np.linalg.norm(w, axis=0)
+    if not np.all(np.isfinite(sig)):
+        raise RuntimeError(f"non-finite singular values (overflow) for shape {a.shape}")
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
     w = w[:, order]

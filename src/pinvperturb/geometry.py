@@ -1,17 +1,23 @@
 """Joint SVD geometry of a matrix pair (a, b) with e = b - a.
 
 Both factorizations are split at their numerical rank.  The module exposes
-the exact two-route decompositions of the squared Frobenius deviation of the
-pseudoinverses, the matching decompositions of the perturbation energy, the
+the exact decomposition of the squared Frobenius deviation of the
+pseudoinverses, the matching decomposition of the perturbation energy, the
 principal-angle masses between range/null spaces, and the trace inequality
 that compares singular value lists (with an explicit aligning pair of
 unitaries attaining it).
+
+Each quantity has a route through (a, e) and a mirror route with a and b
+exchanged.  Only the first is written here; the mirror is the same function
+on ``swap_pair(p)``, whose norms ``ProductNorms.swapped`` maps from p's
+without a new product or SVD.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -57,6 +63,20 @@ class ProductNorms:
     bbe: float   # |b b+ e|^2
     eaa: float   # |e a+ a|^2
 
+    @cached_property
+    def swapped(self):
+        """The same norms for the pair with a and b exchanged."""
+        return ProductNorms(*_mirrored_fields(self))
+
+
+# each field's counterpart under a <-> b, both ways; e2, ef and es are their own
+_MIRROR = dict(
+    na="nb", nai="nbi", ae="be", eb="ea", x="y", aaeb="bbea", aebb="beaa", ebb="eaa", aae="bbe"
+)
+_MIRROR.update({v: k for k, v in _MIRROR.items()})
+# the mirror's field values in ProductNorms' positional order
+_mirrored_fields = attrgetter(*(_MIRROR.get(f.name, f.name) for f in fields(ProductNorms)))
+
 
 @dataclass(frozen=True)
 class PerturbationPair:
@@ -100,42 +120,44 @@ def make_pair(a, b, tol=None):
 
 
 def swap_pair(p):
-    """The same data with the roles of a and b interchanged."""
-    return PerturbationPair(
+    """The same data with a and b interchanged; its norms are ``p.norms.swapped``."""
+    q = PerturbationPair(
         a=p.b, b=p.a, e=-p.e, fa=p.fb, fb=p.fa, pinv_a=p.pinv_b, pinv_b=p.pinv_a
     )
+    q.__dict__["norms"] = p.norms.swapped  # prefill the cached property
+    return q
+
+
+def _oriented(pa, pb, e, a, b):
+    """The seven squared product norms of one orientation, by their a-side names."""
+    pae = pa @ e
+    epb = e @ pb
+    y_m = pa @ epb
+    return {
+        "ae": _fro2(pae),
+        "eb": _fro2(epb),
+        "y": _fro2(y_m),
+        "aaeb": _fro2(a @ y_m),
+        "aebb": _fro2(y_m @ b),
+        "ebb": _fro2(epb @ b),
+        "aae": _fro2(a @ pae),
+    }
 
 
 def _product_norms(p):
-    pa, pb, e = p.pinv_a, p.pinv_b, p.e
-    pae = pa @ e
-    epa = e @ pa
-    pbe = pb @ e
-    epb = e @ pb
-    y_m = pa @ epb
-    x_m = pb @ epa
+    fa, fb, e = p.fa, p.fb, p.e
+    # the mirror's perturbation is -e, whose sign no squared norm sees
+    mirror = _oriented(p.pinv_b, p.pinv_a, e, p.b, p.a)
     return ProductNorms(
-        na=p.fa.norm2,
-        nb=p.fb.norm2,
-        nai=p.fa.pinv_norm2,
-        nbi=p.fb.pinv_norm2,
+        na=fa.norm2,
+        nb=fb.norm2,
+        nai=fa.pinv_norm2,
+        nbi=fb.pinv_norm2,
         e2=_fro2(e),
         ef=float(np.linalg.norm(e)),
         es=spectral_norm(e),
-        ae=_fro2(pae),
-        ea=_fro2(epa),
-        be=_fro2(pbe),
-        eb=_fro2(epb),
-        x=_fro2(x_m),
-        y=_fro2(y_m),
-        aaeb=_fro2(p.a @ y_m),
-        aebb=_fro2(y_m @ p.b),
-        bbea=_fro2(p.b @ x_m),
-        beaa=_fro2(x_m @ p.a),
-        ebb=_fro2(epb @ p.b),
-        aae=_fro2(p.a @ pae),
-        bbe=_fro2(p.b @ pbe),
-        eaa=_fro2(epa @ p.a),
+        **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b),
+        **{_MIRROR[k]: v for k, v in mirror.items()},
     )
 
 
@@ -152,12 +174,13 @@ def deviation_spectral(p):
     return spectral_norm(p.pinv_b - p.pinv_a)
 
 
-def identity_terms_a(p):
-    """First exact three-term split of ``deviation_sq``.
+def identity_terms(p):
+    """Exact three-term split of ``deviation_sq``.
 
     Terms: b's inverted null-leak against a's left null space, a's inverted
     null-leak against b's right null space, and the doubly-projected cross
-    term |b+ e a+|^2.  Their sum equals the deviation exactly.
+    term |b+ e a+|^2.  Their sum equals the deviation exactly; the mirror
+    split is ``identity_terms(swap_pair(p))``.
     """
     fa, fb = p.fa, p.fb
     t1 = _fro2((fb.u1.conj().T @ fa.u2) / fb.sigma1[:, None])
@@ -165,28 +188,16 @@ def identity_terms_a(p):
     return t1, t2, p.norms.x
 
 
-def identity_terms_b(p):
-    """Second exact three-term split, the mirror route of ``identity_terms_a``."""
-    fa, fb = p.fa, p.fb
-    t1 = _fro2((fb.u2.conj().T @ fa.u1) / fa.sigma1[None, :])
-    t2 = _fro2((fb.v1.conj().T @ fa.v2) / fb.sigma1[:, None])
-    return t1, t2, p.norms.y
-
-
 def cross_term_blocks(p):
-    """The two cross terms recomputed from rank-block data.
+    """The cross term norms.x recomputed from rank-block data.
 
-    Returns (x_alt, y_alt) equal to norms.x and norms.y: each is the squared
-    norm of a weighted difference of the aligned unitary blocks.
+    It is the squared norm of a weighted difference of the aligned unitary
+    blocks; ``norms.y`` is the same on ``swap_pair(p)``.
     """
     fa, fb = p.fa, p.fb
     g = (fb.v1.conj().T @ fa.v1) / fa.sigma1[None, :]
     h = (fb.u1.conj().T @ fa.u1) / fb.sigma1[:, None]
-    x_alt = _fro2(g - h)
-    g2 = (fa.u1.conj().T @ fb.u1) / fa.sigma1[:, None]
-    h2 = (fa.v1.conj().T @ fb.v1) / fb.sigma1[None, :]
-    y_alt = _fro2(g2 - h2)
-    return x_alt, y_alt
+    return _fro2(g - h)
 
 
 def proof_identity_u(p):
@@ -203,11 +214,12 @@ def proof_identity_v(p):
     return lhs, n.ae - n.aebb
 
 
-def energy_terms_a(p):
+def energy_terms(p):
     """Exact three-term split of |e|^2 in the mixed bases (u of a, v of b).
 
     Terms: core block, row-space leak of a against b's right null space,
-    column leak of b against a's left null space.
+    column leak of b against a's left null space.  The split in the other
+    mixed bases (v of a, u of b) is ``energy_terms(swap_pair(p))``.
     """
     fa, fb = p.fa, p.fb
     core = (fa.u1.conj().T @ fb.u1) * fb.sigma1[None, :] - fa.sigma1[:, None] * (
@@ -215,17 +227,6 @@ def energy_terms_a(p):
     )
     t2 = _fro2(fa.sigma1[:, None] * (fa.v1.conj().T @ fb.v2))
     t3 = _fro2((fa.u2.conj().T @ fb.u1) * fb.sigma1[None, :])
-    return _fro2(core), t2, t3
-
-
-def energy_terms_b(p):
-    """Mirror split of |e|^2 in the other mixed bases (v of a, u of b)."""
-    fa, fb = p.fa, p.fb
-    core = fb.sigma1[:, None] * (fb.v1.conj().T @ fa.v1) - (fb.u1.conj().T @ fa.u1) * fa.sigma1[
-        None, :
-    ]
-    t2 = _fro2(fb.sigma1[:, None] * (fb.v1.conj().T @ fa.v2))
-    t3 = _fro2((fb.u2.conj().T @ fa.u1) * fa.sigma1[None, :])
     return _fro2(core), t2, t3
 
 
@@ -259,13 +260,12 @@ def equal_rank_angle_gap(p):
 class AngleBounds:
     """Principal-angle sandwich of the squared deviation.
 
-    Both uppers dominate the deviation and both lowers are dominated by it.
+    ``upper`` dominates the deviation and ``lower`` is dominated by it; the
+    mirror sandwich is ``angle_bounds(swap_pair(p))``.
     """
 
-    upper_a: float
-    upper_b: float
-    lower_a: float
-    lower_b: float
+    upper: float
+    lower: float
 
 
 def _ratio(num, den):
@@ -276,11 +276,10 @@ def _ratio(num, den):
 def angle_bounds(p):
     ang = subspace_angles(p)
     n = p.norms
-    upper_a = n.nbi**2 * ang.u12**2 + n.nai**2 * ang.v21**2 + n.x
-    upper_b = n.nai**2 * ang.u21**2 + n.nbi**2 * ang.v12**2 + n.y
-    lower_a = _ratio(ang.u12**2, n.nb**2) + _ratio(ang.v21**2, n.na**2) + n.x
-    lower_b = _ratio(ang.u21**2, n.na**2) + _ratio(ang.v12**2, n.nb**2) + n.y
-    return AngleBounds(upper_a=upper_a, upper_b=upper_b, lower_a=lower_a, lower_b=lower_b)
+    return AngleBounds(
+        upper=n.nbi**2 * ang.u12**2 + n.nai**2 * ang.v21**2 + n.x,
+        lower=_ratio(ang.u12**2, n.nb**2) + _ratio(ang.v21**2, n.na**2) + n.x,
+    )
 
 
 def trace_real(m_, n_):

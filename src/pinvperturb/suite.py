@@ -21,11 +21,9 @@ from .geometry import (
     angle_bounds,
     cross_term_blocks,
     deviation_sq,
-    energy_terms_a,
-    energy_terms_b,
+    energy_terms,
     equal_rank_angle_gap,
-    identity_terms_a,
-    identity_terms_b,
+    identity_terms,
     make_pair,
     proof_identity_u,
     proof_identity_v,
@@ -171,38 +169,40 @@ def default_specs(seed=DEFAULT_SEED, condition_cap=SUITE_CONDITION_CAP):
 
 
 def identity_checks(p):
-    """Residuals of every exact identity for one pair: (name, residual, tol)."""
+    """Residuals of every exact identity for one pair: (name, residual, tol).
+
+    Each is checked on ``p`` and on ``swap_pair(p)``, the ``_a`` and ``_b``
+    properties of a split.
+    """
     out = []
     dev = deviation_sq(p)
     sdev = 1.0 + dev
-    out.append(("identity_sum_a", abs(sum(identity_terms_a(p)) - dev) / sdev))
-    out.append(("identity_sum_b", abs(sum(identity_terms_b(p)) - dev) / sdev))
-    nm = p.norms
-    x_alt, y_alt = cross_term_blocks(p)
-    cross = max(abs(x_alt - nm.x) / (1.0 + nm.x), abs(y_alt - nm.y) / (1.0 + nm.y))
+    e2 = p.norms.e2
+    both = (p, swap_pair(p))
+    for name, q in zip(("identity_sum_a", "identity_sum_b"), both):
+        out.append((name, abs(sum(identity_terms(q)) - dev) / sdev))
+    cross = max(abs(cross_term_blocks(q) - q.norms.x) / (1.0 + q.norms.x) for q in both)
     out.append(("cross_term_blocks", cross))
     for name, fn, minuend in (
         ("proof_identity_u", proof_identity_u, "eb"),
         ("proof_identity_v", proof_identity_v, "ae"),
     ):
         resid = 0.0
-        for q in (p, swap_pair(p)):
+        for q in both:
             lhs, rhs = fn(q)
             # the rhs is a difference of potentially huge products, so the
             # roundoff budget scales with the minuend, not the result
             big = getattr(q.norms, minuend)
             resid = max(resid, abs(lhs - rhs) / (1.0 + lhs + big))
         out.append((name, resid))
-    e2 = nm.e2
-    out.append(("energy_split_a", abs(sum(energy_terms_a(p)) - e2) / (1.0 + e2)))
-    out.append(("energy_split_b", abs(sum(energy_terms_b(p)) - e2) / (1.0 + e2)))
+    for name, q in zip(("energy_split_a", "energy_split_b"), both):
+        out.append((name, abs(sum(energy_terms(q)) - e2) / (1.0 + e2)))
     if p.rank_a == p.rank_b:
         out.append(("equal_rank_angles", equal_rank_angle_gap(p)))
-    ab = angle_bounds(p)
-    sandwich = max(
-        0.0, dev - ab.upper_a, dev - ab.upper_b, ab.lower_a - dev, ab.lower_b - dev
-    ) / sdev
-    out.append(("angle_sandwich", sandwich))
+    sandwich = 0.0
+    for ab in map(angle_bounds, both):
+        sandwich = max(sandwich, dev - ab.upper, ab.lower - dev)
+    out.append(("angle_sandwich", sandwich / sdev))
     return _with_tol(out)
 
 
@@ -285,7 +285,8 @@ def corrupted_alpha_upper(p):
     """Deliberately broken estimator: second terms sign-flipped in both routes.
 
     Exists to prove the harness can catch a wrong bound; it must violate the
-    sandwich somewhere in any default ensemble run.
+    sandwich somewhere in any default ensemble run.  It is not mirror
+    symmetric (both routes flip the nbi term), so both stay written out.
     """
     nm = p.norms
     a1 = nm.nai**2 * _d(nm.ae - nm.aebb) - nm.nbi**2 * _d(nm.eb - nm.aaeb)
@@ -431,9 +432,11 @@ def run_property_suite(
             wit = rank_jump_witness(pair)
             props["rank_jump_witness"].record(max(0.0, wit - sv) / (1.0 + wit), tseed)
 
-        dev = rep.exact_sq
+        # a trial where the corruption leaves alpha_upper unchanged cannot catch it
         corrupted = corrupted_alpha_upper(pair)
-        props["mutation_sentinel"].record(max(0.0, dev - corrupted) / (1.0 + dev), tseed)
+        if corrupted != rep.by_name("alpha_upper").value:
+            dev = rep.exact_sq
+            props["mutation_sentinel"].record(max(0.0, dev - corrupted) / (1.0 + dev), tseed)
 
     for t in range(vn_trials):
         rng = np.random.default_rng([seed, 2, t])

@@ -129,6 +129,20 @@ def test_numerical_failure_exit3(pair_files, capsys, monkeypatch, command, targe
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.parametrize("command", ["pinv", "bounds"])
+def test_overflowing_input_exit3(tmp_path, capsys, command, scale):
+    # the singular values of this input overflow to inf
+    a = _write(tmp_path, "a.mat", np.random.default_rng(11).standard_normal((4, 3)) * scale)
+    files = [a] if command == "pinv" else [a, a]
+    assert cli.main([command, *files]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error: ")]
+    assert errors == ["error: non-finite singular values (overflow) for shape (4, 3)"]
+
+
 def test_unknown_backend_variable_exit2(pair_files, capsys, monkeypatch):
     monkeypatch.setenv("PINVPERTURB_BACKEND", "fortran")
     assert cli.main(["pinv", pair_files[0]]) == 2
@@ -185,6 +199,13 @@ def test_suite_command(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1].startswith("24/24 properties passed (backend=")
     assert sum(1 for ln in lines if ln.startswith("PASS")) == 24
+
+
+@pytest.mark.parametrize("trials", ["1", "2", "3"])
+def test_suite_short_runs_pass(trials, capsys):
+    # the first trials draw 1x1 pairs of rank 0, where no corruption can show
+    assert cli.main(["suite", "--trials", trials]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("24/24 properties passed")
 
 
 def test_suite_failure_exit3(capsys, monkeypatch):

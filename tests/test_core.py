@@ -14,8 +14,8 @@ from pinvperturb.core import (
     conj_transpose,
     default_cutoff,
     frobenius_norm,
+    jacobi_svd,
     lstsq_min_norm,
-    matmul,
     penrose_residuals,
     pinv,
     projector_col,
@@ -49,9 +49,13 @@ def test_as_matrix_validation():
     assert a.dtype == np.complex128
 
 
-def test_matmul_shape_check():
-    with pytest.raises(ShapeError):
-        matmul(np.eye(2), np.eye(3))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_overflowing_singular_values_rejected(scale):
+    # the squared column norms overflow, so sigma would come out inf with rank 0
+    a = np.random.default_rng(11).standard_normal((4, 3)) * scale
+    with pytest.raises(RuntimeError, match=r"non-finite singular values .* shape \(4, 3\)"):
+        jacobi_svd(a)
 
 
 def test_conj_transpose():

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pinvperturb.bounds import full_report
 from pinvperturb.geometry import (
+    PerturbationPair,
+    _product_norms,
     aligning_unitaries,
     angle_bounds,
     cross_term_blocks,
     deviation_fro,
     deviation_spectral,
     deviation_sq,
-    energy_terms_a,
-    energy_terms_b,
+    energy_terms,
     equal_rank_angle_gap,
-    identity_terms_a,
-    identity_terms_b,
+    identity_terms,
     make_pair,
     proof_identity_u,
     proof_identity_v,
@@ -27,6 +28,21 @@ from pinvperturb.geometry import (
     von_neumann_sum,
 )
 from pinvperturb.core import ShapeError
+
+# estimators taken as the tighter of a route and its a <-> b mirror
+TWO_ROUTE_ROWS = (
+    "li_full_rank_pair",
+    "alpha_upper",
+    "beta_upper",
+    "gamma_upper",
+    "delta_upper",
+    "epsilon_upper",
+    "alpha_lower",
+    "beta_lower",
+    "gamma_lower",
+    "delta_lower",
+    "epsilon_lower",
+)
 
 
 def _lowrank(rng, m, n, r, cplx):
@@ -56,18 +72,59 @@ def test_make_pair_shape_check():
         make_pair(np.eye(2), np.eye(3))
 
 
+def test_product_norms_match_their_definitions():
+    # pins every field, mirror side included, to the product it names
+    for p in _all_pairs():
+        a, b, e, pa, pb = p.a, p.b, p.e, p.pinv_a, p.pinv_b
+        products = {
+            "ae": (pa, e), "ea": (e, pa), "be": (pb, e), "eb": (e, pb),
+            "x": (pb, e, pa), "y": (pa, e, pb),
+            "aaeb": (a, pa, e, pb), "aebb": (pa, e, pb, b),
+            "bbea": (b, pb, e, pa), "beaa": (pb, e, pa, a),
+            "ebb": (e, pb, b), "aae": (a, pa, e), "bbe": (b, pb, e), "eaa": (e, pa, a),
+        }
+        for name, factors in products.items():
+            scale = 1.0 + np.prod([np.linalg.norm(f) for f in factors]) ** 2
+            want = np.linalg.norm(np.linalg.multi_dot(factors)) ** 2
+            assert getattr(p.norms, name) == pytest.approx(want, abs=1e-12 * scale), name
+
+
+def test_swapped_norms_equal_fresh_swapped_pair():
+    for p in _all_pairs():
+        fresh = PerturbationPair(
+            a=p.b, b=p.a, e=-p.e, fa=p.fb, fb=p.fa, pinv_a=p.pinv_b, pinv_b=p.pinv_a
+        )
+        assert p.norms.swapped == _product_norms(fresh)
+        assert swap_pair(p).norms is p.norms.swapped
+
+
+def test_two_route_rows_equal_on_swapped_pair():
+    for p in _all_pairs():
+        rep = full_report(p)
+        rep_q = full_report(swap_pair(p))
+        for name in TWO_ROUTE_ROWS:
+            v, vq = rep.by_name(name), rep_q.by_name(name)
+            assert (vq.applicable, vq.value) == (v.applicable, v.value), name
+        # the mean of both delta routes keeps its summation order, which the
+        # swap permutes: four nonnegative terms, so it agrees to a few ulps
+        v, vq = rep.by_name("averaged_upper"), rep_q.by_name("averaged_upper")
+        assert vq.applicable == v.applicable
+        if v.applicable:
+            assert vq.value == pytest.approx(v.value, rel=1e-14)
+
+
 def test_identity_sums_equal_deviation():
     for p in _all_pairs():
         dev = deviation_sq(p)
-        assert sum(identity_terms_a(p)) == pytest.approx(dev, abs=1e-9 * (1 + dev))
-        assert sum(identity_terms_b(p)) == pytest.approx(dev, abs=1e-9 * (1 + dev))
+        for q in (p, swap_pair(p)):
+            assert sum(identity_terms(q)) == pytest.approx(dev, abs=1e-9 * (1 + dev))
 
 
 def test_cross_term_block_forms_agree():
     for p in _all_pairs():
-        x_alt, y_alt = cross_term_blocks(p)
-        assert x_alt == pytest.approx(p.norms.x, abs=1e-9 * (1 + p.norms.x))
-        assert y_alt == pytest.approx(p.norms.y, abs=1e-9 * (1 + p.norms.y))
+        for q in (p, swap_pair(p)):
+            x_alt = cross_term_blocks(q)
+            assert x_alt == pytest.approx(q.norms.x, abs=1e-9 * (1 + q.norms.x))
 
 
 def test_proof_identities_both_orientations():
@@ -82,8 +139,8 @@ def test_proof_identities_both_orientations():
 def test_energy_splits_equal_perturbation_energy():
     for p in _all_pairs():
         e2 = p.norms.e2
-        assert sum(energy_terms_a(p)) == pytest.approx(e2, abs=1e-9 * (1 + e2))
-        assert sum(energy_terms_b(p)) == pytest.approx(e2, abs=1e-9 * (1 + e2))
+        for q in (p, swap_pair(p)):
+            assert sum(energy_terms(q)) == pytest.approx(e2, abs=1e-9 * (1 + e2))
 
 
 def test_equal_rank_cross_masses_match():
@@ -97,12 +154,11 @@ def test_equal_rank_cross_masses_match():
 def test_angle_sandwich():
     for p in _all_pairs():
         dev = deviation_sq(p)
-        ab = angle_bounds(p)
         slack = 1e-9 * (1 + dev)
-        assert dev <= ab.upper_a + slack
-        assert dev <= ab.upper_b + slack
-        assert ab.lower_a <= dev + slack
-        assert ab.lower_b <= dev + slack
+        for q in (p, swap_pair(p)):
+            ab = angle_bounds(q)
+            assert dev <= ab.upper + slack
+            assert ab.lower <= dev + slack
 
 
 def test_known_split_for_diagonal_jump_case():
@@ -111,9 +167,9 @@ def test_known_split_for_diagonal_jump_case():
     t = 0.2
     p = make_pair(np.diag([1.0, 0.0]), np.diag([1.0 / (1.0 + 2.0 * t), t]))
     assert deviation_sq(p) == pytest.approx(4 * t**2 + 1 / t**2, rel=1e-12)
-    t1, t2, x = identity_terms_a(p)
+    t1, t2, x = identity_terms(p)
     assert (t1, t2, x) == pytest.approx((25.0, 0.0, 0.16), abs=1e-12)
-    t1, t2, y = identity_terms_b(p)
+    t1, t2, y = identity_terms(swap_pair(p))
     assert (t1, t2, y) == pytest.approx((0.0, 25.0, 0.16), abs=1e-12)
     ang = subspace_angles(p)
     assert ang.u12 == pytest.approx(1.0, abs=1e-12)
