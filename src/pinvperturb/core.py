@@ -1,6 +1,6 @@
 """Dense linear algebra core.
 
-Full singular value decompositions come from a one-sided Jacobi kernel,
+Thin singular value decompositions come from a one-sided Jacobi kernel,
 the one ``backends.get_kernel()`` picks for the whole process (the C kernel
 when built, else numpy; chosen only through ``PINVPERTURB_BACKEND``).  Its
 threshold and pass limit are ``JACOBI_EPS`` and ``JACOBI_MAX_SWEEPS`` here,
@@ -55,42 +55,27 @@ def default_cutoff(shape, sigma_max):
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Full decomposition a = u @ S @ v* with a resolved rank cutoff.
+    """Rank-split factors: a = u1 @ diag(sigma1) @ v1* up to values <= tol.
 
-    ``u`` is m x m unitary, ``v`` is n x n unitary, ``sigma`` holds the
-    min(m, n) singular values sorted decreasing, and ``sigma[i] > tol``
-    exactly for ``i < rank``.
+    ``u1`` (m x rank) and ``v1`` (n x rank) have orthonormal columns,
+    ``sigma`` holds all min(m, n) singular values sorted decreasing, and
+    ``sigma[i] > tol`` exactly for ``i < rank``.  The null blocks u2 and v2
+    are not stored; ``geometry`` reads them through I - u1 u1* and I - v1 v1*.
     """
 
-    u: np.ndarray
+    u1: np.ndarray
     sigma: np.ndarray
-    v: np.ndarray
+    v1: np.ndarray
     rank: int
     tol: float
 
     @property
     def shape(self):
-        return (self.u.shape[0], self.v.shape[0])
+        return (self.u1.shape[0], self.v1.shape[0])
 
     @property
     def sigma1(self):
         return self.sigma[: self.rank]
-
-    @property
-    def u1(self):
-        return self.u[:, : self.rank]
-
-    @property
-    def u2(self):
-        return self.u[:, self.rank :]
-
-    @property
-    def v1(self):
-        return self.v[:, : self.rank]
-
-    @property
-    def v2(self):
-        return self.v[:, self.rank :]
 
     @property
     def norm2(self):
@@ -103,36 +88,23 @@ class SvdFactors:
         return 1.0 / float(self.sigma1[-1]) if self.rank else 0.0
 
 
-def _complete_basis(u1, m):
-    """Square unitary whose leading columns are the orthonormal ``u1``."""
-    k = u1.shape[1]
-    if k == 0:
-        return np.eye(m, dtype=np.complex128)
-    out = np.empty((m, m), dtype=np.complex128)
-    out[:, :k] = u1
-    if k < m:
-        q = np.linalg.qr(u1, mode="complete")[0]
-        out[:, k:] = q[:, k:]
-    return out
-
-
 # the kernel's convergence threshold (relative to the column norms) and pass limit
 JACOBI_EPS = float(np.finfo(np.float64).eps)
 JACOBI_MAX_SWEEPS = 60
 
 
 def jacobi_svd(a):
-    """Full SVD via one-sided Jacobi: returns (u, sigma, v), all factors full.
+    """Thin SVD via one-sided Jacobi: returns (u, sigma, v).
 
-    ``sigma`` is sorted decreasing with min(m, n) entries.  Wide inputs are
-    factored through their conjugate transpose.
+    ``sigma`` holds all min(m, n) singular values sorted decreasing; ``u``
+    (m x k) and ``v`` (n x k) hold the singular vectors of its k nonzero
+    values, so ``a == (u * sigma[:k]) @ v*``.  A wide input is factored
+    through its conjugate transpose, and errors name the input's own shape.
     """
     a = as_matrix(a)
-    m, n = a.shape
-    if m < n:
-        u, sig, v = jacobi_svd(a.conj().T)
-        return v, sig, u
-    w = np.array(a, dtype=np.complex128, order="F", copy=True)
+    wide = a.shape[0] < a.shape[1]
+    w = np.array(a.conj().T if wide else a, dtype=np.complex128, order="F", copy=True)
+    n = w.shape[1]
     v = np.asfortranarray(np.eye(n, dtype=np.complex128))
     kernel = backends.get_kernel()
     sweeps = kernel.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS)
@@ -145,12 +117,10 @@ def jacobi_svd(a):
         raise RuntimeError(f"non-finite singular values (overflow) for shape {a.shape}")
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
-    w = w[:, order]
-    v = np.ascontiguousarray(v[:, order])
-    k = int(np.count_nonzero(sig > 0.0))
-    u1 = w[:, :k] / sig[:k]
-    u = _complete_basis(u1, m)
-    return u, sig, v
+    keep = order[: int(np.count_nonzero(sig > 0.0))]
+    u = np.ascontiguousarray(w[:, keep] / sig[: keep.size])
+    v = np.ascontiguousarray(v[:, keep])
+    return (v, sig, u) if wide else (u, sig, v)
 
 
 def svd_factors(a, tol=None):
@@ -165,7 +135,7 @@ def svd_factors(a, tol=None):
     u, sig, v = jacobi_svd(a)
     cut = default_cutoff(a.shape, sig[0]) if tol is None else float(tol)
     rank = int(np.count_nonzero(sig > cut))
-    return SvdFactors(u=u, sigma=sig, v=v, rank=rank, tol=cut)
+    return SvdFactors(u1=u[:, :rank], sigma=sig, v1=v[:, :rank], rank=rank, tol=cut)
 
 
 def pinv(a, tol=None):

@@ -1,6 +1,9 @@
 """Joint SVD geometry of a matrix pair (a, b) with e = b - a.
 
-Both factorizations are split at their numerical rank.  The module exposes
+Both factorizations are split at their numerical rank and keep only the
+rank blocks u1, sigma1 and v1.  Every null block u2 or v2 of the paper
+appears inside a Frobenius norm, where only u2 u2* = I - u1 u1* matters, so
+each such norm is taken of ``_outside(q, p) = q* (I - p p*)``.  The module exposes
 the exact decomposition of the squared Frobenius deviation of the
 pseudoinverses, the matching decomposition of the perturbation energy, the
 principal-angle masses between range/null spaces, and the trace inequality
@@ -29,6 +32,16 @@ def _fro2(x):
     if x.size == 0:
         return 0.0
     return float(np.real(np.vdot(x, x)))
+
+
+def _outside(q, p):
+    """q* (I - p p*) = q* - (q* p) p* for orthonormal p.
+
+    With p = u1 of one factorization and u2 its null block, it has the
+    Frobenius norm of q* u2, and so has each row scaling of the two.
+    """
+    qh = q.conj().T
+    return qh - (qh @ p) @ p.conj().T
 
 
 @dataclass(frozen=True)
@@ -183,8 +196,8 @@ def identity_terms(p):
     split is ``identity_terms(swap_pair(p))``.
     """
     fa, fb = p.fa, p.fb
-    t1 = _fro2((fb.u1.conj().T @ fa.u2) / fb.sigma1[:, None])
-    t2 = _fro2((fb.v2.conj().T @ fa.v1) / fa.sigma1[None, :])
+    t1 = _fro2(_outside(fb.u1, fa.u1) / fb.sigma1[:, None])
+    t2 = _fro2(_outside(fa.v1, fb.v1) / fa.sigma1[:, None])
     return t1, t2, p.norms.x
 
 
@@ -202,14 +215,14 @@ def cross_term_blocks(p):
 
 def proof_identity_u(p):
     """Left-block identity: |u1b* u2a|^2 == |e b+|^2 - |a a+ e b+|^2."""
-    lhs = _fro2(p.fb.u1.conj().T @ p.fa.u2)
+    lhs = _fro2(_outside(p.fb.u1, p.fa.u1))
     n = p.norms
     return lhs, n.eb - n.aaeb
 
 
 def proof_identity_v(p):
     """Right-block identity: |v2b* v1a|^2 == |a+ e|^2 - |a+ e b+ b|^2."""
-    lhs = _fro2(p.fb.v2.conj().T @ p.fa.v1)
+    lhs = _fro2(_outside(p.fa.v1, p.fb.v1))
     n = p.norms
     return lhs, n.ae - n.aebb
 
@@ -225,8 +238,8 @@ def energy_terms(p):
     core = (fa.u1.conj().T @ fb.u1) * fb.sigma1[None, :] - fa.sigma1[:, None] * (
         fa.v1.conj().T @ fb.v1
     )
-    t2 = _fro2(fa.sigma1[:, None] * (fa.v1.conj().T @ fb.v2))
-    t3 = _fro2((fa.u2.conj().T @ fb.u1) * fb.sigma1[None, :])
+    t2 = _fro2(fa.sigma1[:, None] * _outside(fa.v1, fb.v1))
+    t3 = _fro2(fb.sigma1[:, None] * _outside(fb.u1, fa.u1))
     return _fro2(core), t2, t3
 
 
@@ -243,10 +256,10 @@ class SubspaceAngles:
 def subspace_angles(p):
     fa, fb = p.fa, p.fb
     return SubspaceAngles(
-        u12=float(np.linalg.norm(fb.u1.conj().T @ fa.u2)),
-        u21=float(np.linalg.norm(fb.u2.conj().T @ fa.u1)),
-        v12=float(np.linalg.norm(fb.v1.conj().T @ fa.v2)),
-        v21=float(np.linalg.norm(fb.v2.conj().T @ fa.v1)),
+        u12=float(np.linalg.norm(_outside(fb.u1, fa.u1))),
+        u21=float(np.linalg.norm(_outside(fa.u1, fb.u1))),
+        v12=float(np.linalg.norm(_outside(fb.v1, fa.v1))),
+        v21=float(np.linalg.norm(_outside(fa.v1, fb.v1))),
     )
 
 
@@ -305,8 +318,26 @@ def von_neumann_sum(m_, n_):
     return float(np.dot(sm, sn))
 
 
+def _complete(q):
+    """Square unitary whose leading columns are the orthonormal ``q``."""
+    m, k = q.shape
+    if k == 0:
+        return np.eye(m, dtype=np.complex128)
+    out = np.empty((m, m), dtype=np.complex128)
+    out[:, :k] = q
+    out[:, k:] = np.linalg.qr(q, mode="complete")[0][:, k:]
+    return out
+
+
 def aligning_unitaries(m_, n_):
-    """Unitaries (u, v) with trace_real(u @ m @ v, n) == von_neumann_sum(m, n)."""
+    """Unitaries (u, v) with trace_real(u @ m @ v, n) == von_neumann_sum(m, n).
+
+    u maps m's left singular vectors onto n's and v maps n's right ones onto
+    m's.  The thin factors are completed to full bases; only the leading
+    min(nonzero counts) columns pair up nonzero values, so any completion
+    of the rest attains the sum.
+    """
     um, _, vm = jacobi_svd(m_)
     un, _, vn = jacobi_svd(n_)
+    um, vm, un, vn = map(_complete, (um, vm, un, vn))
     return un @ um.conj().T, vm @ vn.conj().T

@@ -135,7 +135,7 @@ class SuiteResult:
         return lines
 
 
-def default_specs(seed=DEFAULT_SEED, condition_cap=SUITE_CONDITION_CAP):
+def default_specs(seed=DEFAULT_SEED):
     """Shapes up to 8x8, both fields, all rank relations including rank 0."""
     shapes = [
         (1, 1), (2, 2), (3, 2), (2, 3), (4, 4), (5, 3), (3, 5),
@@ -162,7 +162,7 @@ def default_specs(seed=DEFAULT_SEED, condition_cap=SUITE_CONDITION_CAP):
                 specs.append(
                     EnsembleSpec(
                         m=m, n=n, rank_a=rank_a, rank_b=rank_b,
-                        field=fld, seed=seed, condition_cap=condition_cap,
+                        field=fld, seed=seed, condition_cap=SUITE_CONDITION_CAP,
                     )
                 )
     return specs
@@ -207,15 +207,13 @@ def identity_checks(p):
 
 
 def _factor_contract_residuals(f, a):
-    m, n = f.shape
-    k = min(m, n)
+    """Orthonormality of u1 and v1, and a rebuilt from its kept rank."""
+    r = np.eye(f.rank)
     unit = max(
-        float(np.abs(f.u.conj().T @ f.u - np.eye(m)).max()),
-        float(np.abs(f.v.conj().T @ f.v - np.eye(n)).max()),
-    ) / max(m, n)
-    recon = float(np.abs((f.u[:, :k] * f.sigma) @ f.v[:, :k].conj().T - a).max()) / (
-        1.0 + f.norm2
-    )
+        float(np.abs(f.u1.conj().T @ f.u1 - r).max(initial=0.0)),
+        float(np.abs(f.v1.conj().T @ f.v1 - r).max(initial=0.0)),
+    ) / max(f.shape)
+    recon = float(np.abs((f.u1 * f.sigma1) @ f.v1.conj().T - a).max()) / (1.0 + f.norm2)
     return unit, recon
 
 
@@ -369,18 +367,13 @@ def _trial_seed(spec_seed, index):
     return int(np.random.SeedSequence([spec_seed, 1, index]).generate_state(1, np.uint64)[0])
 
 
-def run_property_suite(
-    specs=None,
-    trials=DEFAULT_TRIALS,
-    seed=DEFAULT_SEED,
-    vn_trials=DEFAULT_VN_TRIALS,
-):
-    """Run every property over ``trials`` random pairs round-robin over specs.
+def run_property_suite(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, vn_trials=DEFAULT_VN_TRIALS):
+    """Run every property over ``trials`` pairs drawn round-robin from ``default_specs(seed)``.
 
     A reported worst_seed reproduces its pair via
     ``gen_pair(replace(spec, seed=worst_seed))`` with the matching spec.
     """
-    specs = default_specs(seed) if specs is None else list(specs)
+    specs = default_specs(seed)
     props = {
         n: PropertyResult(name=n, tol=pr.tol, expect_violation=pr.expect_violation)
         for n, pr in PROPERTIES.items()

@@ -58,6 +58,14 @@ def test_overflowing_singular_values_rejected(scale):
         jacobi_svd(a)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_wide_input_error_names_its_own_shape():
+    # a wide input is factored through its transpose, but the error is about the input
+    a = np.random.default_rng(11).standard_normal((3, 4)) * 1e200
+    with pytest.raises(RuntimeError, match=r"shape \(3, 4\)"):
+        jacobi_svd(a)
+
+
 def test_conj_transpose():
     a = np.array([[1 + 2j, 3.0]])
     assert_allclose(conj_transpose(a), np.array([[1 - 2j], [3.0]]))

@@ -27,7 +27,7 @@ from pinvperturb.geometry import (
     trace_real,
     von_neumann_sum,
 )
-from pinvperturb.core import ShapeError
+from pinvperturb.core import ShapeError, jacobi_svd, lstsq_min_norm
 
 # estimators taken as the tighter of a route and its a <-> b mirror
 TWO_ROUTE_ROWS = (
@@ -192,6 +192,18 @@ def test_trace_real_basics():
         trace_real(np.eye(2), np.eye(3))
 
 
+def _check_von_neumann(mm, nn, rng):
+    m, n = mm.shape
+    vn = von_neumann_sum(mm, nn)
+    qm = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    qn = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    assert trace_real(qm @ mm @ qn, nn) <= vn + 1e-9 * (1 + vn)
+    u, v = aligning_unitaries(mm, nn)
+    assert_allclose(u.conj().T @ u, np.eye(m), atol=1e-12)
+    assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-12)
+    assert trace_real(u @ mm @ v, nn) == pytest.approx(vn, abs=1e-9 * (1 + vn))
+
+
 def test_von_neumann_bound_and_attainment():
     rng = np.random.default_rng(41)
     for t in range(40):
@@ -199,14 +211,42 @@ def test_von_neumann_bound_and_attainment():
         n = int(rng.integers(1, 6))
         mm = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         nn = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        vn = von_neumann_sum(mm, nn)
-        qm = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
-        qn = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-        assert trace_real(qm @ mm @ qn, nn) <= vn + 1e-9 * (1 + vn)
-        u, v = aligning_unitaries(mm, nn)
-        assert_allclose(u.conj().T @ u, np.eye(m), atol=1e-12)
-        assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-12)
-        assert trace_real(u @ mm @ v, nn) == pytest.approx(vn, abs=1e-9 * (1 + vn))
+        _check_von_neumann(mm, nn, rng)
+    # rank-deficient and zero operands: their thin factors have fewer columns
+    # than the unitaries, so aligning_unitaries has to complete the bases
+    for m, n in [(4, 3), (3, 5), (4, 4)]:
+        for ra, rb in [(1, 2), (2, 1), (0, 2), (2, 0), (0, 0)]:
+            _check_von_neumann(
+                _lowrank(rng, m, n, ra, True), _lowrank(rng, m, n, rb, True), rng
+            )
+    # exact zero rows and columns leave exactly zero singular values
+    mm = np.zeros((4, 3), dtype=complex)
+    mm[:2, :2] = rng.standard_normal((2, 2))
+    nn = np.zeros((4, 3), dtype=complex)
+    nn[1:, 2] = rng.standard_normal(3)
+    assert jacobi_svd(mm)[0].shape == (4, 2) and jacobi_svd(nn)[0].shape == (4, 1)
+    _check_von_neumann(mm, nn, rng)
+    _check_von_neumann(nn, mm, rng)
+
+
+def test_report_and_solve_complete_no_basis(monkeypatch):
+    # thin factors serve every report and solve; only aligning_unitaries completes bases
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        qr_calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    rng = np.random.default_rng(47)
+    a = _lowrank(rng, 7, 4, 2, True)
+    b = _lowrank(rng, 7, 4, 3, True)
+    full_report(make_pair(a, b))
+    lstsq_min_norm(a, rng.standard_normal(7))
+    assert qr_calls == []
+    aligning_unitaries(a, b)
+    assert qr_calls
 
 
 def test_von_neumann_diagonal_case():
