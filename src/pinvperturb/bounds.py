@@ -186,12 +186,12 @@ def _lower(route):
 
 def _alpha_upper(nm):
     """Projected-residual route."""
-    return nm.nai**2 * _d(nm.ae - nm.aebb) + nm.nbi**2 * _d(nm.eb - nm.aaeb) + nm.x
+    return nm.nai**2 * nm.aebb_c + nm.nbi**2 * nm.aaeb_c + nm.x
 
 
 def _beta_upper(nm):
     """Inverted products replaced by raw perturbation energy."""
-    return nm.nai**4 * _d(nm.e2 - nm.ebb) + nm.nbi**4 * _d(nm.e2 - nm.aae) + nm.x
+    return nm.nai**4 * nm.ebb_c + nm.nbi**4 * nm.aae_c + nm.x
 
 
 def _gamma_upper(nm):
@@ -225,12 +225,12 @@ def _epsilon_upper(nm):
 
 def _alpha_lower(nm):
     """Lower counterpart of the projected-residual route."""
-    return _d(nm.ae - nm.aebb) / nm.na**2 + _d(nm.eb - nm.aaeb) / nm.nb**2 + nm.x
+    return nm.aebb_c / nm.na**2 + nm.aaeb_c / nm.nb**2 + nm.x
 
 
 def _beta_lower(nm):
     """Lower counterpart of the raw-energy route."""
-    return _d(nm.e2 - nm.ebb) / nm.na**4 + _d(nm.e2 - nm.aae) / nm.nb**4 + nm.x
+    return nm.ebb_c / nm.na**4 + nm.aae_c / nm.nb**4 + nm.x
 
 
 def _gamma_lower(nm):

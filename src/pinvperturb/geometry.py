@@ -51,7 +51,10 @@ class ProductNorms:
     ``na``/``nb``/``nai``/``nbi`` are the spectral norms of a, b and their
     pseudoinverses; the remaining fields are squared Frobenius norms of the
     projected perturbation products, except ``ef`` (plain Frobenius norm of
-    e) and ``es`` (spectral norm of e).
+    e) and ``es`` (spectral norm of e).  A ``_c`` field is the Pythagorean
+    complement of the product it extends: ``aebb_c`` is |a+ e (I - b+ b)|^2,
+    exactly ``ae - aebb``, but taken as the norm of the projected product,
+    so it has no cancellation.
     """
 
     na: float
@@ -71,10 +74,14 @@ class ProductNorms:
     aebb: float  # |a+ e b+ b|^2
     bbea: float  # |b b+ e a+|^2
     beaa: float  # |b+ e a+ a|^2
-    ebb: float   # |e b+ b|^2
-    aae: float   # |a a+ e|^2
-    bbe: float   # |b b+ e|^2
-    eaa: float   # |e a+ a|^2
+    aebb_c: float  # |a+ e (I - b+ b)|^2 = ae - aebb
+    aaeb_c: float  # |(I - a a+) e b+|^2 = eb - aaeb
+    beaa_c: float  # |b+ e (I - a+ a)|^2 = be - beaa
+    bbea_c: float  # |(I - b b+) e a+|^2 = ea - bbea
+    ebb_c: float   # |e (I - b+ b)|^2 = e2 - |e b+ b|^2
+    aae_c: float   # |(I - a a+) e|^2 = e2 - |a a+ e|^2
+    eaa_c: float   # |e (I - a+ a)|^2 = e2 - |e a+ a|^2
+    bbe_c: float   # |(I - b b+) e|^2 = e2 - |b b+ e|^2
 
     @cached_property
     def swapped(self):
@@ -84,7 +91,8 @@ class ProductNorms:
 
 # each field's counterpart under a <-> b, both ways; e2, ef and es are their own
 _MIRROR = dict(
-    na="nb", nai="nbi", ae="be", eb="ea", x="y", aaeb="bbea", aebb="beaa", ebb="eaa", aae="bbe"
+    na="nb", nai="nbi", ae="be", eb="ea", x="y", aaeb="bbea", aebb="beaa",
+    aebb_c="beaa_c", aaeb_c="bbea_c", ebb_c="eaa_c", aae_c="bbe_c",
 )
 _MIRROR.update({v: k for k, v in _MIRROR.items()})
 # the mirror's field values in ProductNorms' positional order
@@ -141,26 +149,34 @@ def swap_pair(p):
     return q
 
 
-def _oriented(pa, pb, e, a, b):
-    """The seven squared product norms of one orientation, by their a-side names."""
+def _oriented(pa, pb, e, a, b, ua, vb):
+    """The nine squared product norms of one orientation, by their a-side names.
+
+    ``ua`` is u1 of a and ``vb`` is v1 of b, so I - a a+ = I - ua ua* and
+    I - b+ b = I - vb vb*.
+    """
     pae = pa @ e
     epb = e @ pb
     y_m = pa @ epb
+    vbh = vb.conj().T
+    uah = ua.conj().T
     return {
         "ae": _fro2(pae),
         "eb": _fro2(epb),
         "y": _fro2(y_m),
         "aaeb": _fro2(a @ y_m),
         "aebb": _fro2(y_m @ b),
-        "ebb": _fro2(epb @ b),
-        "aae": _fro2(a @ pae),
+        "aebb_c": _fro2(pae - (pae @ vb) @ vbh),
+        "aaeb_c": _fro2(epb - ua @ (uah @ epb)),
+        "ebb_c": _fro2(e - (e @ vb) @ vbh),
+        "aae_c": _fro2(e - ua @ (uah @ e)),
     }
 
 
 def _product_norms(p):
     fa, fb, e = p.fa, p.fb, p.e
     # the mirror's perturbation is -e, whose sign no squared norm sees
-    mirror = _oriented(p.pinv_b, p.pinv_a, e, p.b, p.a)
+    mirror = _oriented(p.pinv_b, p.pinv_a, e, p.b, p.a, fb.u1, fa.v1)
     return ProductNorms(
         na=fa.norm2,
         nb=fb.norm2,
@@ -169,7 +185,7 @@ def _product_norms(p):
         e2=_fro2(e),
         ef=float(np.linalg.norm(e)),
         es=spectral_norm(e),
-        **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b),
+        **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b, fa.u1, fb.v1),
         **{_MIRROR[k]: v for k, v in mirror.items()},
     )
 
@@ -214,17 +230,13 @@ def cross_term_blocks(p):
 
 
 def proof_identity_u(p):
-    """Left-block identity: |u1b* u2a|^2 == |e b+|^2 - |a a+ e b+|^2."""
-    lhs = _fro2(_outside(p.fb.u1, p.fa.u1))
-    n = p.norms
-    return lhs, n.eb - n.aaeb
+    """Left-block identity: |u1b* u2a|^2 == |(I - a a+) e b+|^2."""
+    return _fro2(_outside(p.fb.u1, p.fa.u1)), p.norms.aaeb_c
 
 
 def proof_identity_v(p):
-    """Right-block identity: |v2b* v1a|^2 == |a+ e|^2 - |a+ e b+ b|^2."""
-    lhs = _fro2(_outside(p.fa.v1, p.fb.v1))
-    n = p.norms
-    return lhs, n.ae - n.aebb
+    """Right-block identity: |v2b* v1a|^2 == |a+ e (I - b+ b)|^2."""
+    return _fro2(_outside(p.fa.v1, p.fb.v1)), p.norms.aebb_c
 
 
 def energy_terms(p):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import SQUARED, _d, full_report
+from .bounds import SQUARED, full_report
 from .core import penrose_residuals, pinv, spectral_norm
 from .geometry import (
     angle_bounds,
@@ -183,16 +183,16 @@ def identity_checks(p):
         out.append((name, abs(sum(identity_terms(q)) - dev) / sdev))
     cross = max(abs(cross_term_blocks(q) - q.norms.x) / (1.0 + q.norms.x) for q in both)
     out.append(("cross_term_blocks", cross))
-    for name, fn, minuend in (
+    for name, fn, product in (
         ("proof_identity_u", proof_identity_u, "eb"),
         ("proof_identity_v", proof_identity_v, "ae"),
     ):
         resid = 0.0
         for q in both:
             lhs, rhs = fn(q)
-            # the rhs is a difference of potentially huge products, so the
-            # roundoff budget scales with the minuend, not the result
-            big = getattr(q.norms, minuend)
+            # the rhs is projected off a potentially huge product, so the
+            # roundoff budget scales with that product, not the result
+            big = getattr(q.norms, product)
             resid = max(resid, abs(lhs - rhs) / (1.0 + lhs + big))
         out.append((name, resid))
     for name, q in zip(("energy_split_a", "energy_split_b"), both):
@@ -287,8 +287,8 @@ def corrupted_alpha_upper(p):
     symmetric (both routes flip the nbi term), so both stay written out.
     """
     nm = p.norms
-    a1 = nm.nai**2 * _d(nm.ae - nm.aebb) - nm.nbi**2 * _d(nm.eb - nm.aaeb)
-    a2 = nm.nai**2 * _d(nm.ea - nm.bbea) - nm.nbi**2 * _d(nm.be - nm.beaa)
+    a1 = nm.nai**2 * nm.aebb_c - nm.nbi**2 * nm.aaeb_c
+    a2 = nm.nai**2 * nm.bbea_c - nm.nbi**2 * nm.beaa_c
     return min(a1 + nm.x, a2 + nm.y)
 
 

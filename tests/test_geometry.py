@@ -76,12 +76,18 @@ def test_product_norms_match_their_definitions():
     # pins every field, mirror side included, to the product it names
     for p in _all_pairs():
         a, b, e, pa, pb = p.a, p.b, p.e, p.pinv_a, p.pinv_b
+        m, n = p.shape
+        # I - a a+, I - a+ a, I - b b+ and I - b+ b
+        la, ra = np.eye(m) - a @ pa, np.eye(n) - pa @ a
+        lb, rb = np.eye(m) - b @ pb, np.eye(n) - pb @ b
         products = {
             "ae": (pa, e), "ea": (e, pa), "be": (pb, e), "eb": (e, pb),
             "x": (pb, e, pa), "y": (pa, e, pb),
             "aaeb": (a, pa, e, pb), "aebb": (pa, e, pb, b),
             "bbea": (b, pb, e, pa), "beaa": (pb, e, pa, a),
-            "ebb": (e, pb, b), "aae": (a, pa, e), "bbe": (b, pb, e), "eaa": (e, pa, a),
+            "aebb_c": (pa, e, rb), "aaeb_c": (la, e, pb),
+            "beaa_c": (pb, e, ra), "bbea_c": (lb, e, pa),
+            "ebb_c": (e, rb), "aae_c": (la, e), "eaa_c": (e, ra), "bbe_c": (lb, e),
         }
         for name, factors in products.items():
             scale = 1.0 + np.prod([np.linalg.norm(f) for f in factors]) ** 2

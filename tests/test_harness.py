@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,9 +20,11 @@ from pinvperturb.randmat import (
     haar_unitary,
 )
 from pinvperturb.suite import (
+    TOL_BOUND,
     _trial_seed,
     corrupted_alpha_upper,
     default_specs,
+    ordering_violation,
     rank_jump_witness,
     run_property_suite,
     scale_covariance_residual,
@@ -147,6 +151,21 @@ def test_suite_is_deterministic():
     a = run_property_suite(trials=24, seed=99, vn_trials=6)
     b = run_property_suite(trials=24, seed=99, vn_trials=6)
     assert a.format_lines() == b.format_lines()
+
+
+@pytest.mark.parametrize(
+    "seed, trial, shape, field",
+    [(4, 305, (6, 6), "complex"), (5, 165, (8, 8), "complex"),
+     (10, 164, (8, 8), "real"), (11, 165, (8, 8), "complex")],
+)
+def test_orderings_hold_on_ill_conditioned_full_rank_pairs(seed, trial, shape, field):
+    # suite trials where alpha and beta both equal x exactly and |a+| is in
+    # the thousands; differences of squared norms put them 2e-8 out of order
+    specs = default_specs(seed)
+    sp = specs[trial % len(specs)]
+    p = gen_pair(replace(sp, seed=_trial_seed(sp.seed, trial)))
+    assert (p.shape, p.rank_a, p.rank_b, sp.field) == (shape, min(shape), min(shape), field)
+    assert ordering_violation(full_report(p), p) <= TOL_BOUND
 
 
 def test_sentinel_violates_on_rank_deficient_a():
