@@ -1,9 +1,8 @@
 """Joint SVD geometry of a matrix pair (a, b) with e = b - a.
 
-Both factorizations are split at their numerical rank and keep only the
-rank blocks u1, sigma1 and v1.  Every null block u2 or v2 of the paper
-appears inside a Frobenius norm, where only u2 u2* = I - u1 u1* matters, so
-each such norm is taken of ``_outside(q, p) = q* (I - p p*)``.  The module exposes
+Both factorizations are split at their numerical rank and keep only u1,
+sigma1 and v1: a null block u2 only ever appears inside a Frobenius norm,
+which ``_outside`` takes through u2 u2* = I - u1 u1*.  The module exposes
 the exact decomposition of the squared Frobenius deviation of the
 pseudoinverses, the matching decomposition of the perturbation energy, the
 principal-angle masses between range/null spaces, and the trace inequality
@@ -35,11 +34,7 @@ def _fro2(x):
 
 
 def _outside(q, p):
-    """q* (I - p p*) = q* - (q* p) p* for orthonormal p.
-
-    With p = u1 of one factorization and u2 its null block, it has the
-    Frobenius norm of q* u2, and so has each row scaling of the two.
-    """
+    """q* (I - p p*) = q* - (q* p) p*; with p = u1, any row scaling of it has the norm of q* u2."""
     qh = q.conj().T
     return qh - (qh @ p) @ p.conj().T
 
@@ -51,10 +46,9 @@ class ProductNorms:
     ``na``/``nb``/``nai``/``nbi`` are the spectral norms of a, b and their
     pseudoinverses; the remaining fields are squared Frobenius norms of the
     projected perturbation products, except ``ef`` (plain Frobenius norm of
-    e) and ``es`` (spectral norm of e).  A ``_c`` field is the Pythagorean
-    complement of the product it extends: ``aebb_c`` is |a+ e (I - b+ b)|^2,
-    exactly ``ae - aebb``, but taken as the norm of the projected product,
-    so it has no cancellation.
+    e) and ``es`` (spectral norm of e).  A ``_c`` field is a Pythagorean
+    complement, taken as the norm of a projected product rather than as
+    the equal difference noted beside it, which cancels.
     """
 
     na: float
@@ -152,14 +146,12 @@ def swap_pair(p):
 def _oriented(pa, pb, e, a, b, ua, vb):
     """The nine squared product norms of one orientation, by their a-side names.
 
-    ``ua`` is u1 of a and ``vb`` is v1 of b, so I - a a+ = I - ua ua* and
-    I - b+ b = I - vb vb*.
+    ``ua`` is u1 of a and ``vb`` is v1 of b: I - a a+ = I - ua ua*, I - b+ b = I - vb vb*.
     """
     pae = pa @ e
     epb = e @ pb
     y_m = pa @ epb
-    vbh = vb.conj().T
-    uah = ua.conj().T
+    vbh, uah = vb.conj().T, ua.conj().T
     return {
         "ae": _fro2(pae),
         "eb": _fro2(epb),
@@ -332,22 +324,18 @@ def von_neumann_sum(m_, n_):
 
 def _complete(q):
     """Square unitary whose leading columns are the orthonormal ``q``."""
-    m, k = q.shape
-    if k == 0:
-        return np.eye(m, dtype=np.complex128)
-    out = np.empty((m, m), dtype=np.complex128)
-    out[:, :k] = q
-    out[:, k:] = np.linalg.qr(q, mode="complete")[0][:, k:]
-    return out
+    if q.shape[1] == 0:
+        return np.eye(q.shape[0], dtype=np.complex128)
+    full = np.linalg.qr(q, mode="complete")[0]
+    full[:, : q.shape[1]] = q  # the same span, so the rest stays orthogonal to it
+    return full
 
 
 def aligning_unitaries(m_, n_):
     """Unitaries (u, v) with trace_real(u @ m @ v, n) == von_neumann_sum(m, n).
 
-    u maps m's left singular vectors onto n's and v maps n's right ones onto
-    m's.  The thin factors are completed to full bases; only the leading
-    min(nonzero counts) columns pair up nonzero values, so any completion
-    of the rest attains the sum.
+    Only the leading min(nonzero counts) singular vectors pair up nonzero
+    values, so any completion of the thin factors to full bases attains it.
     """
     um, _, vm = jacobi_svd(m_)
     un, _, vn = jacobi_svd(n_)

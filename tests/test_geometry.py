@@ -218,7 +218,7 @@ def test_von_neumann_bound_and_attainment():
         mm = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         nn = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         _check_von_neumann(mm, nn, rng)
-    # rank-deficient and zero operands: their thin factors have fewer columns
+    # rank-deficient and zero operands: their thin factors can have fewer columns
     # than the unitaries, so aligning_unitaries has to complete the bases
     for m, n in [(4, 3), (3, 5), (4, 4)]:
         for ra, rb in [(1, 2), (2, 1), (0, 2), (2, 0), (0, 0)]:
