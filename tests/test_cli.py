@@ -143,6 +143,17 @@ def test_overflowing_input_exit3(tmp_path, capsys, command, scale):
     assert errors == ["error: non-finite singular values (overflow) for shape (4, 3)"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_pinv_of_huge_entries_matches_numpy(tmp_path, capsys):
+    # squared column norms near 1e200: their product overflowed the kernel's
+    # convergence test, which then printed an unrotated, wrong pseudoinverse
+    a = np.random.default_rng(0).standard_normal((4, 3)) * 1e100
+    assert cli.main(["pinv", _write(tmp_path, "a.mat", a)]) == 0
+    x, _ = loads(capsys.readouterr().out)
+    ref = np.linalg.pinv(a)
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_unknown_backend_variable_exit2(pair_files, capsys, monkeypatch):
     monkeypatch.setenv("PINVPERTURB_BACKEND", "fortran")
     assert cli.main(["pinv", pair_files[0]]) == 2

@@ -168,6 +168,22 @@ def test_orderings_hold_on_ill_conditioned_full_rank_pairs(seed, trial, shape, f
     assert ordering_violation(full_report(p), p) <= TOL_BOUND
 
 
+@pytest.mark.parametrize(
+    "seed, trial, shape, ranks, field",
+    [(5, 277, (3, 5), (1, 3), "complex"), (8, 186, (7, 2), (1, 2), "real"),
+     (9, 187, (7, 2), (1, 2), "complex")],
+)
+def test_orderings_hold_on_worst_rank_deficient_pairs(seed, trial, shape, ranks, field):
+    # the worst bound_orderings trials of their seeds: rank-deficient a with
+    # |b+| in the thousands, where gamma_upper's differences of squared norms
+    # put it 2e-9 to 8e-9 (relative, by kernel) below alpha_upper
+    specs = default_specs(seed)
+    sp = specs[trial % len(specs)]
+    p = gen_pair(replace(sp, seed=_trial_seed(sp.seed, trial)))
+    assert (p.shape, (p.rank_a, p.rank_b), sp.field) == (shape, ranks, field)
+    assert ordering_violation(full_report(p), p) <= TOL_BOUND
+
+
 def test_sentinel_violates_on_rank_deficient_a():
     # zero a forces the corrupted estimator below the exact deviation
     p = make_pair(np.zeros((2, 2)), np.diag([1.0, 0.5]))

@@ -11,12 +11,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pinvperturb import _jacobi_py, backends
 from pinvperturb.backends import available_backends, default_backend, get_kernel
 from pinvperturb.bounds import full_report
-from pinvperturb.core import jacobi_svd, lstsq_min_norm
+from pinvperturb.core import jacobi_svd, lstsq_min_norm, pinv
 from pinvperturb.geometry import make_pair
 
 BACKENDS = ["compiled", "python"]
@@ -95,11 +95,8 @@ def test_kernel_orthogonalizes_columns(backend):
         assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-13)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_svd_matches_reference_singular_values(backend, field):
-    rng = np.random.default_rng(23)
-    for m, n in [(1, 1), (2, 2), (3, 2), (2, 3), (5, 3), (3, 5), (6, 6), (8, 5), (1, 7)]:
+def _check_svd_against_reference(rng, shapes, field):
+    for m, n in shapes:
         a = rng.standard_normal((m, n))
         if field == "complex":
             a = a + 1j * rng.standard_normal((m, n))
@@ -112,6 +109,69 @@ def test_svd_matches_reference_singular_values(backend, field):
         assert_allclose((u * s) @ v.conj().T, a, atol=1e-12 * (1.0 + ref[0]))
         assert_allclose(u.conj().T @ u, np.eye(k), atol=1e-12 * max(m, n))
         assert_allclose(v.conj().T @ v, np.eye(k), atol=1e-12 * max(m, n))
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_svd_matches_reference_singular_values(backend, field):
+    shapes = [(1, 1), (2, 2), (3, 2), (2, 3), (5, 3), (3, 5), (6, 6), (8, 5), (1, 7)]
+    _check_svd_against_reference(np.random.default_rng(23), shapes, field)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_svd_matches_reference_at_benchmark_sizes(backend, field):
+    # the shapes perfbench factors: many rounds per sweep, an odd column count, tall inputs
+    shapes = [(12, 12), (16, 16), (20, 20), (17, 13), (256, 16), (192, 12)]
+    _check_svd_against_reference(np.random.default_rng(29), shapes, field)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("shape", [(4, 3), (20, 20), (256, 16)])
+def test_extreme_scales_still_rotate(backend, shape):
+    # alpha * beta overflows to inf from entries near 1e77 on; a convergence
+    # test on their product passed every pair and returned unrotated columns.
+    # Near 1e-150, |gamma| turns subnormal and numpy's complex division by it
+    # overflowed to nan.
+    a = np.random.default_rng(0).standard_normal(shape)
+    for scale in (1e-150, 1e77, 1e100, 1e140):
+        ref = np.linalg.pinv(a * scale)
+        assert np.linalg.norm(pinv(a * scale) - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert_allclose(jacobi_svd(a * scale)[1], np.linalg.svd(a, compute_uv=False) * scale, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_round_robin_schedule_covers_each_pair_once(n):
+    rounds = _jacobi_py.round_robin(n)
+    assert len(rounds) == (0 if n == 1 else n - 1 + n % 2)
+    seen = []
+    for p, q, rows in rounds:
+        assert p.size == q.size == n // 2
+        assert np.all(p < q)
+        # disjoint: a round touches each of its columns once
+        assert np.unique(np.concatenate((p, q))).size == 2 * p.size
+        assert_array_equal(rows, np.concatenate((p, q, p, q, q)))
+        seen += zip(p.tolist(), q.tolist())
+    assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def test_kernels_rotate_pairs_in_the_same_order(kernels):
+    # one sweep stops mid-convergence, so w and v after it depend on the pair order
+    if len(kernels) < 2:
+        pytest.skip(NO_COMPILED)
+    rng = np.random.default_rng(37)
+    for n in (2, 3, 7, 8, 13, 16):
+        a = rng.standard_normal((n + 3, n)) + 1j * rng.standard_normal((n + 3, n))
+        out = []
+        for name in ("compiled", "python"):
+            w = np.array(a, order="F")
+            v = np.asfortranarray(np.eye(n, dtype=np.complex128))
+            get_kernel(name).orthogonalize_columns(w, v, 2.220446049250313e-16, 1)
+            out.append((w, v))
+        (w_c, v_c), (w_p, v_p) = out
+        atol = 1e-13 * (1.0 + np.linalg.norm(a, 2))
+        assert_allclose(w_c, w_p, rtol=0, atol=atol)
+        assert_allclose(v_c, v_p, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)

@@ -6,7 +6,9 @@ after it:
 
     PYTHONPATH=src python3 tools/output_hashes.py [--suite]
 
-Each line is ``<sha256>  <name>``.  The reports cover one pair per
+Each line is ``<sha256>  <name>``.  The digests depend on the kernel, whose
+rotation order and arithmetic set the last bits, so the backend is named on
+stderr as ``# backend=<name>``.  The reports cover one pair per
 ``default_specs()`` entry, drawn as the property suite draws trial t, and
 four special pairs; the sweeps are both closed-form examples at their
 default 401 steps.  ``--suite`` adds the stdout of
@@ -19,11 +21,13 @@ import argparse
 import contextlib
 import hashlib
 import io
+import sys
 from dataclasses import replace
 
 import numpy as np
 
 from pinvperturb import cli
+from pinvperturb.backends import default_backend
 from pinvperturb.bounds import full_report, report_csv, report_table
 from pinvperturb.geometry import make_pair
 from pinvperturb.randmat import gen_pair
@@ -72,6 +76,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", action="store_true", help="also hash the 500-trial suite run")
     args = parser.parse_args(argv)
+    print(f"# backend={default_backend()}", file=sys.stderr)
     for name, text in output_texts(args.suite):
         print(f"{_digest(text)}  {name}")
 
