@@ -25,9 +25,7 @@ from .core import (
     ShapeError,
     SvdFactors,
     as_matrix,
-    conj_transpose,
     default_cutoff,
-    frobenius_norm,
     jacobi_svd,
     lstsq_min_norm,
     penrose_residuals,
@@ -67,7 +65,6 @@ __all__ = [
     "__version__",
     "as_matrix",
     "available_backends",
-    "conj_transpose",
     "default_backend",
     "default_cutoff",
     "deviation_fro",
@@ -77,7 +74,6 @@ __all__ = [
     "dumps",
     "envelope_ok",
     "evaluate_all",
-    "frobenius_norm",
     "full_report",
     "gen_fixed_rank",
     "gen_pair",

@@ -28,6 +28,10 @@ SQUARED = "squared_frobenius"
 NORM = "norm"
 UI = "unitarily_invariant"
 
+# relative slack of every check that a bound holds: the envelope, the norm
+# bounds, and the suite's orderings
+TOL_BOUND = 1e-8
+
 # multiplier for the general-rank unsquared bound, by norm family
 MU = {
     "spectral": (1.0 + math.sqrt(5.0)) / 2.0,
@@ -165,8 +169,9 @@ def _singular_value_bound(p, c):
     rb = 1.0 / p.fb.sigma1
     total = float(np.sum(ra**2) + np.sum(rb**2))
     k = min(ra.size, rb.size)
-    # largest reciprocal pairs with largest: the trace bound for the aligned part
-    aligned = float(np.sum(np.sort(ra)[::-1][:k] * np.sort(rb)[::-1][:k]))
+    # largest reciprocal pairs with largest: the trace bound for the aligned
+    # part; sigma1 is decreasing, so its reciprocals reversed are sorted
+    aligned = float(np.sum(ra[::-1][:k] * rb[::-1][:k]))
     return total + c * aligned
 
 
@@ -359,22 +364,31 @@ def full_report(p):
     )
 
 
-def envelope_ok(report, tol=1e-8):
-    """Squared envelope brackets the exact squared deviation within slack."""
+def envelope_residual(report):
+    """How far the squared envelope misses the exact squared deviation, relative to 1 + it."""
     lo, up = report.envelope
-    slack = tol * (1.0 + report.exact_sq)
-    return lo <= report.exact_sq + slack and up >= report.exact_sq - slack
+    dev = report.exact_sq
+    return max(dev - up, lo - dev, 0.0) / (1.0 + dev)
 
 
-def norm_bounds_ok(report, tol=1e-8):
-    """Every applicable unsquared upper bound dominates its exact norm."""
-    for v in report.uppers:
-        if not v.applicable or v.target != NORM:
-            continue
-        exact = report.exact_spectral if v.norm_used == "spectral" else report.exact_fro
-        if v.value < exact - tol * (1.0 + exact):
-            return False
-    return True
+def norm_residual(report):
+    """How far the worst unsquared bound falls below its exact norm, relative to 1 + it."""
+    worst = 0.0
+    for v in report.values:
+        if v.applicable and v.target == NORM:
+            exact = report.exact_spectral if v.norm_used == "spectral" else report.exact_fro
+            worst = max(worst, (exact - v.value) / (1.0 + exact))
+    return worst
+
+
+def envelope_ok(report):
+    """Squared envelope brackets the exact squared deviation within ``TOL_BOUND``."""
+    return envelope_residual(report) <= TOL_BOUND
+
+
+def norm_bounds_ok(report):
+    """Every applicable unsquared upper bound dominates its exact norm within ``TOL_BOUND``."""
+    return norm_residual(report) <= TOL_BOUND
 
 
 def _fmt(x):

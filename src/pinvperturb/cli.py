@@ -24,7 +24,7 @@ from .bounds import envelope_ok, full_report, norm_bounds_ok, report_csv, report
 from .core import ShapeError, pinv, svd_factors
 from .geometry import make_pair
 from .matrixio import MatrixFormatError, dumps, load
-from .suite import DEFAULT_SEED, DEFAULT_TRIALS, identity_checks, run_property_suite
+from .suite import DEFAULT_SEED, DEFAULT_TRIALS, PROPERTIES, identity_checks, run_property_suite
 from .sweeps import (
     DEFAULT_STEPS,
     DEFAULT_TAU_MAX,
@@ -84,7 +84,8 @@ def cmd_verify_identities(args):
     b, _ = load(args.b)
     p = make_pair(a, b, tol=args.tol)
     bad = 0
-    for name, resid, tol in identity_checks(p):
+    for name, resid in identity_checks(p):
+        tol = PROPERTIES[name].tol
         ok = resid <= tol
         status = "ok" if ok else "VIOLATION"
         print(f"{status} {name} residual={_fmt(resid)} tol={_fmt(tol)}")

@@ -12,6 +12,7 @@ complex 2-d array-like with finite entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,6 @@ def as_matrix(x):
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"matrix dimensions must be positive, got shape {a.shape}")
     return _finite(a.astype(np.complex128, copy=False))
-
-
-def conj_transpose(a):
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
 
 
 def default_cutoff(shape, sigma_max):
@@ -100,10 +96,17 @@ def jacobi_svd(a):
     (m x k) and ``v`` (n x k) hold the singular vectors of its k nonzero
     values, so ``a == (u * sigma[:k]) @ v*``.  A wide input is factored
     through its conjugate transpose, and errors name the input's own shape.
+
+    The kernel sees the input scaled by 2^-k, with k the exponent of its
+    largest entry, so its squared column norms stay in range at any scale
+    of input; power-of-two scaling is exact, and sigma is scaled back.
     """
     a = as_matrix(a)
     wide = a.shape[0] < a.shape[1]
     w = np.array(a.conj().T if wide else a, dtype=np.complex128, order="F", copy=True)
+    parts = w.reshape(-1, order="F").view(np.float64)  # a view: w is F-ordered and fresh
+    k = math.frexp(np.abs(parts).max())[1]
+    np.ldexp(parts, -k, out=parts)
     n = w.shape[1]
     v = np.asfortranarray(np.eye(n, dtype=np.complex128))
     kernel = backends.get_kernel()
@@ -112,13 +115,15 @@ def jacobi_svd(a):
         raise RuntimeError(
             f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {a.shape}"
         )
-    sig = np.linalg.norm(w, axis=0)
+    scaled = np.linalg.norm(w, axis=0)
+    order = np.argsort(-scaled, kind="stable")
+    scaled = scaled[order]
+    with np.errstate(over="ignore"):
+        sig = np.ldexp(scaled, k)
     if not np.all(np.isfinite(sig)):
         raise RuntimeError(f"non-finite singular values (overflow) for shape {a.shape}")
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
     keep = order[: int(np.count_nonzero(sig > 0.0))]
-    u = np.ascontiguousarray(w[:, keep] / sig[: keep.size])
+    u = np.ascontiguousarray(w[:, keep] / scaled[: keep.size])
     v = np.ascontiguousarray(v[:, keep])
     return (v, sig, u) if wide else (u, sig, v)
 
@@ -153,10 +158,6 @@ def pinv(a, tol=None):
 def spectral_norm(a):
     """Largest singular value."""
     return float(jacobi_svd(a)[1][0])
-
-
-def frobenius_norm(a):
-    return float(np.linalg.norm(as_matrix(a), "fro"))
 
 
 def projector_col(a, tol=None):

@@ -93,20 +93,9 @@ def gen_fixed_rank(spec, rank=None, rng=None):
     return (q1 * s) @ q2.conj().T
 
 
-def gen_pair(spec, perturbation_scale=None):
-    """A pair drawn from the ensemble ``spec`` describes.
-
-    By default the two matrices are independent with ranks ``rank_a`` and
-    ``rank_b``.  With ``perturbation_scale`` set, b is instead a + scale * g
-    for a dense Gaussian g (its rank then falls where it falls).
-    """
+def gen_pair(spec):
+    """Two independent matrices with ranks ``rank_a`` and ``rank_b``, drawn from ``spec``."""
     rng = np.random.default_rng(spec.seed)
     a = gen_fixed_rank(spec, spec.rank_a, rng)
-    if perturbation_scale is None:
-        b = gen_fixed_rank(spec, spec.rank_b, rng)
-    else:
-        g = rng.standard_normal((spec.m, spec.n))
-        if spec.field == "complex":
-            g = g + 1j * rng.standard_normal((spec.m, spec.n))
-        b = a + float(perturbation_scale) * g
+    b = gen_fixed_rank(spec, spec.rank_b, rng)
     return make_pair(a, b)

@@ -10,12 +10,13 @@ caught; it passes only when violations are observed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import SQUARED, full_report
+from .bounds import SQUARED, TOL_BOUND, envelope_residual, full_report, norm_residual
 from .core import penrose_residuals, pinv, spectral_norm
 from .geometry import (
     angle_bounds,
@@ -43,7 +44,6 @@ TOL_UNITARY = 1e-12
 TOL_RECON = 1e-12
 TOL_PENROSE = 1e-10
 TOL_IDENTITY = 1e-9
-TOL_BOUND = 1e-8
 
 
 class Property(NamedTuple):
@@ -81,10 +81,6 @@ PROPERTIES = {
     "von_neumann_attainment": Property(TOL_IDENTITY),
     "mutation_sentinel": Property(TOL_BOUND, expect_violation=True),
 }
-
-
-def _with_tol(residuals):
-    return [(name, resid, PROPERTIES[name].tol) for name, resid in residuals]
 
 
 @dataclass
@@ -135,8 +131,9 @@ class SuiteResult:
         return lines
 
 
+@functools.lru_cache(maxsize=1)
 def default_specs(seed=DEFAULT_SEED):
-    """Shapes up to 8x8, both fields, all rank relations including rank 0."""
+    """Shapes up to 8x8, both fields, all rank relations including rank 0; built once per seed."""
     shapes = [
         (1, 1), (2, 2), (3, 2), (2, 3), (4, 4), (5, 3), (3, 5),
         (6, 6), (8, 5), (5, 8), (8, 8), (1, 4), (4, 1), (7, 2),
@@ -165,11 +162,11 @@ def default_specs(seed=DEFAULT_SEED):
                         field=fld, seed=seed, condition_cap=SUITE_CONDITION_CAP,
                     )
                 )
-    return specs
+    return tuple(specs)
 
 
 def identity_checks(p):
-    """Residuals of every exact identity for one pair: (name, residual, tol).
+    """Residuals of every exact identity for one pair, as (name, residual).
 
     Each is checked on ``p`` and on ``swap_pair(p)``, the ``_a`` and ``_b``
     properties of a split.
@@ -203,7 +200,7 @@ def identity_checks(p):
     for ab in map(angle_bounds, both):
         sandwich = max(sandwich, dev - ab.upper, ab.lower - dev)
     out.append(("angle_sandwich", sandwich / sdev))
-    return _with_tol(out)
+    return out
 
 
 def _factor_contract_residuals(f, a):
@@ -214,69 +211,49 @@ def _factor_contract_residuals(f, a):
         float(np.abs(f.v1.conj().T @ f.v1 - r).max(initial=0.0)),
     ) / max(f.shape)
     recon = float(np.abs((f.u1 * f.sigma1) @ f.v1.conj().T - a).max()) / (1.0 + f.norm2)
-    return unit, recon
+    return [("svd_unitarity", unit), ("svd_reconstruction", recon)]
 
 
 def bound_checks(p, rep):
-    """Sandwich, norm domination and ordering residuals for one pair."""
-    out = []
-    dev = rep.exact_sq
-    sdev = 1.0 + dev
-    viol = 0.0
-    for v in rep.values:
-        if not v.applicable or v.target != SQUARED:
-            continue
-        gap = (dev - v.value) if v.kind == "upper" else (v.value - dev)
-        viol = max(viol, gap / sdev)
-    out.append(("bound_sandwich", max(viol, 0.0)))
-    nviol = 0.0
-    for v in rep.values:
-        if not v.applicable or v.target == SQUARED:
-            continue
-        exact = rep.exact_spectral if v.norm_used == "spectral" else rep.exact_fro
-        nviol = max(nviol, (exact - v.value) / (1.0 + exact))
-    out.append(("norm_bound_domination", max(nviol, 0.0)))
-    out.append(("bound_orderings", ordering_violation(rep, p)))
-    return _with_tol(out)
+    """Sandwich, norm domination and ordering residuals for one pair, as (name, residual)."""
+    return [
+        ("bound_sandwich", envelope_residual(rep)),
+        ("norm_bound_domination", norm_residual(rep)),
+        ("bound_orderings", ordering_violation(rep, p)),
+    ]
+
+
+# The sharpness chains as (low, high) rows: low never exceeds high, so the
+# sharper upper bound comes first and the sharper lower bound second.  A side
+# is an estimator name or a closed-form cap on the norms: the worst-case
+# energy li_refined sharpens, and the equal-rank one epsilon_upper sharpens.
+# A row with an estimator that does not apply to the pair is skipped.
+ORDERINGS = (
+    ("averaged_upper", "li_refined"),
+    ("li_refined", lambda nm: max(nm.nai, nm.nbi) ** 4 * nm.e2),
+    ("alpha_upper", "beta_upper"),
+    ("alpha_upper", "gamma_upper"),
+    ("epsilon_upper", lambda nm: nm.nai**2 * nm.nbi**2 * nm.e2),
+    ("alpha_upper", "li_full_column_rank"),
+    ("alpha_upper", "li_full_rank_pair"),
+    ("beta_lower", "alpha_lower"),
+    ("gamma_lower", "alpha_lower"),
+)
 
 
 def ordering_violation(rep, p):
-    """Worst relative violation among the sharpness chains."""
-    nm = p.norms
+    """Worst relative violation among the rows of ``ORDERINGS``."""
+    values = {v.name: v.value for v in rep.values}  # None where not applicable
 
-    def val(name):
-        v = rep.by_name(name)
-        return v.value if v.applicable else None
+    def side(s):
+        return s(p.norms) if callable(s) else values[s]
 
-    mz_sq = max(nm.nai, nm.nbi) ** 4 * nm.e2
-    pairs = []
-    li = val("li_refined")
-    av = val("averaged_upper")
-    if av is not None and li is not None:
-        pairs.append((av, li))
-    if li is not None:
-        pairs.append((li, mz_sq))
-    al = val("alpha_upper")
-    pairs.append((al, val("beta_upper")))
-    ga = val("gamma_upper")
-    if ga is not None:
-        pairs.append((al, ga))
-    ep = val("epsilon_upper")
-    if ep is not None:
-        pairs.append((ep, nm.nai**2 * nm.nbi**2 * nm.e2))
-    for name in ("li_full_column_rank", "li_full_rank_pair"):
-        other = val(name)
-        if other is not None:
-            pairs.append((al, other))
-    alo = val("alpha_lower")
-    for name in ("beta_lower", "gamma_lower"):
-        weaker = val(name)
-        if alo is not None and weaker is not None:
-            pairs.append((weaker, alo))
     viol = 0.0
-    for lo, hi in pairs:
-        viol = max(viol, (lo - hi) / (1.0 + abs(hi)))
-    return max(viol, 0.0)
+    for low, high in ORDERINGS:
+        lo, hi = side(low), side(high)
+        if lo is not None and hi is not None:
+            viol = max(viol, (lo - hi) / (1.0 + abs(hi)))
+    return viol
 
 
 def corrupted_alpha_upper(p):
@@ -330,7 +307,7 @@ def scale_covariance_residual(p, rep, c):
 
 
 def _lstsq_residuals(p, rng):
-    """(optimality violation, min-norm violation) for a random right-hand side."""
+    """Optimality and minimum-norm violations for a random right-hand side."""
     a = p.a
     fa = p.fa
     m, n = a.shape
@@ -360,94 +337,97 @@ def _lstsq_residuals(p, rng):
         # candidates stay least-squares optimal, so the minimum-norm clause binds
         norm_viol = max(norm_viol, abs(rc - r0) / (1.0 + r0))
         norm_viol = max(norm_viol, (x0n - float(np.linalg.norm(cand))) / (1.0 + x0n))
-    return max(opt_viol, 0.0), max(norm_viol, 0.0)
+    return [
+        ("lstsq_residual_optimal", max(opt_viol, 0.0)),
+        ("lstsq_min_norm", max(norm_viol, 0.0)),
+    ]
 
 
 def _trial_seed(spec_seed, index):
     return int(np.random.SeedSequence([spec_seed, 1, index]).generate_state(1, np.uint64)[0])
 
 
+def trial_pair(seed, t):
+    """Trial ``t`` of a run at ``seed``: its spec, holding the reported trial seed, and its pair."""
+    specs = default_specs(seed)
+    sp = specs[t % len(specs)]
+    spec = replace(sp, seed=_trial_seed(sp.seed, t))
+    return spec, gen_pair(spec)
+
+
+def trial_residuals(pair, aux):
+    """Each per-pair residual, as (name, residual); ``aux`` feeds the solves, then the scale."""
+    for f, mat in ((pair.fa, pair.a), (pair.fb, pair.b)):
+        yield from _factor_contract_residuals(f, mat)
+
+    for mat, px, f in ((pair.a, pair.pinv_a, pair.fa), (pair.b, pair.pinv_b, pair.fb)):
+        pr = max(penrose_residuals(mat, px))
+        yield "penrose", pr / (1.0 + f.norm2 * f.pinv_norm2)
+
+    back = pinv(pair.pinv_a)
+    yield "pinv_involution", float(np.abs(back - pair.a).max()) / (1.0 + pair.fa.norm2)
+
+    if pair.rank_a >= 1:
+        # independent route: factor the explicit pseudoinverse matrix
+        sn = spectral_norm(pair.pinv_a)
+        yield "pinv_spectral_reciprocal", abs(sn * pair.fa.sigma1[-1] - 1.0)
+
+    yield from _lstsq_residuals(pair, aux)
+    yield from identity_checks(pair)
+
+    rep = full_report(pair)
+    yield from bound_checks(pair, rep)
+
+    c = 10.0 ** aux.uniform(-1.0, 1.0)
+    yield "scale_covariance", scale_covariance_residual(pair, rep, c)
+
+    if pair.rank_b > pair.rank_a:
+        sv = rep.by_name("singular_value_lower").value
+        wit = rank_jump_witness(pair)
+        yield "rank_jump_witness", max(0.0, wit - sv) / (1.0 + wit)
+
+    # a trial where the corruption leaves alpha_upper unchanged cannot catch it
+    corrupted = corrupted_alpha_upper(pair)
+    if corrupted != rep.by_name("alpha_upper").value:
+        dev = rep.exact_sq
+        yield "mutation_sentinel", max(0.0, dev - corrupted) / (1.0 + dev)
+
+
+def trace_residuals(seed, t):
+    """The two trace-inequality residuals of trace trial ``t``, as (name, residual)."""
+    rng = np.random.default_rng([seed, 2, t])
+    m = int(rng.integers(1, 7))
+    n = int(rng.integers(1, 7))
+    fld = "complex" if rng.integers(2) else "real"
+    mm = rng.standard_normal((m, n))
+    nn = rng.standard_normal((m, n))
+    if fld == "complex":
+        mm = mm + 1j * rng.standard_normal((m, n))
+        nn = nn + 1j * rng.standard_normal((m, n))
+    vn = von_neumann_sum(mm, nn)
+    u = haar_unitary(m, rng, fld)
+    v = haar_unitary(n, rng, fld)
+    yield "von_neumann_upper", max(0.0, trace_real(u @ mm @ v, nn) - vn) / (1.0 + vn)
+    au, av = aligning_unitaries(mm, nn)
+    yield "von_neumann_attainment", abs(trace_real(au @ mm @ av, nn) - vn) / (1.0 + vn)
+
+
 def run_property_suite(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, vn_trials=DEFAULT_VN_TRIALS):
     """Run every property over ``trials`` pairs drawn round-robin from ``default_specs(seed)``.
 
-    A reported worst_seed reproduces its pair via
-    ``gen_pair(replace(spec, seed=worst_seed))`` with the matching spec.
+    Pair trials are recorded under their trial seed (see ``trial_pair``),
+    trace trials under their index.
     """
-    specs = default_specs(seed)
     props = {
         n: PropertyResult(name=n, tol=pr.tol, expect_violation=pr.expect_violation)
         for n, pr in PROPERTIES.items()
     }
-
     for t in range(trials):
-        sp = specs[t % len(specs)]
-        tseed = _trial_seed(sp.seed, t)
-        spec_t = replace(sp, seed=tseed)
-        pair = gen_pair(spec_t)
-        aux = np.random.default_rng([tseed, 3])
-
-        for f, mat in ((pair.fa, pair.a), (pair.fb, pair.b)):
-            unit, recon = _factor_contract_residuals(f, mat)
-            props["svd_unitarity"].record(unit, tseed)
-            props["svd_reconstruction"].record(recon, tseed)
-
-        for mat, px, f in ((pair.a, pair.pinv_a, pair.fa), (pair.b, pair.pinv_b, pair.fb)):
-            pr = max(penrose_residuals(mat, px))
-            props["penrose"].record(pr / (1.0 + f.norm2 * f.pinv_norm2), tseed)
-
-        back = pinv(pair.pinv_a)
-        inv_resid = float(np.abs(back - pair.a).max()) / (1.0 + pair.fa.norm2)
-        props["pinv_involution"].record(inv_resid, tseed)
-
-        if pair.rank_a >= 1:
-            # independent route: factor the explicit pseudoinverse matrix
-            sn = spectral_norm(pair.pinv_a)
-            props["pinv_spectral_reciprocal"].record(
-                abs(sn * pair.fa.sigma1[-1] - 1.0), tseed
-            )
-
-        opt_v, norm_v = _lstsq_residuals(pair, aux)
-        props["lstsq_residual_optimal"].record(opt_v, tseed)
-        props["lstsq_min_norm"].record(norm_v, tseed)
-
-        for name, resid, _tol in identity_checks(pair):
-            props[name].record(resid, tseed)
-
-        rep = full_report(pair)
-        for name, resid, _tol in bound_checks(pair, rep):
-            props[name].record(resid, tseed)
-
-        c = 10.0 ** aux.uniform(-1.0, 1.0)
-        props["scale_covariance"].record(scale_covariance_residual(pair, rep, c), tseed)
-
-        if pair.rank_b > pair.rank_a:
-            sv = rep.by_name("singular_value_lower").value
-            wit = rank_jump_witness(pair)
-            props["rank_jump_witness"].record(max(0.0, wit - sv) / (1.0 + wit), tseed)
-
-        # a trial where the corruption leaves alpha_upper unchanged cannot catch it
-        corrupted = corrupted_alpha_upper(pair)
-        if corrupted != rep.by_name("alpha_upper").value:
-            dev = rep.exact_sq
-            props["mutation_sentinel"].record(max(0.0, dev - corrupted) / (1.0 + dev), tseed)
-
+        spec, pair = trial_pair(seed, t)
+        aux = np.random.default_rng([spec.seed, 3])
+        for name, resid in trial_residuals(pair, aux):
+            props[name].record(resid, spec.seed)
     for t in range(vn_trials):
-        rng = np.random.default_rng([seed, 2, t])
-        m = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 7))
-        fld = "complex" if rng.integers(2) else "real"
-        mm = rng.standard_normal((m, n))
-        nn = rng.standard_normal((m, n))
-        if fld == "complex":
-            mm = mm + 1j * rng.standard_normal((m, n))
-            nn = nn + 1j * rng.standard_normal((m, n))
-        vn = von_neumann_sum(mm, nn)
-        u = haar_unitary(m, rng, fld)
-        v = haar_unitary(n, rng, fld)
-        up = max(0.0, trace_real(u @ mm @ v, nn) - vn) / (1.0 + vn)
-        props["von_neumann_upper"].record(up, t)
-        au, av = aligning_unitaries(mm, nn)
-        att = abs(trace_real(au @ mm @ av, nn) - vn) / (1.0 + vn)
-        props["von_neumann_attainment"].record(att, t)
-
+        for name, resid in trace_residuals(seed, t):
+            props[name].record(resid, t)
     return SuiteResult(results=list(props.values()))

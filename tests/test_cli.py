@@ -129,18 +129,32 @@ def test_numerical_failure_exit3(pair_files, capsys, monkeypatch, command, targe
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("command", ["pinv", "bounds"])
-def test_overflowing_input_exit3(tmp_path, capsys, command, scale):
-    # the singular values of this input overflow to inf
-    a = _write(tmp_path, "a.mat", np.random.default_rng(11).standard_normal((4, 3)) * scale)
+def test_overflowing_input_exit3(tmp_path, capsys, command, field):
+    # finite entries up to 1.5e308 of a full-rank matrix whose sigma_1 overflows to inf
+    m = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 0.0, 1.0]])
+    a = _write(tmp_path, "a.mat", m * (1.5e308 if field == "real" else 1e308 + 1e308j))
     files = [a] if command == "pinv" else [a, a]
     assert cli.main([command, *files]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [ln for ln in captured.err.splitlines() if ln.startswith("error: ")]
     assert errors == ["error: non-finite singular values (overflow) for shape (4, 3)"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_pinv_of_tiny_entries_keeps_its_rank(tmp_path, capsys):
+    # squared column norms near 1e-340 underflowed to 0 in the kernel, and
+    # the pseudoinverse came out as rank 0 and all zeros, with exit 0
+    a = np.random.default_rng(0).standard_normal((4, 3)) * 1e-170
+    assert cli.main(["pinv", _write(tmp_path, "a.mat", a)]) == 0
+    out = capsys.readouterr().out
+    assert "# rank 3" in out
+    x, _ = loads(out)
+    ref = np.linalg.pinv(a)
+    assert np.linalg.norm((x - ref) * 1e-170) <= 1e-13 * np.linalg.norm(ref * 1e-170)
 
 
 @pytest.mark.filterwarnings("error")
@@ -198,10 +212,10 @@ def test_verify_identities_ok(pair_files, capsys):
 
 def test_verify_identities_violation_exit3(pair_files, capsys, monkeypatch):
     a, b = pair_files
-    monkeypatch.setattr(cli, "identity_checks", lambda p: [("fake_check", 1.0, 1e-9)])
+    monkeypatch.setattr(cli, "identity_checks", lambda p: [("identity_sum_a", 1.0)])
     assert cli.main(["verify-identities", a, b]) == 3
     captured = capsys.readouterr()
-    assert "VIOLATION fake_check" in captured.out
+    assert "VIOLATION identity_sum_a residual=1 tol=1.0000000000000001e-09" in captured.out
     assert "1 identity check(s) violated" in captured.err
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,8 +17,8 @@ from pinvperturb.randmat import (
     haar_frame,
     haar_unitary,
 )
+from pinvperturb.bounds import TOL_BOUND
 from pinvperturb.suite import (
-    TOL_BOUND,
     _trial_seed,
     corrupted_alpha_upper,
     default_specs,
@@ -28,6 +26,7 @@ from pinvperturb.suite import (
     rank_jump_witness,
     run_property_suite,
     scale_covariance_residual,
+    trial_pair,
 )
 from pinvperturb.sweeps import (
     SweepSpec,
@@ -107,13 +106,6 @@ def test_gen_pair_ranks_and_determinism():
     assert np.array_equal(p.b, q.b)
 
 
-def test_gen_pair_perturbation_mode():
-    sp = EnsembleSpec(m=4, n=4, rank_a=4, rank_b=4, field="real", seed=19)
-    p = gen_pair(sp, perturbation_scale=1e-8)
-    assert float(np.abs(p.e).max()) < 1e-6
-    assert p.rank_b == 4
-
-
 def test_default_specs_cover_rank_relations():
     specs = default_specs(seed=5)
     assert all(isinstance(s, EnsembleSpec) for s in specs)
@@ -161,9 +153,7 @@ def test_suite_is_deterministic():
 def test_orderings_hold_on_ill_conditioned_full_rank_pairs(seed, trial, shape, field):
     # suite trials where alpha and beta both equal x exactly and |a+| is in
     # the thousands; differences of squared norms put them 2e-8 out of order
-    specs = default_specs(seed)
-    sp = specs[trial % len(specs)]
-    p = gen_pair(replace(sp, seed=_trial_seed(sp.seed, trial)))
+    sp, p = trial_pair(seed, trial)
     assert (p.shape, p.rank_a, p.rank_b, sp.field) == (shape, min(shape), min(shape), field)
     assert ordering_violation(full_report(p), p) <= TOL_BOUND
 
@@ -177,9 +167,7 @@ def test_orderings_hold_on_worst_rank_deficient_pairs(seed, trial, shape, ranks,
     # the worst bound_orderings trials of their seeds: rank-deficient a with
     # |b+| in the thousands, where gamma_upper's differences of squared norms
     # put it 2e-9 to 8e-9 (relative, by kernel) below alpha_upper
-    specs = default_specs(seed)
-    sp = specs[trial % len(specs)]
-    p = gen_pair(replace(sp, seed=_trial_seed(sp.seed, trial)))
+    sp, p = trial_pair(seed, trial)
     assert (p.shape, (p.rank_a, p.rank_b), sp.field) == (shape, ranks, field)
     assert ordering_violation(full_report(p), p) <= TOL_BOUND
 

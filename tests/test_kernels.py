@@ -132,11 +132,14 @@ def test_extreme_scales_still_rotate(backend, shape):
     # alpha * beta overflows to inf from entries near 1e77 on; a convergence
     # test on their product passed every pair and returned unrotated columns.
     # Near 1e-150, |gamma| turns subnormal and numpy's complex division by it
-    # overflowed to nan.
+    # overflowed to nan.  From 1e-170 down the squared norms underflowed to a
+    # silent rank 0, and from 1e160 up they overflowed to sigma = inf; the
+    # power-of-two scaling before the kernel keeps every scale in range.
+    # Both sides are compared at scale 1, where their norms cannot overflow.
     a = np.random.default_rng(0).standard_normal(shape)
-    for scale in (1e-150, 1e77, 1e100, 1e140):
-        ref = np.linalg.pinv(a * scale)
-        assert np.linalg.norm(pinv(a * scale) - ref) <= 1e-13 * np.linalg.norm(ref)
+    ref = np.linalg.pinv(a)
+    for scale in (1e-300, 1e-170, 1e-150, 1e77, 1e100, 1e140, 1e160, 1e300):
+        assert np.linalg.norm(pinv(a * scale) * scale - ref) <= 1e-13 * np.linalg.norm(ref)
         assert_allclose(jacobi_svd(a * scale)[1], np.linalg.svd(a, compute_uv=False) * scale, rtol=1e-13)
 
 
