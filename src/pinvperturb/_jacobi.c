@@ -7,7 +7,7 @@
    The pairs of a round share no column, so this loop over them rotates exactly
    what the numpy kernel rotates in one step.  Returns the sweeps used, or -1 if
    max_sweeps passed without a rotation-free sweep.  Opened through ctypes by
-   backends.load_compiled. */
+   backends.load_compiled, which calls it once per matrix of a stack. */
 
 #include <complex.h>
 #include <math.h>

@@ -33,11 +33,14 @@ def load_compiled(path):
     fn.argtypes = [matrix, matrix] + [ctypes.c_ssize_t] * 3 + [ctypes.c_double, ctypes.c_int]
     fn.restype = ctypes.c_int
 
-    def orthogonalize_columns(w, v, eps, max_sweeps):
-        """The C loop of ``_jacobi_py.orthogonalize_columns``; returns its sweep count."""
-        if np.shape(v)[1:] != np.shape(w)[1:]:
+    def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
+        """The C loop of ``_jacobi_py.orthogonalize_columns``, run on each matrix of a stack."""
+        if np.shape(v)[:-2] + np.shape(v)[-1:] != np.shape(w)[:-2] + np.shape(w)[-1:]:
             raise ValueError(f"rotation accumulator of shape {np.shape(v)} does not fit {np.shape(w)}")
-        return fn(w, v, w.shape[0], w.shape[1], v.shape[0], eps, max_sweeps)
+        m, n = w.shape[-2:]
+        pairs = zip(w, v) if w.ndim == 3 else [(w, v)]
+        sweeps = np.array([fn(wi, vi, m, n, v.shape[-2], eps, max_sweeps) for wi, vi in pairs])
+        return _jacobi_py.sweep_summary(sweeps, counts)
 
     kernel = types.ModuleType(f"{__package__}._jacobi")
     kernel.__file__ = str(path)

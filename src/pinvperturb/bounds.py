@@ -7,10 +7,15 @@ from a closed set of requirements; a row whose requirement fails reports
 itself as not applicable, with that requirement's reason.  ``full_report``
 evaluates the whole table, forms the tightest envelope from the applicable
 squared estimates, and can check it against the exact deviation.
+
+The table is evaluated on arrays: for a stack of pairs, each value is an
+array with one entry per pair, from the same arithmetic as one pair's.  A
+requirement must hold for every pair of a stack or for none.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -22,6 +27,7 @@ from .geometry import (
     deviation_fro,
     deviation_spectral,
     deviation_sq,
+    strict_arithmetic,
 )
 
 SQUARED = "squared_frobenius"
@@ -55,7 +61,8 @@ class BoundValue:
 
     ``target`` is ``squared_frobenius`` for the squared-deviation estimates
     or ``norm`` for unsquared ones; ``norm_used`` names the norm the value
-    refers to.  ``value`` is None when not applicable, with ``reason`` set.
+    refers to.  ``value`` is None when not applicable, with ``reason`` set,
+    and an array over the pairs of a stack.
     """
 
     name: str
@@ -63,18 +70,28 @@ class BoundValue:
     target: str
     norm_used: str
     applicable: bool
-    value: float | None
+    value: float | np.ndarray | None
     reason: str = ""
 
 
 def _d(t):
     """Clamp tiny negative roundoff in terms that are nonnegative exactly."""
-    return t if t > 0.0 else 0.0
+    return np.maximum(t, 0.0)
+
+
+def _failed(what, exc):
+    """An arithmetic error like ``exc`` whose message says that ``what`` failed."""
+    # an overflow's own message is only "(34, 'Numerical result out of range')"
+    detail = exc.args[-1] if exc.args else type(exc).__name__
+    return type(exc)(f"{what} failed: {detail}")
 
 
 @dataclass(frozen=True)
 class Requirement:
-    """A hypothesis an estimator needs: when ``violated(p)``, ``reason(p)`` says why it is skipped."""
+    """A hypothesis an estimator needs: when ``violated(p)``, ``reason(p)`` says why it is skipped.
+
+    On a stack, ``violated`` gives one truth value per pair.
+    """
 
     violated: Callable[[PerturbationPair], bool]
     reason: Callable[[PerturbationPair], str]
@@ -86,15 +103,15 @@ _EQUAL_RANKS = Requirement(
     lambda p: f"needs equal ranks, got {p.rank_a} and {p.rank_b}",
 )
 _PINV_NONZERO = Requirement(
-    lambda p: p.norms.nai == 0.0 or p.norms.nbi == 0.0,
+    lambda p: (p.norms.nai == 0.0) | (p.norms.nbi == 0.0),
     lambda p: "needs both operands nonzero, a pseudoinverse norm is 0",
 )
 _SPECTRAL_NONZERO = Requirement(
-    lambda p: p.norms.na == 0.0 or p.norms.nb == 0.0,
+    lambda p: (p.norms.na == 0.0) | (p.norms.nb == 0.0),
     lambda p: "needs both operands nonzero, a spectral norm is 0",
 )
 _ANY_NONZERO = Requirement(
-    lambda p: max(p.norms.na, p.norms.nb) == 0.0,
+    lambda p: np.maximum(p.norms.na, p.norms.nb) == 0.0,
     lambda p: "needs a nonzero operand, both spectral norms are 0",
 )
 _B_NONZERO = Requirement(
@@ -133,19 +150,25 @@ class Estimator:
 
     def evaluate(self, p):
         for req in self.requires:
-            if req.violated(p):
+            violated = req.violated(p)
+            if np.ndim(violated):  # a stack's, one per pair
+                if violated.any() != violated.all():
+                    raise ValueError(
+                        f"estimator {self.name} applies to some pairs of the stack but not to "
+                        f"others: {req.reason(p)}"
+                    )
+                violated = violated.all()
+            if violated:
                 return BoundValue(
                     self.name, self.kind, self.target, self.norm, False, None, req.reason(p)
                 )
         try:
             value = self.formula(p.norms, p)
         except ArithmeticError as exc:
-            # an overflow's own message is only "(34, 'Numerical result out of range')"
-            detail = exc.args[-1] if exc.args else type(exc).__name__
-            raise type(exc)(f"estimator {self.name} failed: {detail}") from exc
+            raise _failed(f"estimator {self.name}", exc) from exc
         if self.kind == "lower":
-            value = max(value, 0.0)
-        return BoundValue(self.name, self.kind, self.target, self.norm, True, float(value))
+            value = np.maximum(value, 0.0)
+        return BoundValue(self.name, self.kind, self.target, self.norm, True, value)
 
 
 def _nu(p, norm):
@@ -154,35 +177,35 @@ def _nu(p, norm):
 
 def _li_refined(nm, p):
     """Worst-case energy minus the aligned cross mass."""
-    ratio = max(nm.nai**2 / nm.nbi**2, nm.nbi**2 / nm.nai**2)
-    return _d(max(nm.nai, nm.nbi) ** 4 * nm.e2 - 0.5 * (ratio - 1.0) * (nm.x + nm.y))
+    ratio = np.maximum(nm.nai2 / nm.nbi2, nm.nbi2 / nm.nai2)
+    return _d(np.maximum(nm.nai4, nm.nbi4) * nm.e2 - 0.5 * (ratio - 1.0) * (nm.x + nm.y))
 
 
 def _li_full_column_rank(nm, p):
-    pref = nm.nai**2 * nm.nbi**2 / (nm.nai**2 + nm.nbi**2)
-    return pref * (nm.ea + nm.eb + (p.shape[1] - p.rank_b) * nm.nai**2 / nm.nbi**2)
+    pref = nm.nai2 * nm.nbi2 / (nm.nai2 + nm.nbi2)
+    return pref * (nm.ea + nm.eb + (p.shape[1] - p.rank_b) * nm.nai2 / nm.nbi2)
 
 
 def _singular_value_bound(p, c):
     """total + c * aligned, from the two singular value lists only (c = +-2)."""
     ra = 1.0 / p.fa.sigma1
     rb = 1.0 / p.fb.sigma1
-    total = float(np.sum(ra**2) + np.sum(rb**2))
-    k = min(ra.size, rb.size)
+    total = np.sum(ra**2, axis=-1) + np.sum(rb**2, axis=-1)
+    k = min(p.rank_a, p.rank_b)
     # largest reciprocal pairs with largest: the trace bound for the aligned
     # part; sigma1 is decreasing, so its reciprocals reversed are sorted
-    aligned = float(np.sum(ra[::-1][:k] * rb[::-1][:k]))
+    aligned = np.sum(ra[..., ::-1][..., :k] * rb[..., ::-1][..., :k], axis=-1)
     return total + c * aligned
 
 
 def _upper(route):
     """The tighter of a route and its a <-> b mirror."""
-    return lambda nm, p: min(route(nm), route(nm.swapped))
+    return lambda nm, p: np.minimum(route(nm), route(nm.swapped))
 
 
 def _lower(route):
     """The tighter of a lower route and its a <-> b mirror."""
-    return lambda nm, p: max(route(nm), route(nm.swapped))
+    return lambda nm, p: np.maximum(route(nm), route(nm.swapped))
 
 
 # Each route below is written once, for the orientation through (a, e); its
@@ -191,25 +214,23 @@ def _lower(route):
 
 def _alpha_upper(nm):
     """Projected-residual route."""
-    return nm.nai**2 * nm.aebb_c + nm.nbi**2 * nm.aaeb_c + nm.x
+    return nm.nai2 * nm.aebb_c + nm.nbi2 * nm.aaeb_c + nm.x
 
 
 def _beta_upper(nm):
     """Inverted products replaced by raw perturbation energy."""
-    return nm.nai**4 * nm.ebb_c + nm.nbi**4 * nm.aae_c + nm.x
+    return nm.nai4 * nm.ebb_c + nm.nbi4 * nm.aae_c + nm.x
 
 
 def _gamma_upper(nm):
     """Cross mass scaled back through the inverse norms."""
-    return (
-        nm.nai**2 * _d(nm.ae - nm.y / nm.nbi**2) + nm.nbi**2 * _d(nm.eb - nm.y / nm.nai**2) + nm.x
-    )
+    return nm.nai2 * _d(nm.ae - nm.y / nm.nbi2) + nm.nbi2 * _d(nm.eb - nm.y / nm.nai2) + nm.x
 
 
 def _delta_term(nm):
     """Energy with the aligned core subtracted, then amplified."""
-    big = max(nm.nai, nm.nbi) ** 4
-    return big * _d(nm.e2 - max(nm.aaeb / nm.nbi**2, nm.aebb / nm.nai**2))
+    big = np.maximum(nm.nai4, nm.nbi4)
+    return big * _d(nm.e2 - np.maximum(nm.aaeb / nm.nbi2, nm.aebb / nm.nai2))
 
 
 def _delta_upper(nm):
@@ -224,35 +245,35 @@ def _averaged_upper(nm, p):
 
 def _epsilon_upper(nm):
     """Equal-rank sharpening of the energy route."""
-    pref = nm.nai**2 * nm.nbi**2
-    return pref * _d(nm.e2 - max(nm.bbea / nm.nai**2, nm.beaa / nm.nbi**2)) + nm.x
+    pref = nm.nai2 * nm.nbi2
+    return pref * _d(nm.e2 - np.maximum(nm.bbea / nm.nai2, nm.beaa / nm.nbi2)) + nm.x
 
 
 def _alpha_lower(nm):
     """Lower counterpart of the projected-residual route."""
-    return nm.aebb_c / nm.na**2 + nm.aaeb_c / nm.nb**2 + nm.x
+    return nm.aebb_c / nm.na2 + nm.aaeb_c / nm.nb2 + nm.x
 
 
 def _beta_lower(nm):
     """Lower counterpart of the raw-energy route."""
-    return nm.ebb_c / nm.na**4 + nm.aae_c / nm.nb**4 + nm.x
+    return nm.ebb_c / nm.na4 + nm.aae_c / nm.nb4 + nm.x
 
 
 def _gamma_lower(nm):
     """Cross mass scaled up; terms may legitimately go negative."""
-    return (nm.ae - nm.nb**2 * nm.y) / nm.na**2 + (nm.eb - nm.na**2 * nm.y) / nm.nb**2 + nm.x
+    return (nm.ae - nm.nb2 * nm.y) / nm.na2 + (nm.eb - nm.na2 * nm.y) / nm.nb2 + nm.x
 
 
 def _delta_lower(nm):
     """Lower energy route normalized by the larger spectral norm."""
-    big = max(nm.na, nm.nb) ** 4
-    return (nm.e2 - min(nm.nb**2 * nm.aaeb, nm.na**2 * nm.aebb)) / big + nm.x
+    big = np.maximum(nm.na4, nm.nb4)
+    return (nm.e2 - np.minimum(nm.nb2 * nm.aaeb, nm.na2 * nm.aebb)) / big + nm.x
 
 
 def _epsilon_lower(nm):
     """Equal-rank sharpening of the lower energy route."""
-    pref = nm.na**2 * nm.nb**2
-    return (nm.e2 - min(nm.na**2 * nm.bbea, nm.nb**2 * nm.beaa)) / pref + nm.x
+    pref = nm.na2 * nm.nb2
+    return (nm.e2 - np.minimum(nm.na2 * nm.bbea, nm.nb2 * nm.beaa)) / pref + nm.x
 
 
 # The whole family in its fixed report order.  The unsquared rows are the
@@ -261,12 +282,12 @@ def _epsilon_lower(nm):
 ESTIMATORS = (
     Estimator(
         "wedin_spectral", "upper",
-        lambda nm, p: MU["spectral"] * max(nm.nai, nm.nbi) ** 2 * nm.es,
+        lambda nm, p: MU["spectral"] * np.maximum(nm.nai2, nm.nbi2) * nm.es,
         target=NORM, norm="spectral",
     ),
     Estimator(
         "wedin_frobenius", "upper",
-        lambda nm, p: MU["frobenius"] * max(nm.nai, nm.nbi) ** 2 * nm.ef,
+        lambda nm, p: MU["frobenius"] * np.maximum(nm.nai2, nm.nbi2) * nm.ef,
         target=NORM,
     ),
     Estimator(
@@ -288,7 +309,7 @@ ESTIMATORS = (
         (_EQUAL_RANKS, _no_single_norm(lambda p: _nu(p, UI))), target=NORM, norm=UI,
     ),
     Estimator(
-        "meng_zheng", "upper", lambda nm, p: max(nm.nai, nm.nbi) ** 2 * nm.ef, target=NORM
+        "meng_zheng", "upper", lambda nm, p: np.maximum(nm.nai2, nm.nbi2) * nm.ef, target=NORM
     ),
     Estimator(
         "meng_zheng_equal_rank", "upper", lambda nm, p: nm.nai * nm.nbi * nm.ef,
@@ -301,7 +322,7 @@ ESTIMATORS = (
     ),
     Estimator(
         "li_full_rank_pair", "upper",
-        _upper(lambda nm: nm.nbi**2 * nm.ea),
+        _upper(lambda nm: nm.nbi2 * nm.ea),
         (_FULL_COLUMN_RANK_BOTH,),
     ),
     Estimator("singular_value_upper", "upper", lambda nm, p: _singular_value_bound(p, 2.0)),
@@ -320,20 +341,34 @@ ESTIMATORS = (
 )
 
 
+@strict_arithmetic
 def evaluate_all(p):
-    """The whole family in a fixed, deterministic order."""
+    """The whole family in a fixed, deterministic order.
+
+    An overflow, a division by zero or an invalid operation in the product
+    norms or in a row raises, naming where it happened, rather than
+    passing on an inf or a nan.
+    """
+    try:
+        p.norms
+    except ArithmeticError as exc:
+        raise _failed("product norms", exc) from exc
     return [row.evaluate(p) for row in ESTIMATORS]
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Exact deviation plus every estimator and the squared envelope."""
+    """Exact deviation plus every estimator and the squared envelope.
 
-    exact_sq: float
-    exact_fro: float
-    exact_spectral: float
+    The report of a stack holds an array over its pairs wherever that of a
+    pair holds a float; only the report of a pair renders as text.
+    """
+
+    exact_sq: float | np.ndarray
+    exact_fro: float | np.ndarray
+    exact_spectral: float | np.ndarray
     values: tuple[BoundValue, ...]
-    envelope: tuple[float, float]
+    envelope: tuple[float | np.ndarray, float | np.ndarray]
 
     @property
     def uppers(self):
@@ -360,24 +395,30 @@ def full_report(p):
         exact_fro=deviation_fro(p),
         exact_spectral=deviation_spectral(p),
         values=tuple(values),
-        envelope=(max(lows), min(ups)),
+        envelope=(functools.reduce(np.maximum, lows), functools.reduce(np.minimum, ups)),
     )
 
 
 def envelope_residual(report):
-    """How far the squared envelope misses the exact squared deviation, relative to 1 + it."""
+    """How far the squared envelope misses the exact squared deviation, relative to 1 + it.
+
+    A nan anywhere in the envelope or the deviation makes it nan.
+    """
     lo, up = report.envelope
     dev = report.exact_sq
-    return max(dev - up, lo - dev, 0.0) / (1.0 + dev)
+    return np.maximum(np.maximum(dev - up, lo - dev), 0.0) / (1.0 + dev)
 
 
 def norm_residual(report):
-    """How far the worst unsquared bound falls below its exact norm, relative to 1 + it."""
+    """How far the worst unsquared bound falls below its exact norm, relative to 1 + it.
+
+    A nan bound or exact norm makes it nan.
+    """
     worst = 0.0
     for v in report.values:
         if v.applicable and v.target == NORM:
             exact = report.exact_spectral if v.norm_used == "spectral" else report.exact_fro
-            worst = max(worst, (exact - v.value) / (1.0 + exact))
+            worst = np.maximum((exact - v.value) / (1.0 + exact), worst)
     return worst
 
 

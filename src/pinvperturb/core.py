@@ -7,12 +7,13 @@ threshold and pass limit are ``JACOBI_EPS`` and ``JACOBI_MAX_SWEEPS`` here,
 and nowhere else.  On top of that sit the Moore-Penrose inverse,
 spectral/Frobenius norms, orthogonal projectors and minimum-norm least
 squares.  Everything works internally in complex128 and accepts any real or
-complex 2-d array-like with finite entries.
+complex 2-d array-like with finite entries.  ``jacobi_svd``, ``svd_factors``
+and ``pinv`` also take a stack ``(B, m, n)`` of same-shape matrices and
+factor it in one kernel call; a matrix is the one-element case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +31,59 @@ def _finite(a):
     return a
 
 
-def as_matrix(x):
-    """Convert to a 2-d complex128 array, rejecting non-finite entries."""
+def _as_complex(x, ndims, what):
     a = np.asarray(x)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-d matrix, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim not in ndims:
+        raise ShapeError(f"expected {what}, got shape {a.shape}")
+    if min(a.shape) < 1:
         raise ShapeError(f"matrix dimensions must be positive, got shape {a.shape}")
     return _finite(a.astype(np.complex128, copy=False))
+
+
+def as_matrix(x):
+    """Convert to a 2-d complex128 array, rejecting non-finite entries."""
+    return _as_complex(x, (2,), "a 2-d matrix")
+
+
+def as_stack(x):
+    """``as_matrix``, or the same for a 3-d stack of same-shape matrices."""
+    return _as_complex(x, (2, 3), "a 2-d matrix or a 3-d stack of them")
+
+
+def _one_per_stack(values, what):
+    """The value that every matrix of a stack shares; a stack that mixes values is a ValueError."""
+    values = np.asarray(values)
+    if values.ndim and values.min() != values.max():
+        found = ", ".join(map(str, np.unique(values)))
+        raise ValueError(f"every matrix of a stack needs the same {what}, got {found}")
+    return int(values.max())
+
+
+def _column_major(x):
+    """A fresh complex128 copy of ``x`` whose every matrix is stored column-major."""
+    return np.array(np.swapaxes(x, -1, -2), dtype=np.complex128, order="C").swapaxes(-1, -2)
+
+
+def _pick_columns(x, cols):
+    """Columns ``cols[i]`` of each matrix ``x[i]`` of a stack; ``x[:, cols]`` for a matrix."""
+    rows = x.swapaxes(-1, -2).reshape(-1, x.shape[-2])  # each matrix's columns in turn
+    first = np.arange(0, rows.shape[0], x.shape[-1]).reshape(cols.shape[:-1] + (1,))
+    return rows.take(first + cols, axis=0).swapaxes(-1, -2)
+
+
+def conj_transpose(x):
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
 
 
 def default_cutoff(shape, sigma_max):
     """Rank cutoff used when no absolute tolerance is given.
 
     max(m, n) units in the last place of the largest singular value; values
-    at or below the cutoff count as null directions.
+    at or below the cutoff count as null directions.  ``shape`` may be a
+    stack's, with one ``sigma_max`` per matrix.
     """
-    return max(shape) * float(np.spacing(float(sigma_max)))
+    return max(shape[-2:]) * np.spacing(sigma_max)
 
 
 @dataclass(frozen=True)
@@ -57,6 +94,7 @@ class SvdFactors:
     ``sigma`` holds all min(m, n) singular values sorted decreasing, and
     ``sigma[i] > tol`` exactly for ``i < rank``.  The null blocks u2 and v2
     are not stored; ``geometry`` reads them through I - u1 u1* and I - v1 v1*.
+    The factors of a stack carry a leading axis, and one ``rank`` for all.
     """
 
     u1: np.ndarray
@@ -67,21 +105,21 @@ class SvdFactors:
 
     @property
     def shape(self):
-        return (self.u1.shape[0], self.v1.shape[0])
+        return (self.u1.shape[-2], self.v1.shape[-2])
 
     @property
     def sigma1(self):
-        return self.sigma[: self.rank]
+        return self.sigma[..., : self.rank]
 
     @property
     def norm2(self):
         """Largest singular value."""
-        return float(self.sigma[0])
+        return self.sigma[..., 0][()]
 
     @property
     def pinv_norm2(self):
         """Largest singular value of the pseudoinverse, 0 for the zero matrix."""
-        return 1.0 / float(self.sigma1[-1]) if self.rank else 0.0
+        return 1.0 / self.sigma1[..., -1] if self.rank else np.zeros(self.sigma.shape[:-1])[()]
 
 
 # the kernel's convergence threshold (relative to the column norms) and pass limit
@@ -96,35 +134,40 @@ def jacobi_svd(a):
     (m x k) and ``v`` (n x k) hold the singular vectors of its k nonzero
     values, so ``a == (u * sigma[:k]) @ v*``.  A wide input is factored
     through its conjugate transpose, and errors name the input's own shape.
+    A stack gives stacked factors; its matrices must share k.
 
-    The kernel sees the input scaled by 2^-k, with k the exponent of its
+    The kernel sees each matrix scaled by 2^-k, with k the exponent of its
     largest entry, so its squared column norms stay in range at any scale
     of input; power-of-two scaling is exact, and sigma is scaled back.
     """
-    a = as_matrix(a)
-    wide = a.shape[0] < a.shape[1]
-    w = np.array(a.conj().T if wide else a, dtype=np.complex128, order="F", copy=True)
-    parts = w.reshape(-1, order="F").view(np.float64)  # a view: w is F-ordered and fresh
-    k = math.frexp(np.abs(parts).max())[1]
+    a = as_stack(a)
+    wide = a.shape[-2] < a.shape[-1]
+    w = _column_major(conj_transpose(a) if wide else a)
+    parts = w.swapaxes(-1, -2).view(np.float64)  # a view: w's matrices are column-major and fresh
+    k = np.frexp(np.abs(parts).reshape(parts.shape[:-2] + (1, -1)).max(axis=-1, keepdims=True))[1]
     np.ldexp(parts, -k, out=parts)
-    n = w.shape[1]
-    v = np.asfortranarray(np.eye(n, dtype=np.complex128))
+    n = w.shape[-1]
+    v = np.zeros(w.shape[:-2] + (n * n,), dtype=np.complex128)
+    v[..., :: n + 1] = 1.0
+    # identities, which read the same row- and column-major
+    v = v.reshape(w.shape[:-2] + (n, n)).swapaxes(-1, -2)
     kernel = backends.get_kernel()
     sweeps = kernel.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS)
     if sweeps < 0:
         raise RuntimeError(
             f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {a.shape}"
         )
-    scaled = np.linalg.norm(w, axis=0)
-    order = np.argsort(-scaled, kind="stable")
-    scaled = scaled[order]
+    scaled = np.linalg.norm(w, axis=-2)
+    order = np.argsort(-scaled, axis=-1, kind="stable")
+    scaled = -np.sort(-scaled, axis=-1, kind="stable")
     with np.errstate(over="ignore"):
-        sig = np.ldexp(scaled, k)
+        sig = np.ldexp(scaled, k[..., 0])
     if not np.all(np.isfinite(sig)):
         raise RuntimeError(f"non-finite singular values (overflow) for shape {a.shape}")
-    keep = order[: int(np.count_nonzero(sig > 0.0))]
-    u = np.ascontiguousarray(w[:, keep] / scaled[: keep.size])
-    v = np.ascontiguousarray(v[:, keep])
+    nonzero = _one_per_stack((sig > 0.0).sum(axis=-1), "number of nonzero singular values")
+    keep = order[..., :nonzero]
+    u = np.ascontiguousarray(_pick_columns(w, keep) / scaled[..., None, :nonzero])
+    v = np.ascontiguousarray(_pick_columns(v, keep))
     return (v, sig, u) if wide else (u, sig, v)
 
 
@@ -132,44 +175,46 @@ def svd_factors(a, tol=None):
     """Factor ``a`` and resolve its numerical rank.
 
     ``tol=None`` applies the default cutoff from ``default_cutoff``; an
-    explicit ``tol`` is an absolute threshold, finite and non-negative.
+    explicit ``tol`` is an absolute threshold, finite and non-negative.  The
+    matrices of a stack each get their own default cutoff, and must all
+    come out with the same rank.
     """
-    a = as_matrix(a)
+    a = as_stack(a)
     if tol is not None and not 0.0 <= float(tol) < np.inf:
         raise ValueError(f"rank cutoff must be finite and non-negative, got {tol}")
     u, sig, v = jacobi_svd(a)
-    cut = default_cutoff(a.shape, sig[0]) if tol is None else float(tol)
-    rank = int(np.count_nonzero(sig > cut))
-    return SvdFactors(u1=u[:, :rank], sigma=sig, v1=v[:, :rank], rank=rank, tol=cut)
+    cut = default_cutoff(a.shape, sig[..., 0]) if tol is None else float(tol)
+    rank = _one_per_stack((sig > np.asarray(cut)[..., None]).sum(axis=-1), "rank")
+    return SvdFactors(u1=u[..., :rank], sigma=sig, v1=v[..., :rank], rank=rank, tol=cut)
 
 
 def pinv(a, tol=None):
     """Moore-Penrose inverse v1 @ diag(1/sigma1) @ u1*.
 
-    Accepts a matrix or precomputed ``SvdFactors``.
+    Accepts a matrix, a stack or precomputed ``SvdFactors``.
     """
     f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
     m, n = f.shape
     if f.rank == 0:
-        return np.zeros((n, m), dtype=np.complex128)
-    return (f.v1 / f.sigma1) @ f.u1.conj().T
+        return np.zeros(f.sigma.shape[:-1] + (n, m), dtype=np.complex128)
+    return (f.v1 / f.sigma1[..., None, :]) @ conj_transpose(f.u1)
 
 
 def spectral_norm(a):
-    """Largest singular value."""
-    return float(jacobi_svd(a)[1][0])
+    """Largest singular value, one per matrix of a stack."""
+    return jacobi_svd(a)[1][..., 0][()]
 
 
 def projector_col(a, tol=None):
     """Orthogonal projector onto the column space (equals a @ pinv(a))."""
     f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
-    return f.u1 @ f.u1.conj().T
+    return f.u1 @ conj_transpose(f.u1)
 
 
 def projector_row(a, tol=None):
     """Orthogonal projector onto the row space (equals pinv(a) @ a)."""
     f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
-    return f.v1 @ f.v1.conj().T
+    return f.v1 @ conj_transpose(f.v1)
 
 
 def lstsq_min_norm(a, b, tol=None):

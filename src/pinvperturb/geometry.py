@@ -13,6 +13,10 @@ Each quantity has a route through (a, e) and a mirror route with a and b
 exchanged.  Only the first is written here; the mirror is the same function
 on ``swap_pair(p)``, whose norms ``ProductNorms.swapped`` maps from p's
 without a new product or SVD.
+
+``make_pair``, ``swap_pair``, the product norms and the deviations also
+take a stack of same-shape pairs, one pair per leading index, and give one
+value per pair; the identity, angle and trace helpers take single pairs.
 """
 
 from __future__ import annotations
@@ -23,14 +27,44 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import ShapeError, SvdFactors, as_matrix, jacobi_svd, pinv, spectral_norm, svd_factors
+from .core import (
+    ShapeError,
+    SvdFactors,
+    as_matrix,
+    as_stack,
+    conj_transpose,
+    jacobi_svd,
+    pinv,
+    spectral_norm,
+    svd_factors,
+)
+
+# overflow, division by zero and invalid operations raise FloatingPointError
+# in the product norms and in the estimators computed from them
+strict_arithmetic = np.errstate(over="raise", divide="raise", invalid="raise")
 
 
 def _fro2(x):
-    """Squared Frobenius norm; 0.0 for empty blocks."""
-    if x.size == 0:
-        return 0.0
-    return float(np.real(np.vdot(x, x)))
+    """Squared Frobenius norm, summed row-major as ``np.vdot(x, x)`` sums it; 0.0 for empty blocks."""
+    f = x.reshape(x.shape[:-2] + (-1,))
+    return np.vecdot(f, f).real
+
+
+def _fro(x):
+    """Frobenius norm, summed as ``np.linalg.norm`` sums a row-major matrix, real parts first."""
+    f = x.reshape(x.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
+
+
+def _pow(x, k):
+    """x**k for an array, entry by entry as Python's float power computes it.
+
+    numpy's array power squares exactly for k = 2 and may use a SIMD pow
+    otherwise, and the C library's pow(), which a float's ``**`` calls,
+    differs from both in the last bit now and then.  Going through Python
+    floats gives a stack the powers its pairs get one at a time.
+    """
+    return np.power(x, k, dtype=object).astype(np.float64)
 
 
 def _outside(q, p):
@@ -41,10 +75,11 @@ def _outside(q, p):
 
 @dataclass(frozen=True)
 class ProductNorms:
-    """Scalar ingredients shared by the deviation estimators.
+    """Ingredients shared by the deviation estimators, one value per pair.
 
     ``na``/``nb``/``nai``/``nbi`` are the spectral norms of a, b and their
-    pseudoinverses; the remaining fields are squared Frobenius norms of the
+    pseudoinverses, and ``na2``/``na4`` and so on their squares and fourth
+    powers; the remaining fields are squared Frobenius norms of the
     projected perturbation products, except ``ef`` (plain Frobenius norm of
     e) and ``es`` (spectral norm of e).  A ``_c`` field is a Pythagorean
     complement, taken as the norm of a projected product rather than as
@@ -55,6 +90,14 @@ class ProductNorms:
     nb: float
     nai: float
     nbi: float
+    na2: float
+    nb2: float
+    nai2: float
+    nbi2: float
+    na4: float
+    nb4: float
+    nai4: float
+    nbi4: float
     e2: float
     ef: float
     es: float
@@ -85,7 +128,8 @@ class ProductNorms:
 
 # each field's counterpart under a <-> b, both ways; e2, ef and es are their own
 _MIRROR = dict(
-    na="nb", nai="nbi", ae="be", eb="ea", x="y", aaeb="bbea", aebb="beaa",
+    na="nb", nai="nbi", na2="nb2", nai2="nbi2", na4="nb4", nai4="nbi4",
+    ae="be", eb="ea", x="y", aaeb="bbea", aebb="beaa",
     aebb_c="beaa_c", aaeb_c="bbea_c", ebb_c="eaa_c", aae_c="bbe_c",
 )
 _MIRROR.update({v: k for k, v in _MIRROR.items()})
@@ -95,7 +139,7 @@ _mirrored_fields = attrgetter(*(_MIRROR.get(f.name, f.name) for f in fields(Prod
 
 @dataclass(frozen=True)
 class PerturbationPair:
-    """A same-shape pair with both factorizations and pseudoinverses."""
+    """A same-shape pair, or a stack of them, with both factorizations and pseudoinverses."""
 
     a: np.ndarray
     b: np.ndarray
@@ -107,7 +151,8 @@ class PerturbationPair:
 
     @property
     def shape(self):
-        return self.a.shape
+        """The shape of a, or of each a of a stack."""
+        return self.a.shape[-2:]
 
     @property
     def rank_a(self):
@@ -123,8 +168,9 @@ class PerturbationPair:
 
 
 def make_pair(a, b, tol=None):
-    a = as_matrix(a)
-    b = as_matrix(b)
+    """The pair (a, b), or the stack of pairs (a[i], b[i]); each side has one rank for the stack."""
+    a = as_stack(a)
+    b = as_stack(b)
     if a.shape != b.shape:
         raise ShapeError(f"pair shapes differ: {a.shape} vs {b.shape}")
     fa = svd_factors(a, tol=tol)
@@ -151,7 +197,7 @@ def _oriented(pa, pb, e, a, b, ua, vb):
     pae = pa @ e
     epb = e @ pb
     y_m = pa @ epb
-    vbh, uah = vb.conj().T, ua.conj().T
+    vbh, uah = conj_transpose(vb), conj_transpose(ua)
     return {
         "ae": _fro2(pae),
         "eb": _fro2(epb),
@@ -165,17 +211,18 @@ def _oriented(pa, pb, e, a, b, ua, vb):
     }
 
 
+@strict_arithmetic
 def _product_norms(p):
     fa, fb, e = p.fa, p.fb, p.e
     # the mirror's perturbation is -e, whose sign no squared norm sees
     mirror = _oriented(p.pinv_b, p.pinv_a, e, p.b, p.a, fb.u1, fa.v1)
+    spectral = dict(na=fa.norm2, nb=fb.norm2, nai=fa.pinv_norm2, nbi=fb.pinv_norm2)
+    both = np.array(list(spectral.values()))
     return ProductNorms(
-        na=fa.norm2,
-        nb=fb.norm2,
-        nai=fa.pinv_norm2,
-        nbi=fb.pinv_norm2,
+        **spectral,
+        **{f"{name}{k}": v for k in (2, 4) for name, v in zip(spectral, _pow(both, k))},
         e2=_fro2(e),
-        ef=float(np.linalg.norm(e)),
+        ef=_fro(e),
         es=spectral_norm(e),
         **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b, fa.u1, fb.v1),
         **{_MIRROR[k]: v for k, v in mirror.items()},
@@ -188,7 +235,7 @@ def deviation_sq(p):
 
 
 def deviation_fro(p):
-    return float(np.linalg.norm(p.pinv_b - p.pinv_a))
+    return _fro(p.pinv_b - p.pinv_a)
 
 
 def deviation_spectral(p):

@@ -96,11 +96,12 @@ class PropertyResult:
     worst_seed: int | None = None
 
     def record(self, resid, seed):
+        """Count one trial; a nan residual fails it and, from then on, is the worst value."""
         self.trials += 1
-        if resid > self.worst:
+        if resid > self.worst or (np.isnan(resid) and not np.isnan(self.worst)):
             self.worst = resid
             self.worst_seed = seed
-        if resid > self.tol:
+        if not resid <= self.tol:
             self.failures += 1
 
     @property

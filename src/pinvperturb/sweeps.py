@@ -4,7 +4,8 @@ Both cases live on the open parameter interval (1/10, 1/2).  Case 1 tracks
 the upper estimators against an exact deviation of 4 t^2 + 1/t^2; case 2
 tracks the lower estimators against 5 / (4 t^2).  Sweep output holds, per
 estimator, the computed value, the closed-form value and their absolute
-difference, so drift is visible in the file itself.
+difference, so drift is visible in the file itself.  A sweep is one stack
+of pairs, one per grid point, and one report.
 """
 
 from __future__ import annotations
@@ -42,17 +43,25 @@ class SweepSpec:
             raise ValueError(f"steps must be positive, got {self.steps}")
 
 
+def _diag(d0, d1):
+    """2 x 2 diagonal matrices, one per entry of the broadcast d0 and d1."""
+    d0, d1 = np.broadcast_arrays(d0, d1)
+    out = np.zeros(d0.shape + (2, 2))
+    out[..., 0, 0] = d0
+    out[..., 1, 1] = d1
+    return out
+
+
 def case_matrices(example, tau):
-    """The (a, b) pair of the given case at parameter tau."""
+    """The (a, b) pair of the given case at parameter tau; an array of taus gives stacks."""
+    tau = np.asarray(tau, dtype=np.float64)
     if example == 1:
-        a = np.diag([1.0, 0.0])
-        b = np.diag([1.0 / (1.0 + 2.0 * tau), tau])
+        b = _diag(1.0 / (1.0 + 2.0 * tau), tau)
     elif example == 2:
-        a = np.diag([1.0, 0.0])
-        b = np.diag([tau / (1.0 + tau), 2.0 * tau])
+        b = _diag(tau / (1.0 + tau), 2.0 * tau)
     else:
         raise ValueError(f"example must be 1 or 2, got {example}")
-    return a, b
+    return _diag(np.ones_like(tau), 0.0), b
 
 
 CLOSED_FORMS = {
@@ -90,28 +99,18 @@ def sweep_example(spec):
     """Evaluate the case over the grid and pair every value with its closed form."""
     forms = CLOSED_FORMS[spec.example]
     taus = np.linspace(spec.tau_min, spec.tau_max, spec.steps)
-    tracked = [name for name in forms if name != "exact"]
-    cols = {"exact": [], "exact_closed": [], "exact_diff": []}
-    for name in tracked:
-        cols[name] = []
-        cols[f"{name}_closed"] = []
-        cols[f"{name}_diff"] = []
-    for t in taus:
-        a, b = case_matrices(spec.example, float(t))
-        rep = full_report(make_pair(a, b))
-        want = forms["exact"](float(t))
-        cols["exact"].append(rep.exact_sq)
-        cols["exact_closed"].append(want)
-        cols["exact_diff"].append(abs(rep.exact_sq - want))
-        for name in tracked:
-            got = rep.by_name(name).value
-            want = forms[name](float(t))
-            cols[name].append(got)
-            cols[f"{name}_closed"].append(want)
-            cols[f"{name}_diff"].append(abs(got - want))
-    return SweepResult(
-        spec=spec, taus=taus, columns={k: np.asarray(v) for k, v in cols.items()}
-    )
+    rep = full_report(make_pair(*case_matrices(spec.example, taus)))
+    # an object array evaluates the closed forms in Python float arithmetic,
+    # entry by entry, whose powers numpy's vectorized ones can miss by an ulp
+    t = taus.astype(object)
+    cols = {}
+    for name, form in forms.items():
+        got = rep.exact_sq if name == "exact" else rep.by_name(name).value
+        want = np.asarray(form(t), dtype=np.float64)
+        cols[name] = got
+        cols[f"{name}_closed"] = want
+        cols[f"{name}_diff"] = abs(got - want)
+    return SweepResult(spec=spec, taus=taus, columns=cols)
 
 
 def worst_diffs(result):
@@ -125,9 +124,6 @@ def worst_diffs(result):
 
 def sweep_csv(result):
     names = list(result.columns)
-    lines = [",".join(["tau"] + names)]
-    for i in range(result.taus.size):
-        row = [f"{result.taus[i]:.17g}"]
-        row += [f"{result.columns[c][i]:.17g}" for c in names]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["{:.17g}"] * (len(names) + 1))
+    values = zip(result.taus.tolist(), *(result.columns[c].tolist() for c in names))
+    return "\n".join([",".join(["tau"] + names), *(row.format(*v) for v in values)]) + "\n"

@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pinvperturb import bounds
 from pinvperturb.bounds import (
     MU,
     BoundReport,
     Estimator,
+    Requirement,
     envelope_ok,
+    envelope_residual,
     equal_rank_multiplier,
     evaluate_all,
     full_report,
     norm_bounds_ok,
+    norm_residual,
     report_csv,
     report_table,
 )
@@ -413,3 +419,47 @@ def test_estimator_arithmetic_error_names_its_row():
     assert "probe_overflow" in msg
     assert "\n" not in msg
     assert isinstance(err.value.__cause__, OverflowError)
+
+
+def test_stack_with_mixed_ranks_names_both():
+    a = np.array([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])])
+    b = np.array([np.diag([0.5, 0.2]), np.diag([0.5, 0.0])])
+    with pytest.raises(ValueError, match=r"got 1, 2"):
+        make_pair(a, b)
+
+
+def test_requirement_split_across_a_stack_rejected():
+    # every requirement of the table depends on the ranks, which a stack shares,
+    # so this one is made up: it holds for the first pair only
+    split = Requirement(lambda p: np.array([False, True]), lambda p: "needs the first pair")
+    probe = Estimator("probe_split", "upper", lambda nm, p: nm.e2, (split,))
+    p = make_pair(np.array([np.eye(2), np.eye(2)]), np.array([2.0 * np.eye(2), 3.0 * np.eye(2)]))
+    with pytest.raises(ValueError, match="probe_split applies to some pairs of the stack but not"):
+        probe.evaluate(p)
+
+
+def _report_with(value, exact=1.0):
+    rep = full_report(make_pair(np.eye(2), 2.0 * np.eye(2)))
+    values = tuple(
+        dataclasses.replace(v, value=value) if v.name == "wedin_frobenius" else v
+        for v in rep.values
+    )
+    return dataclasses.replace(rep, values=values, exact_sq=exact)
+
+
+def test_residuals_keep_a_nan():
+    assert np.isnan(norm_residual(_report_with(float("nan"))))
+    assert not norm_bounds_ok(_report_with(float("nan")))
+    rep = _report_with(10.0, exact=float("nan"))
+    assert np.isnan(envelope_residual(rep))
+    assert not envelope_ok(rep)
+    nan_envelope = dataclasses.replace(rep, exact_sq=1.0, envelope=(float("nan"), 2.0))
+    assert np.isnan(envelope_residual(nan_envelope))
+
+
+def test_overflow_in_a_row_is_an_error_not_an_inf():
+    # numpy values overflow to inf silently; the table raises instead
+    probe = Estimator("probe_product", "upper", lambda nm, p: nm.na * 1e308 * 10.0)
+    p = make_pair(np.eye(2), 2.0 * np.eye(2))
+    with pytest.raises(FloatingPointError, match="estimator probe_product failed: overflow"):
+        bounds.strict_arithmetic(probe.evaluate)(p)

@@ -168,6 +168,32 @@ def test_pinv_of_huge_entries_matches_numpy(tmp_path, capsys):
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e100, 1e160])
+def test_bounds_out_of_range_exit3_with_one_error_line(tmp_path, capsys, scale):
+    # the estimators' squares and fourth powers leave the double range; with
+    # numpy values they used to turn into a silent inf, or warn before the error
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((4, 3))
+    b = a + 0.1 * rng.standard_normal((4, 3))
+    files = [_write(tmp_path, "a.mat", a * scale), _write(tmp_path, "b.mat", b * scale)]
+    assert cli.main(["bounds", *files]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "failed" in lines[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_no_convergence_exit3_without_warnings(tmp_path, capsys):
+    # an exactly rank-one input stalls the kernel; its overflow stays quiet
+    path = _write(tmp_path, "a.mat", 0.3 * np.ones((3, 3)))
+    assert cli.main(["pinv", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no convergence in 60 jacobi sweeps for shape (3, 3)\n"
+
+
 def test_unknown_backend_variable_exit2(pair_files, capsys, monkeypatch):
     monkeypatch.setenv("PINVPERTURB_BACKEND", "fortran")
     assert cli.main(["pinv", pair_files[0]]) == 2

@@ -183,3 +183,27 @@ def test_penrose_property(m, n, seed, cplx):
     f = svd_factors(a)
     x = pinv(f)
     assert max(penrose_residuals(a, x)) <= 1e-10 * (1.0 + f.norm2 * f.pinv_norm2)
+
+
+def test_stack_factors_match_its_matrices():
+    rng = np.random.default_rng(53)
+    stack = np.array([_random_lowrank(rng, 5, 3, 2, True) for _ in range(4)])
+    f = svd_factors(stack)
+    assert f.rank == 2 and f.u1.shape == (4, 5, 2) and f.v1.shape == (4, 3, 2)
+    assert f.norm2.shape == f.pinv_norm2.shape == (4,)
+    for a, x, sigma in zip(stack, pinv(stack), f.sigma):
+        assert np.array_equal(x, pinv(a))
+        assert np.array_equal(sigma, svd_factors(a).sigma)
+    assert pinv(np.zeros((2, 3, 4))).shape == (2, 4, 3)
+
+
+def test_stack_with_mixed_ranks_rejected():
+    with pytest.raises(ValueError, match=r"same rank, got 1, 2"):
+        svd_factors(np.array([np.diag([1.0, 0.1]), np.eye(2)]), tol=0.5)
+    # thin factors keep the vectors of the nonzero values, so their count must agree too
+    with pytest.raises(ValueError, match=r"same number of nonzero singular values, got 1, 2"):
+        jacobi_svd(np.array([np.diag([1.0, 0.0]), np.eye(2)]))
+    with pytest.raises(ShapeError):
+        svd_factors(np.zeros((0, 2, 2)))
+    with pytest.raises(ShapeError):
+        as_matrix(np.zeros((1, 2, 2)))

@@ -19,6 +19,7 @@ from pinvperturb.randmat import (
 )
 from pinvperturb.bounds import TOL_BOUND
 from pinvperturb.suite import (
+    PropertyResult,
     _trial_seed,
     corrupted_alpha_upper,
     default_specs,
@@ -263,3 +264,12 @@ def test_sweep_csv_layout_and_determinism():
     assert all(len(ln.split(",")) == len(header) for ln in lines[1:])
     assert float(lines[1].split(",")[0]) == 0.101
     assert text == sweep_csv(sweep_example(spec))
+
+
+def test_nan_residual_fails_and_stays_the_worst():
+    r = PropertyResult(name="x", tol=1e-9)
+    r.record(1e-12, 5)
+    r.record(float("nan"), 7)
+    r.record(1.0, 8)
+    assert (r.trials, r.failures, r.worst_seed) == (3, 2, 7)
+    assert np.isnan(r.worst) and not r.passed

@@ -16,8 +16,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from pinvperturb import _jacobi_py, backends
 from pinvperturb.backends import available_backends, default_backend, get_kernel
 from pinvperturb.bounds import full_report
-from pinvperturb.core import jacobi_svd, lstsq_min_norm, pinv
+from pinvperturb.core import JACOBI_EPS, JACOBI_MAX_SWEEPS, jacobi_svd, lstsq_min_norm, pinv
 from pinvperturb.geometry import make_pair
+from pinvperturb.sweeps import CLOSED_FORMS, SweepSpec, case_matrices, sweep_example
 
 BACKENDS = ["compiled", "python"]
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "pinvperturb" / "_jacobi.c"
@@ -260,3 +261,85 @@ def test_one_kernel_serves_every_svd(monkeypatch):
     assert calls == {"compiled": 4, "python": 0}
     lstsq_min_norm(a, rng.standard_normal(4))
     assert calls == {"compiled": 5, "python": 0}
+
+
+def _column_major_stack(mats):
+    """The matrices as one stack, each stored column-major as the kernels need."""
+    return np.array([m.T for m in mats], dtype=np.complex128).swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_stacked_kernel_equals_a_loop_over_its_matrices(backend):
+    # different sweep counts in one stack, and 0.3 * ones, which alone never converges
+    rng = np.random.default_rng(41)
+    mats = [
+        rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+        np.diag([3.0, 2.0, 1.0]),
+        0.3 * np.ones((3, 3)),
+        rng.standard_normal((3, 3)),
+        np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1e-3, 2.0]]),
+    ]
+    kern = get_kernel(backend)
+    alone = []
+    for a in mats:
+        w = np.array(a, dtype=np.complex128, order="F")
+        v = np.asfortranarray(np.eye(3, dtype=np.complex128))
+        alone.append((w, v, kern.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS)))
+    w = _column_major_stack(mats)
+    v = _column_major_stack([np.eye(3)] * len(mats))
+    counts = np.zeros(len(mats), dtype=int)
+    assert kern.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS, counts=counts) == -1
+    assert counts.tolist() == [c for _, _, c in alone]
+    assert [c < 0 for c in counts] == [False, False, True, False, False]
+    assert len(set(counts.tolist())) >= 3
+    for i, (wi, vi, _) in enumerate(alone):
+        assert_array_equal(w[i], wi)
+        assert_array_equal(v[i], vi)
+    # without the failing matrix, the stack reports its slowest count
+    keep = [0, 1, 3, 4]
+    w = _column_major_stack([mats[i] for i in keep])
+    v = _column_major_stack([np.eye(3)] * len(keep))
+    assert kern.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS) == max(counts[keep])
+
+
+def _lowrank(rng, m, n, r, cplx):
+    x = rng.standard_normal((m, r))
+    y = rng.standard_normal((n, r))
+    if cplx:
+        x = x + 1j * rng.standard_normal((m, r))
+        y = y + 1j * rng.standard_normal((n, r))
+    return x @ y.conj().T
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_stacked_report_equals_the_reports_of_its_pairs(backend):
+    rng = np.random.default_rng(43)
+    cases = [(4, 3, 3, 3, True), (4, 3, 2, 3, False), (3, 5, 2, 3, True), (6, 6, 6, 6, False)]
+    for m, n, ra, rb, cplx in cases:
+        a = np.array([_lowrank(rng, m, n, ra, cplx) for _ in range(5)])
+        b = np.array([_lowrank(rng, m, n, rb, cplx) for _ in range(5)])
+        p = make_pair(a, b)
+        rep = full_report(p)
+        pairs = [make_pair(x, y) for x, y in zip(a, b)]
+        reps = [full_report(q) for q in pairs]
+        assert_array_equal(p.pinv_a, [q.pinv_a for q in pairs])
+        assert_array_equal(p.fb.sigma, [q.fb.sigma for q in pairs])
+        for field in ("exact_sq", "exact_fro", "exact_spectral"):
+            assert_array_equal(getattr(rep, field), [getattr(r, field) for r in reps])
+        assert_array_equal(rep.envelope, np.array([r.envelope for r in reps]).T)
+        for i, v in enumerate(rep.values):
+            assert [r.values[i].applicable for r in reps] == [v.applicable] * len(reps)
+            if v.applicable:
+                assert_array_equal(v.value, [r.values[i].value for r in reps], err_msg=v.name)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("example", [1, 2])
+def test_sweep_columns_equal_per_point_reports(backend, example):
+    res = sweep_example(SweepSpec(example=example, steps=25))
+    reps = [full_report(make_pair(*case_matrices(example, t))) for t in res.taus.tolist()]
+    assert res.columns["exact"].tolist() == [r.exact_sq for r in reps]
+    for name, form in CLOSED_FORMS[example].items():
+        if name != "exact":
+            assert res.columns[name].tolist() == [r.by_name(name).value for r in reps], name
+        assert res.columns[f"{name}_closed"].tolist() == [form(t) for t in res.taus.tolist()], name
