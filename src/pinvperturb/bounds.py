@@ -27,6 +27,7 @@ from .geometry import (
     deviation_fro,
     deviation_spectral,
     deviation_sq,
+    named_failure,
     strict_arithmetic,
 )
 
@@ -77,13 +78,6 @@ class BoundValue:
 def _d(t):
     """Clamp tiny negative roundoff in terms that are nonnegative exactly."""
     return np.maximum(t, 0.0)
-
-
-def _failed(what, exc):
-    """An arithmetic error like ``exc`` whose message says that ``what`` failed."""
-    # an overflow's own message is only "(34, 'Numerical result out of range')"
-    detail = exc.args[-1] if exc.args else type(exc).__name__
-    return type(exc)(f"{what} failed: {detail}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ class Estimator:
         try:
             value = self.formula(p.norms, p)
         except ArithmeticError as exc:
-            raise _failed(f"estimator {self.name}", exc) from exc
+            raise named_failure(f"estimator {self.name}", exc) from exc
         if self.kind == "lower":
             value = np.maximum(value, 0.0)
         return BoundValue(self.name, self.kind, self.target, self.norm, True, value)
@@ -349,10 +343,7 @@ def evaluate_all(p):
     norms or in a row raises, naming where it happened, rather than
     passing on an inf or a nan.
     """
-    try:
-        p.norms
-    except ArithmeticError as exc:
-        raise _failed("product norms", exc) from exc
+    p.norms  # first, so that a failure of the norms is not named after a row
     return [row.evaluate(p) for row in ESTIMATORS]
 
 
@@ -369,14 +360,6 @@ class BoundReport:
     exact_spectral: float | np.ndarray
     values: tuple[BoundValue, ...]
     envelope: tuple[float | np.ndarray, float | np.ndarray]
-
-    @property
-    def uppers(self):
-        return tuple(v for v in self.values if v.kind == "upper")
-
-    @property
-    def lowers(self):
-        return tuple(v for v in self.values if v.kind == "lower")
 
     def by_name(self, name):
         for v in self.values:

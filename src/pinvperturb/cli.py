@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .backends import available_backends, default_backend
-from .bounds import envelope_ok, full_report, norm_bounds_ok, report_csv, report_table
+from .bounds import _fmt, envelope_ok, full_report, norm_bounds_ok, report_csv, report_table
 from .core import ShapeError, pinv, svd_factors
 from .geometry import make_pair
 from .matrixio import MatrixFormatError, dumps, load
@@ -33,10 +33,6 @@ from .sweeps import (
     sweep_csv,
     sweep_example,
 )
-
-
-def _fmt(x):
-    return f"{x:.17g}"
 
 
 def _emit(text, out):

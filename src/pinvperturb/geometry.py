@@ -40,31 +40,21 @@ from .core import (
 )
 
 # overflow, division by zero and invalid operations raise FloatingPointError
-# in the product norms and in the estimators computed from them
+# in the product norms, the exact deviations and the estimators
 strict_arithmetic = np.errstate(over="raise", divide="raise", invalid="raise")
+
+
+def named_failure(what, exc):
+    """An arithmetic error like ``exc`` whose message says that ``what`` failed."""
+    # an overflow's own message is only "(34, 'Numerical result out of range')"
+    detail = exc.args[-1] if exc.args else type(exc).__name__
+    return type(exc)(f"{what} failed: {detail}")
 
 
 def _fro2(x):
     """Squared Frobenius norm, summed row-major as ``np.vdot(x, x)`` sums it; 0.0 for empty blocks."""
     f = x.reshape(x.shape[:-2] + (-1,))
     return np.vecdot(f, f).real
-
-
-def _fro(x):
-    """Frobenius norm, summed as ``np.linalg.norm`` sums a row-major matrix, real parts first."""
-    f = x.reshape(x.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(f.real, f.real) + np.vecdot(f.imag, f.imag))
-
-
-def _pow(x, k):
-    """x**k for an array, entry by entry as Python's float power computes it.
-
-    numpy's array power squares exactly for k = 2 and may use a SIMD pow
-    otherwise, and the C library's pow(), which a float's ``**`` calls,
-    differs from both in the last bit now and then.  Going through Python
-    floats gives a stack the powers its pairs get one at a time.
-    """
-    return np.power(x, k, dtype=object).astype(np.float64)
 
 
 def _outside(q, p):
@@ -79,11 +69,13 @@ class ProductNorms:
 
     ``na``/``nb``/``nai``/``nbi`` are the spectral norms of a, b and their
     pseudoinverses, and ``na2``/``na4`` and so on their squares and fourth
-    powers; the remaining fields are squared Frobenius norms of the
-    projected perturbation products, except ``ef`` (plain Frobenius norm of
-    e) and ``es`` (spectral norm of e).  A ``_c`` field is a Pythagorean
-    complement, taken as the norm of a projected product rather than as
-    the equal difference noted beside it, which cancels.
+    powers, taken as products: a power of a numpy scalar goes through the C
+    library's pow(), which would give a pair other bits than its stack.  The
+    remaining fields are squared Frobenius norms of the projected
+    perturbation products, except ``ef`` (Frobenius norm of e, the square
+    root of ``e2``) and ``es`` (spectral norm of e).  A ``_c`` field is a
+    Pythagorean complement, taken as the norm of a projected product rather
+    than as the equal difference noted beside it, which cancels.
     """
 
     na: float
@@ -164,7 +156,10 @@ class PerturbationPair:
 
     @cached_property
     def norms(self):
-        return _product_norms(self)
+        try:
+            return _product_norms(self)
+        except ArithmeticError as exc:
+            raise named_failure("product norms", exc) from exc
 
 
 def make_pair(a, b, tol=None):
@@ -217,29 +212,40 @@ def _product_norms(p):
     # the mirror's perturbation is -e, whose sign no squared norm sees
     mirror = _oriented(p.pinv_b, p.pinv_a, e, p.b, p.a, fb.u1, fa.v1)
     spectral = dict(na=fa.norm2, nb=fb.norm2, nai=fa.pinv_norm2, nbi=fb.pinv_norm2)
-    both = np.array(list(spectral.values()))
+    sq = {name: v * v for name, v in spectral.items()}
+    e2 = _fro2(e)
     return ProductNorms(
         **spectral,
-        **{f"{name}{k}": v for k in (2, 4) for name, v in zip(spectral, _pow(both, k))},
-        e2=_fro2(e),
-        ef=_fro(e),
+        **{f"{name}2": v for name, v in sq.items()},
+        **{f"{name}4": v * v for name, v in sq.items()},
+        e2=e2,
+        ef=np.sqrt(e2),
         es=spectral_norm(e),
         **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b, fa.u1, fb.v1),
         **{_MIRROR[k]: v for k, v in mirror.items()},
     )
 
 
+@strict_arithmetic
+def _deviation(p, norm):
+    """``norm(b+ - a+)``; an arithmetic error names the exact deviation."""
+    try:
+        return norm(p.pinv_b - p.pinv_a)
+    except ArithmeticError as exc:
+        raise named_failure("exact deviation", exc) from exc
+
+
 def deviation_sq(p):
     """Exact squared Frobenius deviation of the pseudoinverses."""
-    return _fro2(p.pinv_b - p.pinv_a)
+    return _deviation(p, _fro2)
 
 
 def deviation_fro(p):
-    return _fro(p.pinv_b - p.pinv_a)
+    return np.sqrt(deviation_sq(p))
 
 
 def deviation_spectral(p):
-    return spectral_norm(p.pinv_b - p.pinv_a)
+    return _deviation(p, spectral_norm)
 
 
 def identity_terms(p):
@@ -341,17 +347,23 @@ def angle_bounds(p):
     ang = subspace_angles(p)
     n = p.norms
     return AngleBounds(
-        upper=n.nbi**2 * ang.u12**2 + n.nai**2 * ang.v21**2 + n.x,
-        lower=_ratio(ang.u12**2, n.nb**2) + _ratio(ang.v21**2, n.na**2) + n.x,
+        upper=n.nbi2 * ang.u12**2 + n.nai2 * ang.v21**2 + n.x,
+        lower=_ratio(ang.u12**2, n.nb2) + _ratio(ang.v21**2, n.na2) + n.x,
     )
 
 
-def trace_real(m_, n_):
-    """Re tr(m n*) for same-shape matrices."""
+def _trace_pairing(m_, n_):
+    """Both operands as matrices, which must have the same shape."""
     m_ = as_matrix(m_)
     n_ = as_matrix(n_)
     if m_.shape != n_.shape:
         raise ShapeError(f"trace pairing needs equal shapes, got {m_.shape} and {n_.shape}")
+    return m_, n_
+
+
+def trace_real(m_, n_):
+    """Re tr(m n*) for same-shape matrices."""
+    m_, n_ = _trace_pairing(m_, n_)
     return float(np.real(np.vdot(n_, m_)))
 
 
@@ -360,10 +372,7 @@ def von_neumann_sum(m_, n_):
 
     This is the sharp upper bound for |Re tr(u m v n*)| over unitary u, v.
     """
-    m_ = as_matrix(m_)
-    n_ = as_matrix(n_)
-    if m_.shape != n_.shape:
-        raise ShapeError(f"trace pairing needs equal shapes, got {m_.shape} and {n_.shape}")
+    m_, n_ = _trace_pairing(m_, n_)
     sm = jacobi_svd(m_)[1]
     sn = jacobi_svd(n_)[1]
     return float(np.dot(sm, sn))

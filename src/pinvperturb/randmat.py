@@ -16,15 +16,13 @@ from .core import default_cutoff
 from .geometry import make_pair
 
 MAX_SIDE = 16
+# the smallest kept singular value must exceed this many default cutoffs
+SEPARATION = 1e3
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Shape, ranks and sampling parameters for a random pair.
-
-    ``separation`` guards the rank: the smallest kept singular value must
-    exceed ``separation`` times the default cutoff.
-    """
+    """Shape, ranks and sampling parameters for a random pair."""
 
     m: int
     n: int
@@ -33,7 +31,6 @@ class EnsembleSpec:
     field: str = "real"
     seed: int = 0
     condition_cap: float = 1e6
-    separation: float = 1e3
 
     def __post_init__(self):
         if not (1 <= self.m <= MAX_SIDE and 1 <= self.n <= MAX_SIDE):
@@ -45,8 +42,6 @@ class EnsembleSpec:
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
         if self.condition_cap < 1.0:
             raise ValueError("condition_cap must be at least 1")
-        if self.separation < 1.0:
-            raise ValueError("separation must be at least 1")
 
 
 def haar_frame(m, k, rng, field="real"):
@@ -84,9 +79,9 @@ def gen_fixed_rank(spec, rank=None, rng=None):
         return np.zeros((spec.m, spec.n), dtype=np.complex128)
     s = _sigma_profile(rank, spec.condition_cap, rng)
     cut = default_cutoff((spec.m, spec.n), s[0])
-    if s[-1] <= spec.separation * cut:
+    if s[-1] <= SEPARATION * cut:
         raise ValueError(
-            f"smallest kept singular value {s[-1]:.3g} is within {spec.separation} cutoffs"
+            f"smallest kept singular value {s[-1]:.3g} is within {SEPARATION} cutoffs"
         )
     q1 = haar_frame(spec.m, rank, rng, spec.field)
     q2 = haar_frame(spec.n, rank, rng, spec.field)

@@ -231,10 +231,10 @@ def bound_checks(p, rep):
 # A row with an estimator that does not apply to the pair is skipped.
 ORDERINGS = (
     ("averaged_upper", "li_refined"),
-    ("li_refined", lambda nm: max(nm.nai, nm.nbi) ** 4 * nm.e2),
+    ("li_refined", lambda nm: np.maximum(nm.nai4, nm.nbi4) * nm.e2),
     ("alpha_upper", "beta_upper"),
     ("alpha_upper", "gamma_upper"),
-    ("epsilon_upper", lambda nm: nm.nai**2 * nm.nbi**2 * nm.e2),
+    ("epsilon_upper", lambda nm: nm.nai2 * nm.nbi2 * nm.e2),
     ("alpha_upper", "li_full_column_rank"),
     ("alpha_upper", "li_full_rank_pair"),
     ("beta_lower", "alpha_lower"),
@@ -265,8 +265,8 @@ def corrupted_alpha_upper(p):
     symmetric (both routes flip the nbi term), so both stay written out.
     """
     nm = p.norms
-    a1 = nm.nai**2 * nm.aebb_c - nm.nbi**2 * nm.aaeb_c
-    a2 = nm.nai**2 * nm.bbea_c - nm.nbi**2 * nm.beaa_c
+    a1 = nm.nai2 * nm.aebb_c - nm.nbi2 * nm.aaeb_c
+    a2 = nm.nai2 * nm.bbea_c - nm.nbi2 * nm.beaa_c
     return min(a1 + nm.x, a2 + nm.y)
 
 
@@ -293,7 +293,7 @@ def scale_covariance_residual(p, rep, c):
     pc = make_pair(c * p.a, c * p.b)
     repc = full_report(pc)
     nm = p.norms
-    big = 1.0 + max(nm.nai, nm.nbi) ** 4 * nm.e2
+    big = 1.0 + np.maximum(nm.nai4, nm.nbi4) * nm.e2
     resid = abs(repc.exact_sq * c * c - rep.exact_sq) / big
     for v, vc in zip(rep.values, repc.values):
         if v.applicable != vc.applicable:

@@ -408,7 +408,7 @@ def test_report_is_deterministic():
 def test_bound_report_type():
     rep = full_report(_rank_drop_pair(0.2))
     assert isinstance(rep, BoundReport)
-    assert len(rep.uppers) + len(rep.lowers) == 24
+    assert len([v for v in rep.values if v.kind in ("upper", "lower")]) == 24
 
 
 def test_estimator_arithmetic_error_names_its_row():
@@ -463,3 +463,14 @@ def test_overflow_in_a_row_is_an_error_not_an_inf():
     p = make_pair(np.eye(2), 2.0 * np.eye(2))
     with pytest.raises(FloatingPointError, match="estimator probe_product failed: overflow"):
         bounds.strict_arithmetic(probe.evaluate)(p)
+
+
+def test_frobenius_values_are_square_roots_of_the_squared_ones():
+    # one float64 arithmetic: |x|_F is sqrt(|x|_F^2) bit for bit, on a stack and on its pairs
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((30, 4, 3)) + 1j * rng.standard_normal((30, 4, 3))
+    b = a + 0.3 * rng.standard_normal((30, 4, 3))
+    for p in (make_pair(a, b), *map(make_pair, a, b)):
+        rep = full_report(p)
+        np.testing.assert_array_equal(rep.exact_fro, np.sqrt(rep.exact_sq))
+        np.testing.assert_array_equal(p.norms.ef, np.sqrt(p.norms.e2))

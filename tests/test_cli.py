@@ -168,20 +168,43 @@ def test_pinv_of_huge_entries_matches_numpy(tmp_path, capsys):
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def _scaled_pair_files(tmp_path, scale):
+    """A 4x3 Gaussian and a 0.1-noise perturbation of it, both scaled."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((4, 3))
+    b = a + 0.1 * rng.standard_normal((4, 3))
+    return [_write(tmp_path, "a.mat", a * scale), _write(tmp_path, "b.mat", b * scale)]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e100, 1e160])
 def test_bounds_out_of_range_exit3_with_one_error_line(tmp_path, capsys, scale):
     # the estimators' squares and fourth powers leave the double range; with
     # numpy values they used to turn into a silent inf, or warn before the error
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 3))
-    b = a + 0.1 * rng.standard_normal((4, 3))
-    files = [_write(tmp_path, "a.mat", a * scale), _write(tmp_path, "b.mat", b * scale)]
-    assert cli.main(["bounds", *files]) == 3
+    assert cli.main(["bounds", *_scaled_pair_files(tmp_path, scale)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "failed" in lines[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, scale, what",
+    [
+        ("bounds", 1e160, "product norms"),
+        ("bounds", 1e-170, "product norms"),
+        ("verify-identities", 1e160, "product norms"),
+        ("verify-identities", 1e-170, "exact deviation"),
+    ],
+)
+def test_out_of_range_failure_names_its_step(tmp_path, capsys, command, scale, what):
+    # e2 overflows at 1e160 and the squared deviation at 1e-170
+    assert cli.main([command, *_scaled_pair_files(tmp_path, scale)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {what} failed: overflow")
 
 
 @pytest.mark.filterwarnings("error")

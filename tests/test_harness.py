@@ -34,7 +34,6 @@ from pinvperturb.sweeps import (
     case_matrices,
     sweep_csv,
     sweep_example,
-    worst_diffs,
 )
 
 SUITE_PROPERTY_COUNT = 24
@@ -49,7 +48,6 @@ SUITE_PROPERTY_COUNT = 24
         dict(m=2, n=2, rank_a=0, rank_b=-1),
         dict(m=2, n=2, rank_a=1, rank_b=1, field="quaternion"),
         dict(m=2, n=2, rank_a=1, rank_b=1, condition_cap=0.5),
-        dict(m=2, n=2, rank_a=1, rank_b=1, separation=0.0),
     ],
 )
 def test_spec_validation(kwargs):
@@ -238,9 +236,10 @@ def test_case_matrices_values():
 def test_sweep_matches_closed_forms(example):
     res = sweep_example(SweepSpec(example=example, steps=25))
     assert res.taus.shape == (25,)
-    worst = worst_diffs(res)
-    assert worst
-    for name, diff in worst.items():
+    diffs = [name for name in res.columns if name.endswith("_diff")]
+    assert diffs
+    for name in diffs:
+        diff = float(np.max(res.columns[name]))
         assert diff <= 1e-9, f"{name} off by {diff}"
     for name in res.columns:
         assert res.columns[name].shape == (25,)

@@ -342,4 +342,4 @@ def test_sweep_columns_equal_per_point_reports(backend, example):
     for name, form in CLOSED_FORMS[example].items():
         if name != "exact":
             assert res.columns[name].tolist() == [r.by_name(name).value for r in reps], name
-        assert res.columns[f"{name}_closed"].tolist() == [form(t) for t in res.taus.tolist()], name
+        assert_array_equal(res.columns[f"{name}_closed"], form(res.taus), err_msg=name)
