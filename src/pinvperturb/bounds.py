@@ -217,8 +217,12 @@ def _beta_upper(nm):
 
 
 def _gamma_upper(nm):
-    """Cross mass scaled back through the inverse norms."""
-    return nm.nai2 * _d(nm.ae - nm.y / nm.nbi2) + nm.nbi2 * _d(nm.eb - nm.y / nm.nai2) + nm.x
+    """Cross mass scaled back through the inverse norms.
+
+    ae - y / nbi2 = aebb_c + aebb_r and eb - y / nai2 = aaeb_c + aaeb_r,
+    sums of non-negative terms, so the route is never below alpha_upper's.
+    """
+    return nm.nai2 * (nm.aebb_c + nm.aebb_r) + nm.nbi2 * (nm.aaeb_c + nm.aaeb_r) + nm.x
 
 
 def _delta_term(nm):
@@ -254,8 +258,12 @@ def _beta_lower(nm):
 
 
 def _gamma_lower(nm):
-    """Cross mass scaled up; terms may legitimately go negative."""
-    return (nm.ae - nm.nb2 * nm.y) / nm.na2 + (nm.eb - nm.na2 * nm.y) / nm.nb2 + nm.x
+    """Cross mass scaled up; terms may legitimately go negative.
+
+    ae - nb2 y = aebb_c - aebb_1 and eb - na2 y = aaeb_c - aaeb_1, with
+    non-negative sums subtracted, so the route is never above alpha_lower's.
+    """
+    return (nm.aebb_c - nm.aebb_1) / nm.na2 + (nm.aaeb_c - nm.aaeb_1) / nm.nb2 + nm.x
 
 
 def _delta_lower(nm):

@@ -59,11 +59,6 @@ def _one_per_stack(values, what):
     return int(values.max())
 
 
-def _column_major(x):
-    """A fresh complex128 copy of ``x`` whose every matrix is stored column-major."""
-    return np.array(np.swapaxes(x, -1, -2), dtype=np.complex128, order="C").swapaxes(-1, -2)
-
-
 def _pick_columns(x, cols):
     """Columns ``cols[i]`` of each matrix ``x[i]`` of a stack; ``x[:, cols]`` for a matrix."""
     rows = x.swapaxes(-1, -2).reshape(-1, x.shape[-2])  # each matrix's columns in turn
@@ -127,47 +122,70 @@ JACOBI_EPS = float(np.finfo(np.float64).eps)
 JACOBI_MAX_SWEEPS = 60
 
 
-def jacobi_svd(a):
-    """Thin SVD via one-sided Jacobi: returns (u, sigma, v).
+def jacobi_svd(a, compute_uv=True):
+    """Thin SVD via one-sided Jacobi: returns (u, sigma, v), or sigma alone without ``compute_uv``.
 
     ``sigma`` holds all min(m, n) singular values sorted decreasing; ``u``
     (m x k) and ``v`` (n x k) hold the singular vectors of its k nonzero
     values, so ``a == (u * sigma[:k]) @ v*``.  A wide input is factored
     through its conjugate transpose, and errors name the input's own shape.
-    A stack gives stacked factors; its matrices must share k.
+    A stack gives stacked factors; its matrices must share k, unless only
+    the values are asked for.
 
-    The kernel sees each matrix scaled by 2^-k, with k the exponent of its
-    largest entry, so its squared column norms stay in range at any scale
-    of input; power-of-two scaling is exact, and sigma is scaled back.
+    Each matrix w (the input, or its conjugate transpose when wide, so
+    m >= n) is preconditioned as in Drmac & Veselic ("New fast and accurate
+    Jacobi SVD algorithm", SIMAX 2008; LAPACK xGEJSV): it is scaled by 2^-k,
+    with k the exponent of its largest entry, so its squared column norms
+    stay in range at any scale of input (power-of-two scaling is exact, and
+    sigma is scaled back); its columns are sorted by decreasing norm and its
+    rows by decreasing largest modulus, pr w pc = q r; and the kernel runs
+    on the n x n r*.  With r* v_j = u_w diag(sigma), the factors are
+    u = pr^T q v_j and v = pc u_w.  The values alone need neither q nor v_j.
     """
     a = as_stack(a)
     wide = a.shape[-2] < a.shape[-1]
-    w = _column_major(conj_transpose(a) if wide else a)
-    parts = w.swapaxes(-1, -2).view(np.float64)  # a view: w's matrices are column-major and fresh
+    w = np.array(conj_transpose(a) if wide else a, order="C")  # a fresh copy, scaled in place
+    parts = w.view(np.float64)
     k = np.frexp(np.abs(parts).reshape(parts.shape[:-2] + (1, -1)).max(axis=-1, keepdims=True))[1]
     np.ldexp(parts, -k, out=parts)
-    n = w.shape[-1]
-    v = np.zeros(w.shape[:-2] + (n * n,), dtype=np.complex128)
-    v[..., :: n + 1] = 1.0
-    # identities, which read the same row- and column-major
-    v = v.reshape(w.shape[:-2] + (n, n)).swapaxes(-1, -2)
+    m, n = w.shape[-2:]
+    index = np.arange(w.size // (m * n)).reshape(w.shape[:-2] + (1,))  # each matrix's place
+    pc = np.argsort(-np.vecdot(w, w, axis=-2).real, axis=-1, kind="stable")
+    pr = np.argsort(-np.abs(w).max(axis=-1), axis=-1, kind="stable")
+    # pr and pc as indices into all the stack's rows and columns; pr w pc is one gather
+    rows, cols = index * m + pr, index * n + pc
+    w = w.reshape(-1).take(rows[..., :, None] * n + pc[..., None, :])
+    if compute_uv:
+        q, r = np.linalg.qr(w)
+    else:
+        r = np.linalg.qr(w, mode="r")
+    rh = r.conj().swapaxes(-1, -2)  # r*, column-major: r comes C-ordered
+    nv = n if compute_uv else 0
+    vj = np.zeros(r.shape[:-2] + (n * nv,), dtype=np.complex128)
+    vj[..., :: n + 1] = 1.0
+    # identities, which read the same row- and column-major, or empty
+    vj = vj.reshape(r.shape[:-2] + (n, nv)).swapaxes(-1, -2)
     kernel = backends.get_kernel()
-    sweeps = kernel.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS)
+    sweeps = kernel.orthogonalize_columns(rh, vj, JACOBI_EPS, JACOBI_MAX_SWEEPS)
     if sweeps < 0:
         raise RuntimeError(
             f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {a.shape}"
         )
-    scaled = np.linalg.norm(w, axis=-2)
+    scaled = np.linalg.norm(rh, axis=-2)
     order = np.argsort(-scaled, axis=-1, kind="stable")
     scaled = -np.sort(-scaled, axis=-1, kind="stable")
     with np.errstate(over="ignore"):
         sig = np.ldexp(scaled, k[..., 0])
     if not np.all(np.isfinite(sig)):
         raise RuntimeError(f"non-finite singular values (overflow) for shape {a.shape}")
+    if not compute_uv:
+        return sig
     nonzero = _one_per_stack((sig > 0.0).sum(axis=-1), "number of nonzero singular values")
     keep = order[..., :nonzero]
-    u = np.ascontiguousarray(_pick_columns(w, keep) / scaled[..., None, :nonzero])
-    v = np.ascontiguousarray(_pick_columns(v, keep))
+    u = np.empty(w.shape[:-1] + (nonzero,), dtype=np.complex128)
+    v = np.empty(rh.shape[:-1] + (nonzero,), dtype=np.complex128)
+    u.reshape(rows.size, nonzero)[rows] = q @ _pick_columns(vj, keep)
+    v.reshape(cols.size, nonzero)[cols] = _pick_columns(rh, keep) / scaled[..., None, :nonzero]
     return (v, sig, u) if wide else (u, sig, v)
 
 
@@ -201,8 +219,8 @@ def pinv(a, tol=None):
 
 
 def spectral_norm(a):
-    """Largest singular value, one per matrix of a stack."""
-    return jacobi_svd(a)[1][..., 0][()]
+    """Largest singular value, one per matrix of a stack, from the values alone."""
+    return jacobi_svd(a, compute_uv=False)[..., 0][()]
 
 
 def projector_col(a, tol=None):

@@ -75,7 +75,14 @@ class ProductNorms:
     perturbation products, except ``ef`` (Frobenius norm of e, the square
     root of ``e2``) and ``es`` (spectral norm of e).  A ``_c`` field is a
     Pythagorean complement, taken as the norm of a projected product rather
-    than as the equal difference noted beside it, which cancels.
+    than as the equal difference noted beside it, which cancels.  A ``_r``
+    or ``_1`` field is such a difference too, taken as a sum of
+    non-negative terms over singular directions: with s_i and v_i the
+    singular values and right vectors of b, |a+ e b+|^2 = sum_i
+    |a+ e v_i|^2 / s_i^2, so ``aebb_r`` weighs |a+ e v_i|^2 by
+    1 - (s_r/s_i)^2 for the smallest s_r, and ``aebb_1`` by (s_1/s_i)^2 - 1
+    for the largest s_1; ``aaeb_r`` and ``aaeb_1`` do the same with the
+    rows u_i* e b+ and the singular values of a.
     """
 
     na: float
@@ -111,6 +118,14 @@ class ProductNorms:
     aae_c: float   # |(I - a a+) e|^2 = e2 - |a a+ e|^2
     eaa_c: float   # |e (I - a+ a)|^2 = e2 - |e a+ a|^2
     bbe_c: float   # |(I - b b+) e|^2 = e2 - |b b+ e|^2
+    aebb_r: float  # aebb - y / nbi2
+    aaeb_r: float  # aaeb - y / nai2
+    beaa_r: float  # beaa - x / nai2
+    bbea_r: float  # bbea - x / nbi2
+    aebb_1: float  # nb2 y - aebb
+    aaeb_1: float  # na2 y - aaeb
+    beaa_1: float  # na2 x - beaa
+    bbea_1: float  # nb2 x - bbea
 
     @cached_property
     def swapped(self):
@@ -123,6 +138,7 @@ _MIRROR = dict(
     na="nb", nai="nbi", na2="nb2", nai2="nbi2", na4="nb4", nai4="nbi4",
     ae="be", eb="ea", x="y", aaeb="bbea", aebb="beaa",
     aebb_c="beaa_c", aaeb_c="bbea_c", ebb_c="eaa_c", aae_c="bbe_c",
+    aebb_r="beaa_r", aaeb_r="bbea_r", aebb_1="beaa_1", aaeb_1="bbea_1",
 )
 _MIRROR.update({v: k for k, v in _MIRROR.items()})
 # the mirror's field values in ProductNorms' positional order
@@ -184,25 +200,42 @@ def swap_pair(p):
     return q
 
 
-def _oriented(pa, pb, e, a, b, ua, vb):
-    """The nine squared product norms of one orientation, by their a-side names.
+def _weighted(sq, s):
+    """sum_i (1 - (s_r/s_i)^2) sq_i and sum_i ((s_1/s_i)^2 - 1) sq_i, over decreasing ``s``."""
+    low = s[..., -1:] / s
+    high = s[..., :1] / s
+    return np.vecdot((1.0 - low) * (1.0 + low), sq), np.vecdot((high - 1.0) * (high + 1.0), sq)
 
-    ``ua`` is u1 of a and ``vb`` is v1 of b: I - a a+ = I - ua ua*, I - b+ b = I - vb vb*.
+
+def _oriented(pa, pb, e, a, b, fa, fb):
+    """The squared product norms of one orientation, by their a-side names.
+
+    ``fa`` and ``fb`` are the factors of a and b: I - a a+ = I - ua ua*,
+    I - b+ b = I - vb vb*, with ua = fa.u1 and vb = fb.v1.
     """
+    ua, vb = fa.u1, fb.v1
     pae = pa @ e
     epb = e @ pb
     y_m = pa @ epb
     vbh, uah = conj_transpose(vb), conj_transpose(ua)
+    pae_vb = pae @ vb  # its column i is a+ e v_i
+    uah_epb = uah @ epb  # its row i is u_i* e b+
+    aebb_r, aebb_1 = _weighted(np.vecdot(pae_vb, pae_vb, axis=-2).real, fb.sigma1)
+    aaeb_r, aaeb_1 = _weighted(np.vecdot(uah_epb, uah_epb).real, fa.sigma1)
     return {
         "ae": _fro2(pae),
         "eb": _fro2(epb),
         "y": _fro2(y_m),
         "aaeb": _fro2(a @ y_m),
         "aebb": _fro2(y_m @ b),
-        "aebb_c": _fro2(pae - (pae @ vb) @ vbh),
-        "aaeb_c": _fro2(epb - ua @ (uah @ epb)),
+        "aebb_c": _fro2(pae - pae_vb @ vbh),
+        "aaeb_c": _fro2(epb - ua @ uah_epb),
         "ebb_c": _fro2(e - (e @ vb) @ vbh),
         "aae_c": _fro2(e - ua @ (uah @ e)),
+        "aebb_r": aebb_r,
+        "aaeb_r": aaeb_r,
+        "aebb_1": aebb_1,
+        "aaeb_1": aaeb_1,
     }
 
 
@@ -210,7 +243,7 @@ def _oriented(pa, pb, e, a, b, ua, vb):
 def _product_norms(p):
     fa, fb, e = p.fa, p.fb, p.e
     # the mirror's perturbation is -e, whose sign no squared norm sees
-    mirror = _oriented(p.pinv_b, p.pinv_a, e, p.b, p.a, fb.u1, fa.v1)
+    mirror = _oriented(p.pinv_b, p.pinv_a, e, p.b, p.a, fb, fa)
     spectral = dict(na=fa.norm2, nb=fb.norm2, nai=fa.pinv_norm2, nbi=fb.pinv_norm2)
     sq = {name: v * v for name, v in spectral.items()}
     e2 = _fro2(e)
@@ -221,7 +254,7 @@ def _product_norms(p):
         e2=e2,
         ef=np.sqrt(e2),
         es=spectral_norm(e),
-        **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b, fa.u1, fb.v1),
+        **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b, fa, fb),
         **{_MIRROR[k]: v for k, v in mirror.items()},
     )
 
@@ -373,8 +406,8 @@ def von_neumann_sum(m_, n_):
     This is the sharp upper bound for |Re tr(u m v n*)| over unitary u, v.
     """
     m_, n_ = _trace_pairing(m_, n_)
-    sm = jacobi_svd(m_)[1]
-    sn = jacobi_svd(n_)[1]
+    sm = jacobi_svd(m_, compute_uv=False)
+    sn = jacobi_svd(n_, compute_uv=False)
     return float(np.dot(sm, sn))
 
 

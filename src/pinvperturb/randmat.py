@@ -40,7 +40,7 @@ class EnsembleSpec:
             raise ValueError(f"ranks must be in 0..{k}, got {self.rank_a} and {self.rank_b}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if self.condition_cap < 1.0:
+        if not self.condition_cap >= 1.0:  # false for nan too
             raise ValueError("condition_cap must be at least 1")
 
 

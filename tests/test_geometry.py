@@ -236,13 +236,16 @@ def test_von_neumann_bound_and_attainment():
 
 
 def test_report_and_solve_complete_no_basis(monkeypatch):
-    # thin factors serve every report and solve; only aligning_unitaries completes bases
-    qr_calls = []
+    # thin factors serve every report and solve: the preconditioning QR of
+    # jacobi_svd is reduced or values-only, and only aligning_unitaries
+    # completes a basis, with a Q wider than min(m, n)
+    widths = []  # (columns of Q, or 0 without a Q, and min(m, n)) per QR call
     qr = np.linalg.qr
 
-    def counting_qr(*args, **kwargs):
-        qr_calls.append(args[0].shape)
-        return qr(*args, **kwargs)
+    def counting_qr(x, mode="reduced"):
+        out = qr(x, mode=mode)
+        widths.append((0 if mode == "r" else out[0].shape[-1], min(x.shape[-2:])))
+        return out
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     rng = np.random.default_rng(47)
@@ -250,9 +253,12 @@ def test_report_and_solve_complete_no_basis(monkeypatch):
     b = _lowrank(rng, 7, 4, 3, True)
     full_report(make_pair(a, b))
     lstsq_min_norm(a, rng.standard_normal(7))
-    assert qr_calls == []
+    # two factorizations, two spectral norms and one solve, all preconditioned
+    assert len(widths) == 5
+    assert all(q <= k for q, k in widths)
+    del widths[:]
     aligning_unitaries(a, b)
-    assert qr_calls
+    assert any(q > k for q, k in widths)
 
 
 def test_von_neumann_diagonal_case():

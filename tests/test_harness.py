@@ -55,6 +55,12 @@ def test_spec_validation(kwargs):
         EnsembleSpec(**kwargs)
 
 
+def test_nan_condition_cap_rejected():
+    # nan passed a `cap < 1` check and failed later inside rng.uniform
+    with pytest.raises(ValueError, match="condition_cap must be at least 1"):
+        EnsembleSpec(m=3, n=3, rank_a=2, rank_b=2, condition_cap=float("nan"), seed=1)
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_haar_frame_orthonormal(field):
     rng = np.random.default_rng(7)

@@ -16,7 +16,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from pinvperturb import _jacobi_py, backends
 from pinvperturb.backends import available_backends, default_backend, get_kernel
 from pinvperturb.bounds import full_report
-from pinvperturb.core import JACOBI_EPS, JACOBI_MAX_SWEEPS, jacobi_svd, lstsq_min_norm, pinv
+from pinvperturb.core import (
+    JACOBI_EPS,
+    JACOBI_MAX_SWEEPS,
+    jacobi_svd,
+    lstsq_min_norm,
+    pinv,
+    spectral_norm,
+)
 from pinvperturb.geometry import make_pair
 from pinvperturb.sweeps import CLOSED_FORMS, SweepSpec, case_matrices, sweep_example
 
@@ -311,6 +318,22 @@ def _lowrank(rng, m, n, r, cplx):
     return x @ y.conj().T
 
 
+def _check_stack_report_equals_pair_reports(a, b):
+    p = make_pair(a, b)
+    rep = full_report(p)
+    pairs = [make_pair(x, y) for x, y in zip(a, b)]
+    reps = [full_report(q) for q in pairs]
+    assert_array_equal(p.pinv_a, [q.pinv_a for q in pairs])
+    assert_array_equal(p.fb.sigma, [q.fb.sigma for q in pairs])
+    for field in ("exact_sq", "exact_fro", "exact_spectral"):
+        assert_array_equal(getattr(rep, field), [getattr(r, field) for r in reps])
+    assert_array_equal(rep.envelope, np.array([r.envelope for r in reps]).T)
+    for i, v in enumerate(rep.values):
+        assert [r.values[i].applicable for r in reps] == [v.applicable] * len(reps)
+        if v.applicable:
+            assert_array_equal(v.value, [r.values[i].value for r in reps], err_msg=v.name)
+
+
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_stacked_report_equals_the_reports_of_its_pairs(backend):
     rng = np.random.default_rng(43)
@@ -318,19 +341,79 @@ def test_stacked_report_equals_the_reports_of_its_pairs(backend):
     for m, n, ra, rb, cplx in cases:
         a = np.array([_lowrank(rng, m, n, ra, cplx) for _ in range(5)])
         b = np.array([_lowrank(rng, m, n, rb, cplx) for _ in range(5)])
-        p = make_pair(a, b)
-        rep = full_report(p)
-        pairs = [make_pair(x, y) for x, y in zip(a, b)]
-        reps = [full_report(q) for q in pairs]
-        assert_array_equal(p.pinv_a, [q.pinv_a for q in pairs])
-        assert_array_equal(p.fb.sigma, [q.fb.sigma for q in pairs])
-        for field in ("exact_sq", "exact_fro", "exact_spectral"):
-            assert_array_equal(getattr(rep, field), [getattr(r, field) for r in reps])
-        assert_array_equal(rep.envelope, np.array([r.envelope for r in reps]).T)
-        for i, v in enumerate(rep.values):
-            assert [r.values[i].applicable for r in reps] == [v.applicable] * len(reps)
-            if v.applicable:
-                assert_array_equal(v.value, [r.values[i].value for r in reps], err_msg=v.name)
+        _check_stack_report_equals_pair_reports(a, b)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_stack_whose_perturbation_vanishes_for_some_pairs(backend):
+    # e and b+ - a+ are zero for the second pair only; their spectral norms
+    # take the values alone, so the stack needs no shared nonzero count
+    eye = np.eye(2)
+    _check_stack_report_equals_pair_reports(np.array([eye, eye]), np.array([2.0 * eye, eye]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_values_alone_equal_the_full_factorization(backend):
+    rng = np.random.default_rng(59)
+    for shape in [(5, 3), (3, 5), (4, 4), (3, 6, 2), (256, 16)]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert_array_equal(jacobi_svd(a, compute_uv=False), jacobi_svd(a)[1])
+    # a stack that mixes nonzero counts has values, but no shared thin vectors
+    mixed = np.array([np.diag([1.0, 0.0]), np.eye(2)])
+    assert_array_equal(jacobi_svd(mixed, compute_uv=False), [[1.0, 0.0], [1.0, 1.0]])
+    assert_array_equal(spectral_norm(mixed), [1.0, 1.0])
+
+
+def _rank_one_inputs():
+    """180 constant matrices and 100 outer products of small positive integer vectors."""
+    for m in range(1, 6):
+        for n in range(2, 6):
+            for c in np.logspace(-3, 3, 9):
+                yield c * np.ones((m, n))
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        m, n = rng.integers(1, 6, 2)
+        yield 0.1 * np.outer(rng.integers(1, 6, m), rng.integers(1, 6, n))
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_rank_one_inputs_converge(backend):
+    # unpreconditioned, 7 of the constants and 6 to 8 of the outer products
+    # (by kernel) raised "no convergence in 60 jacobi sweeps"
+    for a in _rank_one_inputs():
+        ref = np.linalg.pinv(a)
+        assert np.linalg.norm(pinv(a) - ref) <= 1e-12 * np.linalg.norm(ref), a
+
+
+@pytest.mark.xfail(raises=RuntimeError, strict=True, reason=(
+    "a column parallel to the first decays by eps per sweep until tau * tau "
+    "overflows, and the kernel then counts a rotation with t = 0 forever"
+))
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_signed_rank_one_input_converges(backend):
+    a = 0.1 * np.outer([2, 1, 3, 4, -2], [1, -3, -4, 2, -4])
+    pinv(a)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_graded_columns_keep_relative_accuracy(backend, field):
+    # one-sided Jacobi gets each singular value of a * diag(2^j) to a few
+    # ulps relative (Demmel & Veselic 1992), where LAPACK's bidiagonal SVD
+    # loses the small ones entirely; the reference takes 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 60
+    svd = mpmath.svd_c if field == "complex" else mpmath.svd_r
+    rng = np.random.default_rng(53)
+    for m, n in [(6, 4), (5, 5), (8, 3), (4, 6)]:
+        a = rng.standard_normal((m, n))
+        if field == "complex":
+            a = a + 1j * rng.standard_normal((m, n))
+        a = a * np.ldexp(1.0, rng.integers(-40, 41, n))
+        ref = svd(mpmath.matrix(a.tolist()), compute_uv=False)
+        ref = np.sort([float(x) for x in ref])[::-1]
+        err = np.abs(jacobi_svd(a, compute_uv=False) - ref) / (ref * np.finfo(np.float64).eps)
+        assert err.max() <= 8.0, (m, n, err)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
