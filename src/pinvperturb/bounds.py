@@ -22,14 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    PerturbationPair,
-    deviation_fro,
-    deviation_spectral,
-    deviation_sq,
-    named_failure,
-    strict_arithmetic,
-)
+from .core import named_failure, strict_arithmetic
+from .geometry import PerturbationPair, deviation_fro, deviation_spectral, deviation_sq
 
 SQUARED = "squared_frobenius"
 NORM = "norm"

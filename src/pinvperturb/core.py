@@ -25,6 +25,27 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+# overflow, division by zero and invalid operations raise FloatingPointError
+# in the pseudoinverse, the product norms, the exact deviations and the estimators
+strict_arithmetic = np.errstate(over="raise", divide="raise", invalid="raise")
+
+
+def named_failure(what, exc):
+    """An arithmetic error like ``exc`` whose message says that ``what`` failed."""
+    # an overflow's own message is only "(34, 'Numerical result out of range')"
+    detail = exc.args[-1] if exc.args else type(exc).__name__
+    return type(exc)(f"{what} failed: {detail}")
+
+
+@strict_arithmetic
+def _checked(what, fn, *args):
+    """``fn(*args)`` under ``strict_arithmetic``; an arithmetic error says that ``what`` failed."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        raise named_failure(what, exc) from exc
+
+
 def _finite(a):
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
@@ -57,13 +78,6 @@ def _one_per_stack(values, what):
         found = ", ".join(map(str, np.unique(values)))
         raise ValueError(f"every matrix of a stack needs the same {what}, got {found}")
     return int(values.max())
-
-
-def _pick_columns(x, cols):
-    """Columns ``cols[i]`` of each matrix ``x[i]`` of a stack; ``x[:, cols]`` for a matrix."""
-    rows = x.swapaxes(-1, -2).reshape(-1, x.shape[-2])  # each matrix's columns in turn
-    first = np.arange(0, rows.shape[0], x.shape[-1]).reshape(cols.shape[:-1] + (1,))
-    return rows.take(first + cols, axis=0).swapaxes(-1, -2)
 
 
 def conj_transpose(x):
@@ -149,22 +163,21 @@ def jacobi_svd(a, compute_uv=True):
     k = np.frexp(np.abs(parts).reshape(parts.shape[:-2] + (1, -1)).max(axis=-1, keepdims=True))[1]
     np.ldexp(parts, -k, out=parts)
     m, n = w.shape[-2:]
-    index = np.arange(w.size // (m * n)).reshape(w.shape[:-2] + (1,))  # each matrix's place
     pc = np.argsort(-np.vecdot(w, w, axis=-2).real, axis=-1, kind="stable")
     pr = np.argsort(-np.abs(w).max(axis=-1), axis=-1, kind="stable")
-    # pr and pc as indices into all the stack's rows and columns; pr w pc is one gather
-    rows, cols = index * m + pr, index * n + pc
-    w = w.reshape(-1).take(rows[..., :, None] * n + pc[..., None, :])
+    # each matrix's index in a stack, none for a matrix: x[stack + (p,)] holds
+    # the rows p[i] of each x[i]; the columns are the rows of x.swapaxes(-1, -2)
+    stack = tuple(i[..., None] for i in np.indices(w.shape[:-2], sparse=True))
+    w = w[stack + (pr,)].swapaxes(-1, -2)[stack + (pc,)].swapaxes(-1, -2)
     if compute_uv:
         q, r = np.linalg.qr(w)
     else:
         r = np.linalg.qr(w, mode="r")
     rh = r.conj().swapaxes(-1, -2)  # r*, column-major: r comes C-ordered
     nv = n if compute_uv else 0
-    vj = np.zeros(r.shape[:-2] + (n * nv,), dtype=np.complex128)
-    vj[..., :: n + 1] = 1.0
-    # identities, which read the same row- and column-major, or empty
-    vj = vj.reshape(r.shape[:-2] + (n, nv)).swapaxes(-1, -2)
+    vj = np.empty(rh.shape[:-2] + (n, nv), dtype=np.complex128)
+    vj[...] = np.eye(n, nv)
+    vj = vj.swapaxes(-1, -2)  # identities, or empty, column-major like rh
     kernel = backends.get_kernel()
     sweeps = kernel.orthogonalize_columns(rh, vj, JACOBI_EPS, JACOBI_MAX_SWEEPS)
     if sweeps < 0:
@@ -173,7 +186,7 @@ def jacobi_svd(a, compute_uv=True):
         )
     scaled = np.linalg.norm(rh, axis=-2)
     order = np.argsort(-scaled, axis=-1, kind="stable")
-    scaled = -np.sort(-scaled, axis=-1, kind="stable")
+    scaled = scaled[stack + (order,)]
     with np.errstate(over="ignore"):
         sig = np.ldexp(scaled, k[..., 0])
     if not np.all(np.isfinite(sig)):
@@ -181,11 +194,11 @@ def jacobi_svd(a, compute_uv=True):
     if not compute_uv:
         return sig
     nonzero = _one_per_stack((sig > 0.0).sum(axis=-1), "number of nonzero singular values")
-    keep = order[..., :nonzero]
+    keep = stack + (order[..., :nonzero],)
     u = np.empty(w.shape[:-1] + (nonzero,), dtype=np.complex128)
     v = np.empty(rh.shape[:-1] + (nonzero,), dtype=np.complex128)
-    u.reshape(rows.size, nonzero)[rows] = q @ _pick_columns(vj, keep)
-    v.reshape(cols.size, nonzero)[cols] = _pick_columns(rh, keep) / scaled[..., None, :nonzero]
+    u[stack + (pr,)] = q @ vj.swapaxes(-1, -2)[keep].swapaxes(-1, -2)
+    v[stack + (pc,)] = rh.swapaxes(-1, -2)[keep].swapaxes(-1, -2) / scaled[..., None, :nonzero]
     return (v, sig, u) if wide else (u, sig, v)
 
 
@@ -209,12 +222,14 @@ def svd_factors(a, tol=None):
 def pinv(a, tol=None):
     """Moore-Penrose inverse v1 @ diag(1/sigma1) @ u1*.
 
-    Accepts a matrix, a stack or precomputed ``SvdFactors``.
+    Accepts a matrix, a stack or precomputed ``SvdFactors``.  A 1/sigma
+    or an entry beyond the double range is an ArithmeticError.
     """
     f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
-    m, n = f.shape
-    if f.rank == 0:
-        return np.zeros(f.sigma.shape[:-1] + (n, m), dtype=np.complex128)
+    return _checked("pseudoinverse", _inverse, f)
+
+
+def _inverse(f):
     return (f.v1 / f.sigma1[..., None, :]) @ conj_transpose(f.u1)
 
 
@@ -250,7 +265,7 @@ def lstsq_min_norm(a, b, tol=None):
         raise ShapeError(
             f"cannot solve a {a.shape} system with right-hand side of shape {np.asarray(b).shape}"
         )
-    x = pinv(a, tol=tol) @ bb
+    x = _checked("least-squares solution", np.matmul, pinv(a, tol=tol), bb)
     return x[:, 0] if vec else x
 
 

@@ -34,22 +34,12 @@ from .core import (
     as_stack,
     conj_transpose,
     jacobi_svd,
+    named_failure,
     pinv,
     spectral_norm,
+    strict_arithmetic,
     svd_factors,
 )
-
-# overflow, division by zero and invalid operations raise FloatingPointError
-# in the product norms, the exact deviations and the estimators
-strict_arithmetic = np.errstate(over="raise", divide="raise", invalid="raise")
-
-
-def named_failure(what, exc):
-    """An arithmetic error like ``exc`` whose message says that ``what`` failed."""
-    # an overflow's own message is only "(34, 'Numerical result out of range')"
-    detail = exc.args[-1] if exc.args else type(exc).__name__
-    return type(exc)(f"{what} failed: {detail}")
-
 
 def _fro2(x):
     """Squared Frobenius norm, summed row-major as ``np.vdot(x, x)`` sums it; 0.0 for empty blocks."""
@@ -133,16 +123,11 @@ class ProductNorms:
         return ProductNorms(*_mirrored_fields(self))
 
 
-# each field's counterpart under a <-> b, both ways; e2, ef and es are their own
-_MIRROR = dict(
-    na="nb", nai="nbi", na2="nb2", nai2="nbi2", na4="nb4", nai4="nbi4",
-    ae="be", eb="ea", x="y", aaeb="bbea", aebb="beaa",
-    aebb_c="beaa_c", aaeb_c="bbea_c", ebb_c="eaa_c", aae_c="bbe_c",
-    aebb_r="beaa_r", aaeb_r="bbea_r", aebb_1="beaa_1", aaeb_1="bbea_1",
-)
-_MIRROR.update({v: k for k, v in _MIRROR.items()})
+# a field's counterpart under a <-> b swaps a with b and x with y in its name;
+# e2, ef and es are their own
+_SWAP_AB = str.maketrans("abxy", "bayx")
 # the mirror's field values in ProductNorms' positional order
-_mirrored_fields = attrgetter(*(_MIRROR.get(f.name, f.name) for f in fields(ProductNorms)))
+_mirrored_fields = attrgetter(*(f.name.translate(_SWAP_AB) for f in fields(ProductNorms)))
 
 
 @dataclass(frozen=True)
@@ -255,7 +240,7 @@ def _product_norms(p):
         ef=np.sqrt(e2),
         es=spectral_norm(e),
         **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b, fa, fb),
-        **{_MIRROR[k]: v for k, v in mirror.items()},
+        **{k.translate(_SWAP_AB): v for k, v in mirror.items()},
     )
 
 

@@ -25,6 +25,8 @@ from pinvperturb.bounds import (
 )
 from pinvperturb.geometry import make_pair
 
+from helpers import lowrank
+
 EXPECTED_ORDER = [
     "wedin_spectral",
     "wedin_frobenius",
@@ -59,17 +61,6 @@ def _rank_drop_pair(t):
 
 def _rank_swap_pair(t):
     return make_pair(np.diag([1.0, 0.0]), np.diag([t / (1.0 + t), 2.0 * t]))
-
-
-def _lowrank(rng, m, n, r, cplx):
-    if r == 0:
-        return np.zeros((m, n), dtype=complex)
-    x = rng.standard_normal((m, r))
-    y = rng.standard_normal((n, r))
-    if cplx:
-        x = x + 1j * rng.standard_normal((m, r))
-        y = y + 1j * rng.standard_normal((n, r))
-    return x @ y.conj().T
 
 
 @pytest.mark.parametrize("t", [0.15, 0.2, 0.3, 0.45])
@@ -325,7 +316,7 @@ def _random_reports(count=40):
         ra = int(rng.integers(0, min(m, n) + 1))
         rb = int(rng.integers(0, min(m, n) + 1))
         cplx = bool(rng.integers(0, 2))
-        p = make_pair(_lowrank(rng, m, n, ra, cplx), _lowrank(rng, m, n, rb, cplx))
+        p = make_pair(lowrank(rng, m, n, ra, cplx), lowrank(rng, m, n, rb, cplx))
         yield p, full_report(p)
 
 

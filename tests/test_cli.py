@@ -170,6 +170,15 @@ def test_pinv_of_huge_entries_matches_numpy(tmp_path, capsys):
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.filterwarnings("error")
+def test_pinv_out_of_range_exit3_with_one_error_line(tmp_path, capsys):
+    # 1/sigma leaves the double range; the NaN result used to be blamed on the input
+    assert cli.main(["pinv", _write(tmp_path, "a.mat", 1e-310 * np.eye(2))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pseudoinverse failed: overflow encountered in divide\n"
+
+
 def _scaled_pair_files(tmp_path, scale):
     """A 4x3 Gaussian and a 0.1-noise perturbation of it, both scaled."""
     rng = np.random.default_rng(0)

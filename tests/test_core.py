@@ -22,16 +22,7 @@ from pinvperturb.core import (
     svd_factors,
 )
 
-
-def _random_lowrank(rng, m, n, r, cplx):
-    if r == 0:
-        return np.zeros((m, n), dtype=complex)
-    x = rng.standard_normal((m, r))
-    y = rng.standard_normal((n, r))
-    if cplx:
-        x = x + 1j * rng.standard_normal((m, r))
-        y = y + 1j * rng.standard_normal((n, r))
-    return x @ y.conj().T
+from helpers import lowrank
 
 
 def test_as_matrix_validation():
@@ -76,7 +67,7 @@ def test_penrose_equations_random():
     for m, n in [(1, 1), (2, 2), (4, 3), (3, 4), (6, 6), (8, 5)]:
         for r in {0, 1, min(m, n), min(m, n) // 2}:
             for cplx in (False, True):
-                a = _random_lowrank(rng, m, n, r, cplx)
+                a = lowrank(rng, m, n, r, cplx)
                 f = svd_factors(a)
                 assert f.rank == r
                 x = pinv(f)
@@ -86,7 +77,7 @@ def test_penrose_equations_random():
 
 def test_pinv_involution():
     rng = np.random.default_rng(5)
-    a = _random_lowrank(rng, 5, 4, 3, True)
+    a = lowrank(rng, 5, 4, 3, True)
     back = pinv(pinv(a))
     assert_allclose(back, a, atol=1e-10 * (1.0 + spectral_norm(a)))
 
@@ -116,14 +107,14 @@ def test_rank_cutoff_policy():
 
 def test_spectral_norm_of_pinv_is_reciprocal():
     rng = np.random.default_rng(13)
-    a = _random_lowrank(rng, 6, 4, 2, False)
+    a = lowrank(rng, 6, 4, 2, False)
     f = svd_factors(a)
     assert abs(spectral_norm(pinv(a)) * f.sigma1[-1] - 1.0) <= 1e-9
 
 
 def test_projectors():
     rng = np.random.default_rng(17)
-    a = _random_lowrank(rng, 5, 3, 2, True)
+    a = lowrank(rng, 5, 3, 2, True)
     pc = projector_col(a)
     pr = projector_row(a)
     x = pinv(a)
@@ -148,7 +139,7 @@ def test_lstsq_rejects_non_finite_rhs():
 
 def test_lstsq_min_norm_among_optima():
     rng = np.random.default_rng(19)
-    a = _random_lowrank(rng, 4, 6, 2, False)
+    a = lowrank(rng, 4, 6, 2, False)
     b = rng.standard_normal(4)
     x0 = lstsq_min_norm(a, b)
     r0 = np.linalg.norm(a @ x0 - b)
@@ -187,14 +178,29 @@ def test_penrose_property(m, n, seed, cplx):
 
 def test_stack_factors_match_its_matrices():
     rng = np.random.default_rng(53)
-    stack = np.array([_random_lowrank(rng, 5, 3, 2, True) for _ in range(4)])
+    stack = np.array([lowrank(rng, 5, 3, 2, True) for _ in range(4)])
     f = svd_factors(stack)
     assert f.rank == 2 and f.u1.shape == (4, 5, 2) and f.v1.shape == (4, 3, 2)
     assert f.norm2.shape == f.pinv_norm2.shape == (4,)
     for a, x, sigma in zip(stack, pinv(stack), f.sigma):
         assert np.array_equal(x, pinv(a))
         assert np.array_equal(sigma, svd_factors(a).sigma)
-    assert pinv(np.zeros((2, 3, 4))).shape == (2, 4, 3)
+    zero = pinv(np.zeros((2, 3, 4)))
+    # a product over no singular directions: +0.0 everywhere
+    assert zero.shape == (2, 4, 3) and not np.signbit(zero.view(np.float64)).any()
+
+
+@pytest.mark.filterwarnings("error")
+def test_out_of_range_pseudoinverse_raises():
+    # 1/sigma = 1e310 leaves the double range; this used to be a NaN matrix
+    tiny = 1e-310 * np.eye(2)
+    with pytest.raises(ArithmeticError, match=r"^pseudoinverse failed: overflow"):
+        pinv(tiny)
+    with pytest.raises(ArithmeticError, match=r"^pseudoinverse failed: overflow"):
+        lstsq_min_norm(tiny, np.ones(2))
+    # a representable pseudoinverse whose product with b overflows
+    with pytest.raises(ArithmeticError, match=r"^least-squares solution failed: overflow"):
+        lstsq_min_norm(1e-300 * np.eye(2), [1e300, 1.0])
 
 
 def test_stack_with_mixed_ranks_rejected():

@@ -29,6 +29,8 @@ from pinvperturb.geometry import (
 )
 from pinvperturb.core import ShapeError, jacobi_svd, lstsq_min_norm
 
+from helpers import lowrank
+
 # estimators taken as the tighter of a route and its a <-> b mirror
 TWO_ROUTE_ROWS = (
     "li_full_rank_pair",
@@ -45,17 +47,6 @@ TWO_ROUTE_ROWS = (
 )
 
 
-def _lowrank(rng, m, n, r, cplx):
-    if r == 0:
-        return np.zeros((m, n), dtype=complex)
-    x = rng.standard_normal((m, r))
-    y = rng.standard_normal((n, r))
-    if cplx:
-        x = x + 1j * rng.standard_normal((m, r))
-        y = y + 1j * rng.standard_normal((n, r))
-    return x @ y.conj().T
-
-
 def _all_pairs():
     rng = np.random.default_rng(29)
     for m, n in [(2, 2), (3, 2), (2, 3), (4, 4), (5, 3), (6, 6)]:
@@ -63,7 +54,7 @@ def _all_pairs():
             for rb in range(min(m, n) + 1):
                 for cplx in (False, True):
                     yield make_pair(
-                        _lowrank(rng, m, n, ra, cplx), _lowrank(rng, m, n, rb, cplx)
+                        lowrank(rng, m, n, ra, cplx), lowrank(rng, m, n, rb, cplx)
                     )
 
 
@@ -152,7 +143,7 @@ def test_energy_splits_equal_perturbation_energy():
 def test_equal_rank_cross_masses_match():
     rng = np.random.default_rng(31)
     for m, n, r in [(3, 3, 2), (4, 3, 3), (3, 4, 1), (5, 5, 5)]:
-        p = make_pair(_lowrank(rng, m, n, r, True), _lowrank(rng, m, n, r, True))
+        p = make_pair(lowrank(rng, m, n, r, True), lowrank(rng, m, n, r, True))
         assert p.rank_a == p.rank_b == r
         assert equal_rank_angle_gap(p) <= 1e-9
 
@@ -184,7 +175,7 @@ def test_known_split_for_diagonal_jump_case():
 
 def test_deviation_norm_variants_consistent():
     rng = np.random.default_rng(37)
-    p = make_pair(_lowrank(rng, 5, 4, 3, True), _lowrank(rng, 5, 4, 2, True))
+    p = make_pair(lowrank(rng, 5, 4, 3, True), lowrank(rng, 5, 4, 2, True))
     assert deviation_fro(p) ** 2 == pytest.approx(deviation_sq(p), rel=1e-12)
     assert deviation_spectral(p) <= deviation_fro(p) + 1e-12
 
@@ -223,7 +214,7 @@ def test_von_neumann_bound_and_attainment():
     for m, n in [(4, 3), (3, 5), (4, 4)]:
         for ra, rb in [(1, 2), (2, 1), (0, 2), (2, 0), (0, 0)]:
             _check_von_neumann(
-                _lowrank(rng, m, n, ra, True), _lowrank(rng, m, n, rb, True), rng
+                lowrank(rng, m, n, ra, True), lowrank(rng, m, n, rb, True), rng
             )
     # exact zero rows and columns leave exactly zero singular values
     mm = np.zeros((4, 3), dtype=complex)
@@ -249,8 +240,8 @@ def test_report_and_solve_complete_no_basis(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     rng = np.random.default_rng(47)
-    a = _lowrank(rng, 7, 4, 2, True)
-    b = _lowrank(rng, 7, 4, 3, True)
+    a = lowrank(rng, 7, 4, 2, True)
+    b = lowrank(rng, 7, 4, 3, True)
     full_report(make_pair(a, b))
     lstsq_min_norm(a, rng.standard_normal(7))
     # two factorizations, two spectral norms and one solve, all preconditioned
@@ -271,7 +262,7 @@ def test_von_neumann_diagonal_case():
 
 def test_swap_pair_flips_roles():
     rng = np.random.default_rng(43)
-    p = make_pair(_lowrank(rng, 4, 3, 2, True), _lowrank(rng, 4, 3, 3, True))
+    p = make_pair(lowrank(rng, 4, 3, 2, True), lowrank(rng, 4, 3, 3, True))
     q = swap_pair(p)
     assert q.rank_a == p.rank_b
     assert_allclose(q.e, -p.e, atol=0.0)

@@ -27,6 +27,8 @@ from pinvperturb.core import (
 from pinvperturb.geometry import make_pair
 from pinvperturb.sweeps import CLOSED_FORMS, SweepSpec, case_matrices, sweep_example
 
+from helpers import lowrank
+
 BACKENDS = ["compiled", "python"]
 KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "pinvperturb" / "_jacobi.c"
 # the name setuptools gives the built kernel
@@ -309,15 +311,6 @@ def test_stacked_kernel_equals_a_loop_over_its_matrices(backend):
     assert kern.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS) == max(counts[keep])
 
 
-def _lowrank(rng, m, n, r, cplx):
-    x = rng.standard_normal((m, r))
-    y = rng.standard_normal((n, r))
-    if cplx:
-        x = x + 1j * rng.standard_normal((m, r))
-        y = y + 1j * rng.standard_normal((n, r))
-    return x @ y.conj().T
-
-
 def _check_stack_report_equals_pair_reports(a, b):
     p = make_pair(a, b)
     rep = full_report(p)
@@ -339,8 +332,8 @@ def test_stacked_report_equals_the_reports_of_its_pairs(backend):
     rng = np.random.default_rng(43)
     cases = [(4, 3, 3, 3, True), (4, 3, 2, 3, False), (3, 5, 2, 3, True), (6, 6, 6, 6, False)]
     for m, n, ra, rb, cplx in cases:
-        a = np.array([_lowrank(rng, m, n, ra, cplx) for _ in range(5)])
-        b = np.array([_lowrank(rng, m, n, rb, cplx) for _ in range(5)])
+        a = np.array([lowrank(rng, m, n, ra, cplx) for _ in range(5)])
+        b = np.array([lowrank(rng, m, n, rb, cplx) for _ in range(5)])
         _check_stack_report_equals_pair_reports(a, b)
 
 

@@ -11,7 +11,10 @@ rotation order and arithmetic set the last bits, so the backend is named on
 stderr as ``# backend=<name>``.  The reports cover the pairs of the
 suite's first trials, one per ``default_specs()`` entry (``trial_pair``),
 and four special pairs; the sweeps are both closed-form examples at their
-default 401 steps.  ``--suite`` adds the stdout of
+default 401 steps.  ``factors`` hashes the bytes of ``u1``, ``sigma`` and
+``v1`` of both factorizations of every reported pair and of both sweep
+stacks, so a column swap or sign error that u and v share, which no report
+sees, still moves a digest.  ``--suite`` adds the stdout of
 ``pinvperturb suite --trials 500 --seed 1729`` followed by its exit code.
 """
 
@@ -30,7 +33,7 @@ from pinvperturb.backends import default_backend
 from pinvperturb.bounds import full_report, report_csv, report_table
 from pinvperturb.geometry import make_pair
 from pinvperturb.suite import DEFAULT_SEED, default_specs, trial_pair
-from pinvperturb.sweeps import SweepSpec, sweep_csv, sweep_example
+from pinvperturb.sweeps import SweepSpec, case_matrices, sweep_csv, sweep_example
 
 SPECIAL_PAIRS = (
     (np.zeros((3, 2)), np.zeros((3, 2))),
@@ -45,14 +48,28 @@ def _spec_pairs():
         yield trial_pair(DEFAULT_SEED, t)[1]
 
 
-def _digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+def _sweep_pair(example):
+    """The stack of pairs that ``sweep_example`` reports for the example's default grid."""
+    spec = SweepSpec(example=example)
+    return make_pair(*case_matrices(example, np.linspace(spec.tau_min, spec.tau_max, spec.steps)))
+
+
+def _factor_bytes(pairs):
+    return b"".join(
+        x.tobytes() for p in pairs for f in (p.fa, p.fb) for x in (f.u1, f.sigma, f.v1)
+    )
+
+
+def _digest(data):
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
 def output_texts(suite=False):
-    """(name, text) of every hashed output, in print order."""
-    reports = [full_report(p) for p in _spec_pairs()]
-    special = [full_report(make_pair(a, b)) for a, b in SPECIAL_PAIRS]
+    """(name, text) of every hashed output, in print order; ``factors`` is bytes."""
+    pairs = list(_spec_pairs())
+    special_pairs = [make_pair(a, b) for a, b in SPECIAL_PAIRS]
+    reports = [full_report(p) for p in pairs]
+    special = [full_report(p) for p in special_pairs]
     texts = [
         ("report_csv", "".join(map(report_csv, reports))),
         ("report_table", "".join(map(report_table, reports))),
@@ -60,6 +77,7 @@ def output_texts(suite=False):
         ("special_table", "".join(map(report_table, special))),
         ("sweep_csv_1", sweep_csv(sweep_example(SweepSpec(example=1)))),
         ("sweep_csv_2", sweep_csv(sweep_example(SweepSpec(example=2)))),
+        ("factors", _factor_bytes(pairs + special_pairs + [_sweep_pair(1), _sweep_pair(2)])),
     ]
     if suite:
         out = io.StringIO()
