@@ -1,13 +1,15 @@
-/* Compiled one-sided Jacobi kernel, the twin of _jacobi_py.orthogonalize_columns
-   on a column-major m x n complex128 w, every rotation mirrored into the nv x n v.
-   Both visit the column pairs in the same round-robin order (Brent & Luk 1985,
-   the circle method of _jacobi_py.round_robin): with size = n + n % 2, round r
-   pairs column r with column size - 1 and (r + k) % (size - 1) with
-   (r - k) % (size - 1), 0 < k < size / 2, skipping the padding column n of odd n.
-   The pairs of a round share no column, so this loop over them rotates exactly
-   what the numpy kernel rotates in one step.  Returns the sweeps used, or -1 if
-   max_sweeps passed without a rotation-free sweep.  Opened through ctypes by
-   backends.load_compiled, which calls it once per matrix of a stack. */
+/* Compiled one-sided Jacobi kernel, the twin of _jacobi_py.orthogonalize_columns.
+   Each matrix is stored by columns: its n columns of length m are the rows of
+   a C-ordered n x m complex128 block w, and every rotation is mirrored into
+   the rows of its n x nv block v.  Both kernels visit the column pairs in the
+   same round-robin order (Brent & Luk 1985, the circle method of
+   _jacobi_py.round_robin): with size = n + n % 2, round r pairs column r with
+   column size - 1 and (r + k) % (size - 1) with (r - k) % (size - 1),
+   0 < k < size / 2, skipping the padding column n of odd n.  The pairs of a
+   round share no column, so this loop over them rotates exactly what the
+   numpy kernel rotates in one step.  orthogonalize_stack, opened through
+   ctypes by backends.load_compiled, runs a whole stack of such blocks in one
+   call. */
 
 #include <complex.h>
 #include <math.h>
@@ -23,8 +25,10 @@ static void rotate(double complex *x, double complex *y, ptrdiff_t len, double c
     }
 }
 
-int orthogonalize_columns(double complex *w, double complex *v, ptrdiff_t m,
-                          ptrdiff_t n, ptrdiff_t nv, double eps, int max_sweeps)
+/* Sweeps one matrix; returns the sweeps used, or -1 if max_sweeps passed
+   without a rotation-free sweep. */
+static int orthogonalize_columns(double complex *w, double complex *v, ptrdiff_t m,
+                                 ptrdiff_t n, ptrdiff_t nv, double eps, int max_sweeps)
 {
     ptrdiff_t size = n + n % 2;
     for (int sweep = 0; sweep < max_sweeps; sweep++) {
@@ -64,4 +68,13 @@ int orthogonalize_columns(double complex *w, double complex *v, ptrdiff_t m,
             return sweep + 1;
     }
     return -1;
+}
+
+/* Sweeps each of the count matrices stored one after another in w and v,
+   writing its sweep count, or -1, to sweeps. */
+void orthogonalize_stack(double complex *w, double complex *v, ptrdiff_t count, ptrdiff_t m,
+                         ptrdiff_t n, ptrdiff_t nv, double eps, int max_sweeps, int *sweeps)
+{
+    for (ptrdiff_t i = 0; i < count; i++)
+        sweeps[i] = orthogonalize_columns(w + i * n * m, v + i * n * nv, m, n, nv, eps, max_sweeps);
 }

@@ -12,7 +12,8 @@ n - 1 rounds of n/2 pairs (n rounds for odd n, each leaving one column
 idle), and the pairs of a round share no column.  Their rotations commute,
 so this kernel tests and rotates a whole round in one numpy step, for
 every matrix of a stack at once, where ``_jacobi.c`` loops over the same
-pairs one by one, and ``backends`` calls it once per matrix.
+pairs one by one.  Both take each matrix stored by columns, its columns
+being the rows of a C-ordered array, and a whole stack in one call.
 """
 
 from __future__ import annotations
@@ -68,8 +69,10 @@ def _stacked_rounds(n, count):
 def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     """Sweep over column pairs of ``w`` rotating each pair orthogonal.
 
-    ``w`` is one m x n matrix or a stack ``(B, m, n)`` of them, and ``v`` is
-    an nv x n accumulator for each; every matrix is stored column-major.
+    ``w`` holds one m x n matrix as an ``(n, m)`` array whose rows are its
+    columns, or a stack ``(B, n, m)`` of them, and ``v`` an ``(…, n, nv)``
+    accumulator for each, laid out the same way: rotating rows i and j of
+    ``w`` rotates rows i and j of ``v``.
     The matrices of a stack rotate in lockstep, one gather, test and rotate
     per round for all of them, and each leaves the stack after its first
     sweep with no rotation, so it ends as it would alone.
@@ -83,11 +86,10 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     count, or -1 if any matrix reached the limit.  ``counts``, an int array
     of shape ``w.shape[:-2]``, receives each matrix's own count.
     """
-    m, n = w.shape[-2:]
-    # the rows of wv[i] are the columns of w[i], then of v[i], so that one
-    # gather and two scatters per round rotate both
-    wv = np.concatenate((w.swapaxes(-1, -2), v.swapaxes(-1, -2)), axis=-1)
-    wv = wv.reshape(-1, n, m + v.shape[-2])
+    n, m = w.shape[-2:]
+    # the rows of wv[i] are those of w[i] followed by those of v[i], so that
+    # one gather and two scatters per round rotate both
+    wv = np.concatenate((w, v), axis=-1).reshape(-1, n, m + v.shape[-1])
     sweeps = np.full(len(wv), -1)
     live = np.arange(len(wv))  # the matrices still sweeping
     # a matrix that cannot converge may overflow tau * tau; it reports -1, quietly
@@ -134,8 +136,8 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
                 rotated = np.concatenate(acts).reshape(len(acts), live.size, -1).any(axis=(0, 2))
                 sweeps[live[~rotated]] = sweep + 1
                 live = live[rotated]
-    w.swapaxes(-1, -2)[...] = wv[..., :m].reshape(w.shape[:-2] + (n, m))
-    v.swapaxes(-1, -2)[...] = wv[..., m:].reshape(v.shape[:-2] + (n, v.shape[-2]))
+    w[...] = wv[..., :m].reshape(w.shape)
+    v[...] = wv[..., m:].reshape(v.shape)
     return sweep_summary(sweeps, counts)
 
 

@@ -4,7 +4,8 @@ One kernel serves every SVD in a process, so the two factorizations of a
 pair and every norm read from them come from the same arithmetic.  The
 compiled kernel, ``_jacobi.c`` built at install into ``_jacobi<EXT_SUFFIX>``
 next to this module and opened with ctypes, is preferred when present;
-nothing is compiled at import.  The numpy twin is always available.
+nothing is compiled at import.  Both kernels take the same stack layout and
+factor a whole stack in one call.  The numpy twin is always available.
 ``PINVPERTURB_BACKEND`` (``compiled`` or ``python``) forces a choice and is
 the only way to make one; any other value is rejected.  When the library is
 missing or fails to load, the error is kept in ``compiled_load_error`` and
@@ -27,19 +28,22 @@ from . import _jacobi_py
 
 def load_compiled(path):
     """Open a built ``_jacobi.c`` as a kernel module with ``orthogonalize_columns``."""
-    fn = ctypes.CDLL(str(path)).orthogonalize_columns
-    # a float64, C-ordered or read-only matrix is rejected before the C call
-    matrix = np.ctypeslib.ndpointer(np.complex128, ndim=2, flags=("F_CONTIGUOUS", "WRITEABLE"))
-    fn.argtypes = [matrix, matrix] + [ctypes.c_ssize_t] * 3 + [ctypes.c_double, ctypes.c_int]
-    fn.restype = ctypes.c_int
+    fn = ctypes.CDLL(str(path)).orthogonalize_stack
+    # a float64, non-C-contiguous or read-only array is rejected before the C
+    # call; a matrix and a stack pass alike, so nothing is reshaped into a
+    # copy that would take the rotations in place of the caller's array
+    stack = np.ctypeslib.ndpointer(np.complex128, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    ints = np.ctypeslib.ndpointer(np.intc, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    fn.argtypes = [stack, stack] + [ctypes.c_ssize_t] * 4 + [ctypes.c_double, ctypes.c_int, ints]
+    fn.restype = None
 
     def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
-        """The C loop of ``_jacobi_py.orthogonalize_columns``, run on each matrix of a stack."""
-        if np.shape(v)[:-2] + np.shape(v)[-1:] != np.shape(w)[:-2] + np.shape(w)[-1:]:
+        """The C loop of ``_jacobi_py.orthogonalize_columns``, one call for a whole stack."""
+        if np.shape(v)[:-1] != np.shape(w)[:-1]:
             raise ValueError(f"rotation accumulator of shape {np.shape(v)} does not fit {np.shape(w)}")
-        m, n = w.shape[-2:]
-        pairs = zip(w, v) if w.ndim == 3 else [(w, v)]
-        sweeps = np.array([fn(wi, vi, m, n, v.shape[-2], eps, max_sweeps) for wi, vi in pairs])
+        n, m = w.shape[-2:]
+        sweeps = np.empty(w.shape[:-2], dtype=np.intc)
+        fn(w, v, sweeps.size, m, n, v.shape[-1], eps, max_sweeps, sweeps)
         return _jacobi_py.sweep_summary(sweeps, counts)
 
     kernel = types.ModuleType(f"{__package__}._jacobi")
@@ -52,7 +56,7 @@ def load_compiled(path):
 _LIBRARY = Path(__file__).with_name("_jacobi" + importlib.machinery.EXTENSION_SUFFIXES[0])
 try:
     _jacobi = load_compiled(_LIBRARY)
-except (OSError, AttributeError) as exc:  # not built, or not a kernel library
+except (OSError, AttributeError) as exc:  # not built, or without orthogonalize_stack
     _jacobi = None
     # kept so that a missing or broken build can say why it is unavailable
     compiled_load_error = exc

@@ -127,8 +127,13 @@ class SvdFactors:
 
     @property
     def pinv_norm2(self):
-        """Largest singular value of the pseudoinverse, 0 for the zero matrix."""
-        return 1.0 / self.sigma1[..., -1] if self.rank else np.zeros(self.sigma.shape[:-1])[()]
+        """Largest singular value of the pseudoinverse, 0 for the zero matrix.
+
+        A value beyond the double range is an ArithmeticError, as in ``pinv``.
+        """
+        if not self.rank:
+            return np.zeros(self.sigma.shape[:-1])[()]
+        return _checked("pseudoinverse", np.divide, 1.0, self.sigma1[..., -1])
 
 
 # the kernel's convergence threshold (relative to the column norms) and pass limit
@@ -173,18 +178,19 @@ def jacobi_svd(a, compute_uv=True):
         q, r = np.linalg.qr(w)
     else:
         r = np.linalg.qr(w, mode="r")
-    rh = r.conj().swapaxes(-1, -2)  # r*, column-major: r comes C-ordered
+    # the kernel rotates rows: those of r.conj() are the columns of r*, and
+    # those of vt, an identity or empty, the columns of V_J
+    rt = r.conj()
     nv = n if compute_uv else 0
-    vj = np.empty(rh.shape[:-2] + (n, nv), dtype=np.complex128)
-    vj[...] = np.eye(n, nv)
-    vj = vj.swapaxes(-1, -2)  # identities, or empty, column-major like rh
+    vt = np.empty(rt.shape[:-1] + (nv,), dtype=np.complex128)
+    vt[...] = np.eye(n, nv)
     kernel = backends.get_kernel()
-    sweeps = kernel.orthogonalize_columns(rh, vj, JACOBI_EPS, JACOBI_MAX_SWEEPS)
+    sweeps = kernel.orthogonalize_columns(rt, vt, JACOBI_EPS, JACOBI_MAX_SWEEPS)
     if sweeps < 0:
         raise RuntimeError(
             f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {a.shape}"
         )
-    scaled = np.linalg.norm(rh, axis=-2)
+    scaled = np.linalg.norm(rt, axis=-1)
     order = np.argsort(-scaled, axis=-1, kind="stable")
     scaled = scaled[stack + (order,)]
     with np.errstate(over="ignore"):
@@ -196,9 +202,9 @@ def jacobi_svd(a, compute_uv=True):
     nonzero = _one_per_stack((sig > 0.0).sum(axis=-1), "number of nonzero singular values")
     keep = stack + (order[..., :nonzero],)
     u = np.empty(w.shape[:-1] + (nonzero,), dtype=np.complex128)
-    v = np.empty(rh.shape[:-1] + (nonzero,), dtype=np.complex128)
-    u[stack + (pr,)] = q @ vj.swapaxes(-1, -2)[keep].swapaxes(-1, -2)
-    v[stack + (pc,)] = rh.swapaxes(-1, -2)[keep].swapaxes(-1, -2) / scaled[..., None, :nonzero]
+    v = np.empty(rt.shape[:-1] + (nonzero,), dtype=np.complex128)
+    u[stack + (pr,)] = q @ vt[keep].swapaxes(-1, -2)
+    v[stack + (pc,)] = rt[keep].swapaxes(-1, -2) / scaled[..., None, :nonzero]
     return (v, sig, u) if wide else (u, sig, v)
 
 

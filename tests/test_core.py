@@ -198,6 +198,10 @@ def test_out_of_range_pseudoinverse_raises():
         pinv(tiny)
     with pytest.raises(ArithmeticError, match=r"^pseudoinverse failed: overflow"):
         lstsq_min_norm(tiny, np.ones(2))
+    # its norm alone too, for a matrix and a stack; it used to be inf with a warning
+    for x in (tiny, np.array([np.eye(2), tiny])):
+        with pytest.raises(ArithmeticError, match=r"^pseudoinverse failed: overflow"):
+            svd_factors(x).pinv_norm2
     # a representable pseudoinverse whose product with b overflows
     with pytest.raises(ArithmeticError, match=r"^least-squares solution failed: overflow"):
         lstsq_min_norm(1e-300 * np.eye(2), [1e300, 1.0])

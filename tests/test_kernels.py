@@ -74,17 +74,47 @@ def test_both_backends_present_when_built():
 
 
 def test_compiled_kernel_rejects_misfit_arrays(compiled_kernel):
-    # the ctypes signature stands where a typed memoryview would: a float64 or
-    # C-ordered w raises before the C loop can misread its memory
+    # the ctypes signature stands where a typed memoryview would: a float64,
+    # Fortran-ordered, strided or read-only w or v raises before the C loop
+    # can misread its memory, or rotate a copy in place of the caller's array
     if compiled_kernel is None:
         pytest.skip(NO_COMPILED)
-    v = np.asfortranarray(np.eye(2, dtype=np.complex128))
-    for w in (np.asfortranarray(np.ones((3, 2))), np.ascontiguousarray(np.ones((3, 2), dtype=np.complex128))):
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    eyes = np.array([np.eye(2, dtype=np.complex128)] * 4)
+    read_only = stack.copy()
+    read_only.flags.writeable = False
+    misfits = [
+        (np.ones((2, 3)), eyes[0]),
+        (np.asfortranarray(stack[0]), eyes[0]),
+        (stack[::2], eyes[:2]),
+        (stack[:2], eyes[::2]),
+        (read_only, eyes),
+        (stack, np.broadcast_to(eyes[0], eyes.shape)),
+    ]
+    for w, v in misfits:
+        w_in, v_in = w.copy(), v.copy()
         with pytest.raises(ctypes.ArgumentError):
-            compiled_kernel.orthogonalize_columns(w, v, 2.220446049250313e-16, 60)
-    w = np.asfortranarray(np.ones((3, 3), dtype=np.complex128))
+            compiled_kernel.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS)
+        assert_array_equal(w, w_in)
+        assert_array_equal(v, v_in)
+    # an accumulator whose rows do not match the columns of w
     with pytest.raises(ValueError, match="does not fit"):
-        compiled_kernel.orthogonalize_columns(w, v, 2.220446049250313e-16, 60)
+        compiled_kernel.orthogonalize_columns(stack[0], eyes[0, :1], JACOBI_EPS, JACOBI_MAX_SWEEPS)
+
+
+def test_a_build_of_older_source_is_not_loaded(tmp_path):
+    # a library that exports only the per-matrix symbol of earlier builds
+    # would take the stack arguments in another order; it fails to load,
+    # and the numpy kernel serves in its place
+    if shutil.which("cc") is None:
+        pytest.skip("no cc to compile a stand-in for an older build")
+    src = tmp_path / "old.c"
+    src.write_text("int orthogonalize_columns(void) { return 1; }\n")
+    lib = tmp_path / "old.so"
+    subprocess.run(["cc", "-shared", "-fPIC", "-o", str(lib), str(src)], check=True)
+    with pytest.raises(AttributeError, match="orthogonalize_stack"):
+        backends.load_compiled(lib)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
@@ -93,16 +123,17 @@ def test_kernel_orthogonalizes_columns(backend):
     kern = get_kernel(backend)
     for m, n in [(1, 1), (3, 2), (4, 4), (7, 5), (9, 9)]:
         a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        w = np.array(a, order="F", dtype=np.complex128)
-        v = np.asfortranarray(np.eye(n, dtype=np.complex128))
+        # the kernels take each column as a row
+        w = a.T.copy()
+        v = np.eye(n, dtype=np.complex128)
         sweeps = kern.orthogonalize_columns(w, v, 2.220446049250313e-16, 60)
         assert sweeps > 0
-        gram = w.conj().T @ w
+        gram = w.conj() @ w.T
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() <= 1e-12 * (1.0 + np.abs(gram).max())
-        # the rotations are accumulated exactly: w_in @ v == w_out
-        assert_allclose(a @ v, w, atol=1e-12 * (1.0 + np.abs(a).max()))
-        assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-13)
+        # the rotations are accumulated exactly: a @ v.T == w.T
+        assert_allclose(a @ v.T, w.T, atol=1e-12 * (1.0 + np.abs(a).max()))
+        assert_allclose(v.conj() @ v.T, np.eye(n), atol=1e-13)
 
 
 def _check_svd_against_reference(rng, shapes, field):
@@ -177,8 +208,8 @@ def test_kernels_rotate_pairs_in_the_same_order(kernels):
         a = rng.standard_normal((n + 3, n)) + 1j * rng.standard_normal((n + 3, n))
         out = []
         for name in ("compiled", "python"):
-            w = np.array(a, order="F")
-            v = np.asfortranarray(np.eye(n, dtype=np.complex128))
+            w = a.T.copy()
+            v = np.eye(n, dtype=np.complex128)
             get_kernel(name).orthogonalize_columns(w, v, 2.220446049250313e-16, 1)
             out.append((w, v))
         (w_c, v_c), (w_p, v_p) = out
@@ -272,9 +303,9 @@ def test_one_kernel_serves_every_svd(monkeypatch):
     assert calls == {"compiled": 5, "python": 0}
 
 
-def _column_major_stack(mats):
-    """The matrices as one stack, each stored column-major as the kernels need."""
-    return np.array([m.T for m in mats], dtype=np.complex128).swapaxes(-1, -2)
+def _by_columns(mats):
+    """The matrices as one stack whose rows are each matrix's columns, as the kernels take them."""
+    return np.array([m.T for m in mats], dtype=np.complex128)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
@@ -291,11 +322,11 @@ def test_stacked_kernel_equals_a_loop_over_its_matrices(backend):
     kern = get_kernel(backend)
     alone = []
     for a in mats:
-        w = np.array(a, dtype=np.complex128, order="F")
-        v = np.asfortranarray(np.eye(3, dtype=np.complex128))
+        w = _by_columns([a])[0]
+        v = np.eye(3, dtype=np.complex128)
         alone.append((w, v, kern.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS)))
-    w = _column_major_stack(mats)
-    v = _column_major_stack([np.eye(3)] * len(mats))
+    w = _by_columns(mats)
+    v = _by_columns([np.eye(3)] * len(mats))
     counts = np.zeros(len(mats), dtype=int)
     assert kern.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS, counts=counts) == -1
     assert counts.tolist() == [c for _, _, c in alone]
@@ -306,8 +337,8 @@ def test_stacked_kernel_equals_a_loop_over_its_matrices(backend):
         assert_array_equal(v[i], vi)
     # without the failing matrix, the stack reports its slowest count
     keep = [0, 1, 3, 4]
-    w = _column_major_stack([mats[i] for i in keep])
-    v = _column_major_stack([np.eye(3)] * len(keep))
+    w = _by_columns([mats[i] for i in keep])
+    v = _by_columns([np.eye(3)] * len(keep))
     assert kern.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS) == max(counts[keep])
 
 
