@@ -53,11 +53,16 @@ static int orthogonalize_columns(double complex *w, double complex *v, ptrdiff_t
                    sqrt(alpha * beta) would overflow for entries near 1e77 */
                 if (!(mag > eps * sqrt(alpha) * sqrt(beta)))
                     continue;
-                rotated = 1;
                 /* unitary 2x2 that diagonalizes the Gram block [[alpha, gamma], [conj(gamma), beta]] */
-                double complex phase = conj(gamma / mag);
                 double tau = (beta - alpha) / (2.0 * mag);
                 double t = copysign(1.0 / (fabs(tau) + sqrt(1.0 + tau * tau)), tau);
+                /* t == 0 once tau * tau overflows, for columns parallel far
+                   below eps: the rotation would only rescale column j by a
+                   phase, so it is neither applied nor counted */
+                if (t == 0.0)
+                    continue;
+                rotated = 1;
+                double complex phase = conj(gamma / mag);
                 double c = 1.0 / sqrt(1.0 + t * t), s = t * c;
                 double complex gp = -(s * phase), gq = c * phase;
                 rotate(wi, wj, m, c, s, gp, gq);

@@ -79,7 +79,11 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
 
     A pair counts as orthogonal once |w_p* w_q| <= eps |w_p| |w_q|, tested
     as ``eps * sqrt(alpha) * sqrt(beta)``: the product of the squared norms
-    would overflow for entries near 1e77 and pass every pair.
+    would overflow for entries near 1e77 and pass every pair.  A pair whose
+    rotation has t == 0 (tau * tau overflowed, so the columns are parallel
+    to within far less than eps) is neither rotated nor counted as a
+    rotation: applied, it would only rescale column q by a phase, in every
+    sweep.
 
     Returns the number of sweeps used, or -1 if the pass limit was reached
     before a sweep completed with no rotations; for a stack, the largest
@@ -109,20 +113,30 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
                 i = act.nonzero()[0]  # the pairs to rotate
                 if not i.size:
                     continue
-                acts.append(act)
                 alpha, beta, x, y = dots[:k].real, dots[k : 2 * k].real, g[:k], g[k : 2 * k]
                 if i.size < k:
                     p, q, x, y = p.take(i), q.take(i), x.take(i, axis=0), y.take(i, axis=0)
                     alpha, beta = alpha.take(i), beta.take(i)
                     gamma, mag = gamma.take(i), mag.take(i)
                 # unitary 2x2 that diagonalizes each Gram block
-                # [[alpha, gamma], [conj(gamma), beta]]; the parts of gamma
-                # are divided by mag as in C, where numpy's complex division
-                # would multiply by 1/mag, which overflows once mag is subnormal
-                parts = gamma.view(np.float64).reshape(-1, 2)
-                phase = (parts / mag[:, None]).view(np.complex128).conj()
+                # [[alpha, gamma], [conj(gamma), beta]]
                 tau = (beta - alpha) / (2.0 * mag)
                 t = np.copysign(1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau)), tau)
+                if np.count_nonzero(t) < t.size:
+                    # t == 0 once tau * tau overflows, for columns parallel
+                    # far below eps: such a rotation would only rescale
+                    # column q by a phase, so it is neither applied nor counted
+                    moved = t != 0.0
+                    act[i[~moved]] = False
+                    if not moved.any():
+                        continue
+                    p, q, x, y, gamma, mag, t = (z[moved] for z in (p, q, x, y, gamma, mag, t))
+                acts.append(act)
+                # the parts of gamma are divided by mag as in C, where numpy's
+                # complex division would multiply by 1/mag, which overflows
+                # once mag is subnormal
+                parts = gamma.view(np.float64).reshape(-1, 2)
+                phase = (parts / mag[:, None]).view(np.complex128).conj()
                 c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
                 s = t[:, None] * c
                 rows_of[p] = c * x - (s * phase) * y

@@ -9,7 +9,11 @@ spectral/Frobenius norms, orthogonal projectors and minimum-norm least
 squares.  Everything works internally in complex128 and accepts any real or
 complex 2-d array-like with finite entries.  ``jacobi_svd``, ``svd_factors``
 and ``pinv`` also take a stack ``(B, m, n)`` of same-shape matrices and
-factor it in one kernel call; a matrix is the one-element case.
+factor it in one kernel call; a matrix is the one-element case.  The
+matrices of a stack share one rank and one count of nonzero singular
+values.  ``jacobi_svd`` also takes a stack of stacks ``(S, B, m, n)``, still
+in one call, whose S stacks each keep their own; ``factor_pair`` factors
+two same-shape matrices or stacks that way, each with its own rank.
 """
 
 from __future__ import annotations
@@ -141,15 +145,27 @@ JACOBI_EPS = float(np.finfo(np.float64).eps)
 JACOBI_MAX_SWEEPS = 60
 
 
+def _stack_index(shape):
+    """Each matrix's index in a stack of ``shape``, none for a matrix.
+
+    With a trailing axis, so that ``x[index + (p,)]`` holds the rows ``p[i]``
+    of each ``x[i]``; the columns are the rows of ``x.swapaxes(-1, -2)``.
+    """
+    return tuple(i[..., None] for i in np.indices(shape, sparse=True))
+
+
 def jacobi_svd(a, compute_uv=True):
     """Thin SVD via one-sided Jacobi: returns (u, sigma, v), or sigma alone without ``compute_uv``.
 
     ``sigma`` holds all min(m, n) singular values sorted decreasing; ``u``
     (m x k) and ``v`` (n x k) hold the singular vectors of its k nonzero
     values, so ``a == (u * sigma[:k]) @ v*``.  A wide input is factored
-    through its conjugate transpose, and errors name the input's own shape.
-    A stack gives stacked factors; its matrices must share k, unless only
-    the values are asked for.
+    through its conjugate transpose, and errors name the shape of one input
+    matrix as given.  A stack gives stacked factors; its matrices must share
+    k, unless only the values are asked for.  A stack of stacks
+    ``(S, B, m, n)`` is factored in the same single kernel call, and each of
+    its S stacks keeps its own k: the factors come as a tuple of S triples
+    ``(u, sigma, v)``, the values alone as one array.
 
     Each matrix w (the input, or its conjugate transpose when wide, so
     m >= n) is preconditioned as in Drmac & Veselic ("New fast and accurate
@@ -161,8 +177,9 @@ def jacobi_svd(a, compute_uv=True):
     on the n x n r*.  With r* v_j = u_w diag(sigma), the factors are
     u = pr^T q v_j and v = pc u_w.  The values alone need neither q nor v_j.
     """
-    a = as_stack(a)
-    wide = a.shape[-2] < a.shape[-1]
+    a = _as_complex(a, (2, 3, 4), "a 2-d matrix, a 3-d stack of them or a 4-d stack of stacks")
+    shape = a.shape[-2:]
+    wide = shape[0] < shape[1]
     w = np.array(conj_transpose(a) if wide else a, order="C")  # a fresh copy, scaled in place
     parts = w.view(np.float64)
     k = np.frexp(np.abs(parts).reshape(parts.shape[:-2] + (1, -1)).max(axis=-1, keepdims=True))[1]
@@ -170,25 +187,30 @@ def jacobi_svd(a, compute_uv=True):
     m, n = w.shape[-2:]
     pc = np.argsort(-np.vecdot(w, w, axis=-2).real, axis=-1, kind="stable")
     pr = np.argsort(-np.abs(w).max(axis=-1), axis=-1, kind="stable")
-    # each matrix's index in a stack, none for a matrix: x[stack + (p,)] holds
-    # the rows p[i] of each x[i]; the columns are the rows of x.swapaxes(-1, -2)
-    stack = tuple(i[..., None] for i in np.indices(w.shape[:-2], sparse=True))
+    stack = _stack_index(w.shape[:-2])
     w = w[stack + (pr,)].swapaxes(-1, -2)[stack + (pc,)].swapaxes(-1, -2)
     if compute_uv:
         q, r = np.linalg.qr(w)
     else:
         r = np.linalg.qr(w, mode="r")
+    # the preconditioned copies go before the kernel, whose temporaries set
+    # the peak memory (twice as large for the joint stack of a pair)
+    del w, parts
     # the kernel rotates rows: those of r.conj() are the columns of r*, and
     # those of vt, an identity or empty, the columns of V_J
-    rt = r.conj()
+    rt = np.conjugate(r, out=r)
     nv = n if compute_uv else 0
     vt = np.empty(rt.shape[:-1] + (nv,), dtype=np.complex128)
     vt[...] = np.eye(n, nv)
     kernel = backends.get_kernel()
-    sweeps = kernel.orthogonalize_columns(rt, vt, JACOBI_EPS, JACOBI_MAX_SWEEPS)
+    # every matrix of a stack of stacks in one call, as one stack (views, rotated in place)
+    count = rt.size // (n * n)
+    sweeps = kernel.orthogonalize_columns(
+        rt.reshape(count, n, n), vt.reshape(count, n, nv), JACOBI_EPS, JACOBI_MAX_SWEEPS
+    )
     if sweeps < 0:
         raise RuntimeError(
-            f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {a.shape}"
+            f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {shape}"
         )
     scaled = np.linalg.norm(rt, axis=-1)
     order = np.argsort(-scaled, axis=-1, kind="stable")
@@ -196,16 +218,38 @@ def jacobi_svd(a, compute_uv=True):
     with np.errstate(over="ignore"):
         sig = np.ldexp(scaled, k[..., 0])
     if not np.all(np.isfinite(sig)):
-        raise RuntimeError(f"non-finite singular values (overflow) for shape {a.shape}")
+        raise RuntimeError(f"non-finite singular values (overflow) for shape {shape}")
     if not compute_uv:
         return sig
+    rotated = (q, rt, vt, scaled, order, pr, pc, sig)
+    if a.ndim < 4:
+        return _thin(stack, wide, *rotated)
+    inner = _stack_index(a.shape[1:-2])
+    return tuple(_thin(inner, wide, *(x[i] for x in rotated)) for i in range(len(a)))
+
+
+def _thin(stack, wide, q, rt, vt, scaled, order, pr, pc, sig):
+    """``jacobi_svd``'s factors of one matrix or stack from its rotated, sorted state."""
     nonzero = _one_per_stack((sig > 0.0).sum(axis=-1), "number of nonzero singular values")
     keep = stack + (order[..., :nonzero],)
-    u = np.empty(w.shape[:-1] + (nonzero,), dtype=np.complex128)
+    u = np.empty(q.shape[:-1] + (nonzero,), dtype=np.complex128)
     v = np.empty(rt.shape[:-1] + (nonzero,), dtype=np.complex128)
     u[stack + (pr,)] = q @ vt[keep].swapaxes(-1, -2)
     v[stack + (pc,)] = rt[keep].swapaxes(-1, -2) / scaled[..., None, :nonzero]
     return (v, sig, u) if wide else (u, sig, v)
+
+
+def _checked_cutoff(tol):
+    if tol is not None and not 0.0 <= float(tol) < np.inf:
+        raise ValueError(f"rank cutoff must be finite and non-negative, got {tol}")
+
+
+def _at_rank(svd, tol):
+    """``SvdFactors`` of the thin SVD ``svd = (u, sigma, v)`` of a matrix or stack."""
+    u, sig, v = svd
+    cut = default_cutoff((u.shape[-2], v.shape[-2]), sig[..., 0]) if tol is None else float(tol)
+    rank = _one_per_stack((sig > np.asarray(cut)[..., None]).sum(axis=-1), "rank")
+    return SvdFactors(u1=u[..., :rank], sigma=sig, v1=v[..., :rank], rank=rank, tol=cut)
 
 
 def svd_factors(a, tol=None):
@@ -217,12 +261,22 @@ def svd_factors(a, tol=None):
     come out with the same rank.
     """
     a = as_stack(a)
-    if tol is not None and not 0.0 <= float(tol) < np.inf:
-        raise ValueError(f"rank cutoff must be finite and non-negative, got {tol}")
-    u, sig, v = jacobi_svd(a)
-    cut = default_cutoff(a.shape, sig[..., 0]) if tol is None else float(tol)
-    rank = _one_per_stack((sig > np.asarray(cut)[..., None]).sum(axis=-1), "rank")
-    return SvdFactors(u1=u[..., :rank], sigma=sig, v1=v[..., :rank], rank=rank, tol=cut)
+    _checked_cutoff(tol)
+    return _at_rank(jacobi_svd(a), tol)
+
+
+def factor_pair(a, b, tol=None):
+    """``(svd_factors(a, tol), svd_factors(b, tol))``, bit for bit, from one kernel call.
+
+    ``a`` and ``b`` are same-shape complex128 matrices or stacks, as
+    ``as_stack`` returns them.  They go to ``jacobi_svd`` as the two stacks
+    of a stack of stacks, so each side keeps its own count of nonzero
+    singular values and its own rank; within a side, a stack shares them.
+    """
+    _checked_cutoff(tol)
+    sides = jacobi_svd(np.stack((a, b)).reshape((2, -1) + a.shape[-2:]))
+    # back from a stack of one matrix to the matrix, for a pair
+    return tuple(_at_rank([x.reshape(a.shape[:-2] + x.shape[1:]) for x in svd], tol) for svd in sides)
 
 
 def pinv(a, tol=None):

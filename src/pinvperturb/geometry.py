@@ -33,12 +33,11 @@ from .core import (
     as_matrix,
     as_stack,
     conj_transpose,
+    factor_pair,
     jacobi_svd,
     named_failure,
     pinv,
-    spectral_norm,
     strict_arithmetic,
-    svd_factors,
 )
 
 def _fro2(x):
@@ -162,15 +161,39 @@ class PerturbationPair:
         except ArithmeticError as exc:
             raise named_failure("product norms", exc) from exc
 
+    @cached_property
+    def spectral_norms(self):
+        """``(|e|_2, |b+ - a+|_2)`` from one values-only SVD, whichever of the two is asked for first.
+
+        ``b+ - a+`` is stacked with ``e`` as it is when the pair is square and
+        as its conjugate transpose otherwise: ``jacobi_svd`` factors a wide
+        matrix through its conjugate transpose, so the kernel sees the very
+        matrices that two separate calls would give it, and the values are the
+        same bits.  An arithmetic error names the exact deviation.
+        """
+        e = self.e
+
+        def with_e(d):
+            d = d if d.shape == e.shape else conj_transpose(d)
+            return jacobi_svd(np.stack((e, d)), compute_uv=False)[..., 0]
+
+        s = _deviation(self, with_e)
+        return s[0][()], s[1][()]
+
 
 def make_pair(a, b, tol=None):
-    """The pair (a, b), or the stack of pairs (a[i], b[i]); each side has one rank for the stack."""
+    """The pair (a, b), or the stack of pairs (a[i], b[i]).
+
+    Both sides are factored in one kernel call (``core.factor_pair``), and
+    each keeps its own rank and count of nonzero singular values: ``fa`` and
+    ``fb`` equal ``svd_factors(a, tol)`` and ``svd_factors(b, tol)`` bit for
+    bit.  Within a side, the pairs of a stack share one rank.
+    """
     a = as_stack(a)
     b = as_stack(b)
     if a.shape != b.shape:
         raise ShapeError(f"pair shapes differ: {a.shape} vs {b.shape}")
-    fa = svd_factors(a, tol=tol)
-    fb = svd_factors(b, tol=tol)
+    fa, fb = factor_pair(a, b, tol)
     return PerturbationPair(
         a=a, b=b, e=b - a, fa=fa, fb=fb, pinv_a=pinv(fa), pinv_b=pinv(fb)
     )
@@ -181,7 +204,9 @@ def swap_pair(p):
     q = PerturbationPair(
         a=p.b, b=p.a, e=-p.e, fa=p.fb, fb=p.fa, pinv_a=p.pinv_b, pinv_b=p.pinv_a
     )
-    q.__dict__["norms"] = p.norms.swapped  # prefill the cached property
+    # prefill the cached properties: no norm sees the sign of e or of b+ - a+
+    q.__dict__["norms"] = p.norms.swapped
+    q.__dict__["spectral_norms"] = p.spectral_norms
     return q
 
 
@@ -238,7 +263,7 @@ def _product_norms(p):
         **{f"{name}4": v * v for name, v in sq.items()},
         e2=e2,
         ef=np.sqrt(e2),
-        es=spectral_norm(e),
+        es=p.spectral_norms[0],
         **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b, fa, fb),
         **{k.translate(_SWAP_AB): v for k, v in mirror.items()},
     )
@@ -263,7 +288,8 @@ def deviation_fro(p):
 
 
 def deviation_spectral(p):
-    return _deviation(p, spectral_norm)
+    """Exact spectral deviation |b+ - a+|_2, read from ``p.spectral_norms``."""
+    return p.spectral_norms[1]
 
 
 def identity_terms(p):

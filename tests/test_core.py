@@ -207,6 +207,26 @@ def test_out_of_range_pseudoinverse_raises():
         lstsq_min_norm(1e-300 * np.eye(2), [1e300, 1.0])
 
 
+def test_stack_of_stacks_equals_its_stacks():
+    # one kernel call for S stacks, each with its own count of nonzero values
+    rng = np.random.default_rng(73)
+    first = rng.standard_normal((2, 4, 3))
+    second = np.zeros((2, 4, 3))  # rank one, so one nonzero value each
+    second[:, 0, 0] = [1.0, 0.5]
+    both = jacobi_svd(np.array([first, second]))
+    assert len(both) == 2
+    for got, stack in zip(both, (first, second)):
+        for mine, alone in zip(got, jacobi_svd(stack)):
+            assert mine.shape == alone.shape and mine.tobytes() == alone.tobytes()
+    values = jacobi_svd(np.array([first, second]), compute_uv=False)
+    assert values.tobytes() == np.array([both[0][1], both[1][1]]).tobytes()
+    # within one stack of the stack, the count is still shared
+    with pytest.raises(ValueError, match=r"same number of nonzero singular values, got 1, 3"):
+        jacobi_svd(np.array([first, [second[0], first[1]]]))
+    with pytest.raises(ShapeError):
+        jacobi_svd(np.zeros((1, 1, 1, 2, 2)))
+
+
 def test_stack_with_mixed_ranks_rejected():
     with pytest.raises(ValueError, match=r"same rank, got 1, 2"):
         svd_factors(np.array([np.diag([1.0, 0.1]), np.eye(2)]), tol=0.5)

@@ -244,8 +244,9 @@ def test_report_and_solve_complete_no_basis(monkeypatch):
     b = lowrank(rng, 7, 4, 3, True)
     full_report(make_pair(a, b))
     lstsq_min_norm(a, rng.standard_normal(7))
-    # two factorizations, two spectral norms and one solve, all preconditioned
-    assert len(widths) == 5
+    # a and b factored in one stacked call, both spectral norms in another,
+    # and one solve, all preconditioned
+    assert len(widths) == 3
     assert all(q <= k for q, k in widths)
     del widths[:]
     aligning_unitaries(a, b)
