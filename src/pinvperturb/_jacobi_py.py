@@ -74,8 +74,8 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     accumulator for each, laid out the same way: rotating rows i and j of
     ``w`` rotates rows i and j of ``v``.
     The matrices of a stack rotate in lockstep, one gather, test and rotate
-    per round for all of them, and each leaves the stack after its first
-    sweep with no rotation, so it ends as it would alone.
+    per round for all of them, until each has had a sweep with no rotation;
+    after that it never changes, so each ends as it would alone.
 
     A pair counts as orthogonal once |w_p* w_q| <= eps |w_p| |w_q|, tested
     as ``eps * sqrt(alpha) * sqrt(beta)``: the product of the squared norms
@@ -95,14 +95,13 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     # one gather and two scatters per round rotate both
     wv = np.concatenate((w, v), axis=-1).reshape(-1, n, m + v.shape[-1])
     sweeps = np.full(len(wv), -1)
-    live = np.arange(len(wv))  # the matrices still sweeping
+    rows_of = wv.reshape(-1, wv.shape[-1])  # a view: each matrix's rows in turn
+    rounds = _stacked_rounds(n, len(wv))
     # a matrix that cannot converge may overflow tau * tau; it reports -1, quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(max_sweeps):
-            cur = wv if live.size == len(wv) else wv[live]
-            rows_of = cur.reshape(-1, cur.shape[-1])  # a view: each matrix's rows in turn
             acts = []  # which pairs rotated, per round that rotated any
-            for p, q, rows in _stacked_rounds(n, live.size):
+            for p, q, rows in rounds:
                 k = p.size
                 g = rows_of.take(rows, axis=0)
                 dots = np.add.reduce(g[: 3 * k, :m].conj() * g[2 * k :, :m], axis=1)
@@ -141,15 +140,12 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
                 s = t[:, None] * c
                 rows_of[p] = c * x - (s * phase) * y
                 rows_of[q] = s * x + (c * phase) * y
-            if cur is not wv:
-                wv[live] = cur
-            if not acts:  # a sweep without rotations: every matrix left is done
-                sweeps[live] = sweep + 1
+            if not acts:  # a sweep without rotations: every matrix is done
+                sweeps[sweeps < 0] = sweep + 1
                 break
-            if live.size > 1:
-                rotated = np.concatenate(acts).reshape(len(acts), live.size, -1).any(axis=(0, 2))
-                sweeps[live[~rotated]] = sweep + 1
-                live = live[rotated]
+            if len(wv) > 1:  # the first sweep without rotations of each matrix
+                rotated = np.concatenate(acts).reshape(len(acts), len(wv), -1).any(axis=(0, 2))
+                sweeps[~rotated & (sweeps < 0)] = sweep + 1
     w[...] = wv[..., :m].reshape(w.shape)
     v[...] = wv[..., m:].reshape(v.shape)
     return sweep_summary(sweeps, counts)

@@ -7,13 +7,13 @@ threshold and pass limit are ``JACOBI_EPS`` and ``JACOBI_MAX_SWEEPS`` here,
 and nowhere else.  On top of that sit the Moore-Penrose inverse,
 spectral/Frobenius norms, orthogonal projectors and minimum-norm least
 squares.  Everything works internally in complex128 and accepts any real or
-complex 2-d array-like with finite entries.  ``jacobi_svd``, ``svd_factors``
-and ``pinv`` also take a stack ``(B, m, n)`` of same-shape matrices and
-factor it in one kernel call; a matrix is the one-element case.  The
-matrices of a stack share one rank and one count of nonzero singular
-values.  ``jacobi_svd`` also takes a stack of stacks ``(S, B, m, n)``, still
-in one call, whose S stacks each keep their own; ``factor_pair`` factors
-two same-shape matrices or stacks that way, each with its own rank.
+complex 2-d array-like with finite entries.  ``svd_factors`` and ``pinv``
+also take a stack ``(B, m, n)`` of same-shape matrices, ``jacobi_svd`` a
+stack of any leading shape, and each factors it in one kernel call; a
+matrix is the one-element case.  A stack's thin factors keep as many
+vectors as its largest count of nonzero singular values, with zero ``v``
+(wide: ``u``) columns past each matrix's own count.  Only the rank is
+shared, so ``factor_pair`` factors a and b as one stack, each at its own.
 """
 
 from __future__ import annotations
@@ -161,11 +161,11 @@ def jacobi_svd(a, compute_uv=True):
     (m x k) and ``v`` (n x k) hold the singular vectors of its k nonzero
     values, so ``a == (u * sigma[:k]) @ v*``.  A wide input is factored
     through its conjugate transpose, and errors name the shape of one input
-    matrix as given.  A stack gives stacked factors; its matrices must share
-    k, unless only the values are asked for.  A stack of stacks
-    ``(S, B, m, n)`` is factored in the same single kernel call, and each of
-    its S stacks keeps its own k: the factors come as a tuple of S triples
-    ``(u, sigma, v)``, the values alone as one array.
+    matrix as given.  A stack of any leading shape gives stacked factors in
+    one kernel call, with k the largest count in the stack: past a matrix's
+    own count, its columns of ``v`` are zero and those of ``u`` orthonormal
+    (the other way round for a wide stack), so its first columns and
+    ``sigma`` are those it gets alone.
 
     Each matrix w (the input, or its conjugate transpose when wide, so
     m >= n) is preconditioned as in Drmac & Veselic ("New fast and accurate
@@ -177,7 +177,7 @@ def jacobi_svd(a, compute_uv=True):
     on the n x n r*.  With r* v_j = u_w diag(sigma), the factors are
     u = pr^T q v_j and v = pc u_w.  The values alone need neither q nor v_j.
     """
-    a = _as_complex(a, (2, 3, 4), "a 2-d matrix, a 3-d stack of them or a 4-d stack of stacks")
+    a = _as_complex(a, range(2, 65), "a matrix or a stack of them")  # numpy allows 64 axes
     shape = a.shape[-2:]
     wide = shape[0] < shape[1]
     w = np.array(conj_transpose(a) if wide else a, order="C")  # a fresh copy, scaled in place
@@ -203,7 +203,7 @@ def jacobi_svd(a, compute_uv=True):
     vt = np.empty(rt.shape[:-1] + (nv,), dtype=np.complex128)
     vt[...] = np.eye(n, nv)
     kernel = backends.get_kernel()
-    # every matrix of a stack of stacks in one call, as one stack (views, rotated in place)
+    # every matrix in one call, as one stack (views, rotated in place)
     count = rt.size // (n * n)
     sweeps = kernel.orthogonalize_columns(
         rt.reshape(count, n, n), vt.reshape(count, n, nv), JACOBI_EPS, JACOBI_MAX_SWEEPS
@@ -221,21 +221,18 @@ def jacobi_svd(a, compute_uv=True):
         raise RuntimeError(f"non-finite singular values (overflow) for shape {shape}")
     if not compute_uv:
         return sig
-    rotated = (q, rt, vt, scaled, order, pr, pc, sig)
-    if a.ndim < 4:
-        return _thin(stack, wide, *rotated)
-    inner = _stack_index(a.shape[1:-2])
-    return tuple(_thin(inner, wide, *(x[i] for x in rotated)) for i in range(len(a)))
-
-
-def _thin(stack, wide, q, rt, vt, scaled, order, pr, pc, sig):
-    """``jacobi_svd``'s factors of one matrix or stack from its rotated, sorted state."""
-    nonzero = _one_per_stack((sig > 0.0).sum(axis=-1), "number of nonzero singular values")
+    # the stack's largest count; past its own, a matrix's v columns are zero
+    nonzero = int((sig > 0.0).sum(axis=-1).max())
     keep = stack + (order[..., :nonzero],)
     u = np.empty(q.shape[:-1] + (nonzero,), dtype=np.complex128)
     v = np.empty(rt.shape[:-1] + (nonzero,), dtype=np.complex128)
     u[stack + (pr,)] = q @ vt[keep].swapaxes(-1, -2)
-    v[stack + (pc,)] = rt[keep].swapaxes(-1, -2) / scaled[..., None, :nonzero]
+    v[stack + (pc,)] = np.divide(
+        rt[keep].swapaxes(-1, -2),
+        scaled[..., None, :nonzero],
+        out=np.zeros_like(v),
+        where=sig[..., None, :nonzero] > 0.0,
+    )
     return (v, sig, u) if wide else (u, sig, v)
 
 
@@ -269,14 +266,13 @@ def factor_pair(a, b, tol=None):
     """``(svd_factors(a, tol), svd_factors(b, tol))``, bit for bit, from one kernel call.
 
     ``a`` and ``b`` are same-shape complex128 matrices or stacks, as
-    ``as_stack`` returns them.  They go to ``jacobi_svd`` as the two stacks
-    of a stack of stacks, so each side keeps its own count of nonzero
-    singular values and its own rank; within a side, a stack shares them.
+    ``as_stack`` returns them, factored as one stack.  Each side is cut at
+    its own rank, which never exceeds its own count of nonzero singular
+    values, so the zero ``v`` columns of the joint factors are never kept.
     """
     _checked_cutoff(tol)
-    sides = jacobi_svd(np.stack((a, b)).reshape((2, -1) + a.shape[-2:]))
-    # back from a stack of one matrix to the matrix, for a pair
-    return tuple(_at_rank([x.reshape(a.shape[:-2] + x.shape[1:]) for x in svd], tol) for svd in sides)
+    u, sig, v = jacobi_svd(np.stack((a, b)))
+    return _at_rank((u[0], sig[0], v[0]), tol), _at_rank((u[1], sig[1], v[1]), tol)
 
 
 def pinv(a, tol=None):

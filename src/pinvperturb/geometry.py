@@ -185,9 +185,9 @@ def make_pair(a, b, tol=None):
     """The pair (a, b), or the stack of pairs (a[i], b[i]).
 
     Both sides are factored in one kernel call (``core.factor_pair``), and
-    each keeps its own rank and count of nonzero singular values: ``fa`` and
-    ``fb`` equal ``svd_factors(a, tol)`` and ``svd_factors(b, tol)`` bit for
-    bit.  Within a side, the pairs of a stack share one rank.
+    each keeps its own rank: ``fa`` and ``fb`` equal ``svd_factors(a, tol)``
+    and ``svd_factors(b, tol)`` bit for bit.  Within a side, the pairs of a
+    stack share one rank; the counts of nonzero singular values may differ.
     """
     a = as_stack(a)
     b = as_stack(b)
@@ -417,8 +417,7 @@ def von_neumann_sum(m_, n_):
     This is the sharp upper bound for |Re tr(u m v n*)| over unitary u, v.
     """
     m_, n_ = _trace_pairing(m_, n_)
-    sm = jacobi_svd(m_, compute_uv=False)
-    sn = jacobi_svd(n_, compute_uv=False)
+    sm, sn = jacobi_svd(np.stack((m_, n_)), compute_uv=False)
     return float(np.dot(sm, sn))
 
 

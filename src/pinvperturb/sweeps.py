@@ -64,28 +64,37 @@ def case_matrices(example, tau):
     return _diag(np.ones_like(tau), 0.0), b
 
 
+# the exact deviations of the two examples, which several estimators attain
+def _exact_1(t):
+    return 4.0 * t**2 + 1.0 / t**2
+
+
+def _exact_2(t):
+    return 5.0 / (4.0 * t**2)
+
+
 CLOSED_FORMS = {
     1: {
-        "exact": lambda t: 4.0 * t**2 + 1.0 / t**2,
-        "li_refined": lambda t: 4.0 * t**2 + 1.0 / t**2 + 4.0 / (t**2 * (1.0 + 2.0 * t) ** 2) - 4.0,
-        "alpha_upper": lambda t: 4.0 * t**2 + 1.0 / t**2,
-        "beta_upper": lambda t: 4.0 * t**2 + 1.0 / t**2,
+        "exact": _exact_1,
+        "li_refined": lambda t: _exact_1(t) + 4.0 / (t**2 * (1.0 + 2.0 * t) ** 2) - 4.0,
+        "alpha_upper": _exact_1,
+        "beta_upper": _exact_1,
         # an array power other than a square may take a SIMD pow(), so t^4 is a squared square
         "gamma_upper": lambda t: (
-            4.0 * t**2 + 1.0 / t**2 + 4.0 * t**2 / (1.0 + 2.0 * t) ** 2 - 4.0 * (t**2) ** 2
+            _exact_1(t) + 4.0 * t**2 / (1.0 + 2.0 * t) ** 2 - 4.0 * (t**2) ** 2
         ),
-        "delta_upper": lambda t: 4.0 * t**2 + 1.0 / t**2,
-        "averaged_upper": lambda t: 4.0 * t**2 + 1.0 / t**2,
+        "delta_upper": _exact_1,
+        "averaged_upper": _exact_1,
         "singular_value_lower": lambda t: (1.0 - 1.0 / t) ** 2 + (1.0 + 2.0 * t) ** 2,
         "singular_value_upper": lambda t: (1.0 + 1.0 / t) ** 2 + (1.0 + 2.0 * t) ** 2,
     },
     2: {
-        "exact": lambda t: 5.0 / (4.0 * t**2),
-        "alpha_lower": lambda t: 5.0 / (4.0 * t**2),
-        "beta_lower": lambda t: 5.0 / (4.0 * t**2),
-        "gamma_lower": lambda t: 5.0 / (4.0 * t**2) + 1.0 / (1.0 + t) ** 2 - 4.0,
-        "delta_lower": lambda t: 4.0 * t**2 + 1.0 / t**2,
-        "singular_value_lower": lambda t: 5.0 / (4.0 * t**2),
+        "exact": _exact_2,
+        "alpha_lower": _exact_2,
+        "beta_lower": _exact_2,
+        "gamma_lower": lambda t: _exact_2(t) + 1.0 / (1.0 + t) ** 2 - 4.0,
+        "delta_lower": _exact_1,
+        "singular_value_lower": _exact_2,
         "singular_value_upper": lambda t: (1.0 + 2.0 * t) ** 2 / t**2 + 1.0 / (4.0 * t**2),
     },
 }

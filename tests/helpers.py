@@ -1,8 +1,11 @@
-"""Shared test inputs."""
+"""Shared test inputs and kernel names."""
 
 from __future__ import annotations
 
 import numpy as np
+
+BACKENDS = ["compiled", "python"]
+NO_COMPILED = "no built _jacobi library, and no cc to compile src/pinvperturb/_jacobi.c"
 
 
 def lowrank(rng, m, n, r, cplx):

@@ -22,7 +22,7 @@ from pinvperturb.core import (
     svd_factors,
 )
 
-from helpers import lowrank
+from helpers import BACKENDS, lowrank
 
 
 def test_as_matrix_validation():
@@ -207,32 +207,37 @@ def test_out_of_range_pseudoinverse_raises():
         lstsq_min_norm(1e-300 * np.eye(2), [1e300, 1.0])
 
 
-def test_stack_of_stacks_equals_its_stacks():
-    # one kernel call for S stacks, each with its own count of nonzero values
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_stack_with_mixed_nonzero_counts_equals_its_matrices(backend):
+    # 3, 1, 0 and 2 nonzero singular values in one 2 x 4 stack, tall and wide
     rng = np.random.default_rng(73)
-    first = rng.standard_normal((2, 4, 3))
-    second = np.zeros((2, 4, 3))  # rank one, so one nonzero value each
-    second[:, 0, 0] = [1.0, 0.5]
-    both = jacobi_svd(np.array([first, second]))
-    assert len(both) == 2
-    for got, stack in zip(both, (first, second)):
-        for mine, alone in zip(got, jacobi_svd(stack)):
-            assert mine.shape == alone.shape and mine.tobytes() == alone.tobytes()
-    values = jacobi_svd(np.array([first, second]), compute_uv=False)
-    assert values.tobytes() == np.array([both[0][1], both[1][1]]).tobytes()
-    # within one stack of the stack, the count is still shared
-    with pytest.raises(ValueError, match=r"same number of nonzero singular values, got 1, 3"):
-        jacobi_svd(np.array([first, [second[0], first[1]]]))
+    for shape in [(4, 3), (3, 4)]:
+        one, two = np.zeros(shape), np.zeros(shape, dtype=complex)
+        one[0, 0] = 0.5
+        two[:2, :2] = [[1.0, 2.0j], [3.0, -1.0]]
+        mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape), one, 0 * one, two]
+        stack = np.array([mats, mats[::-1]])
+        u, sigma, v = jacobi_svd(stack)
+        assert u.shape == (2, 4, shape[0], 3) and v.shape == (2, 4, shape[1], 3)
+        for i in np.ndindex(stack.shape[:2]):
+            alone = jacobi_svd(stack[i])
+            k = alone[0].shape[-1]
+            assert sigma[i].tobytes() == alone[1].tobytes()
+            assert u[i][:, :k].tobytes() == alone[0].tobytes()
+            assert v[i][:, :k].tobytes() == alone[2].tobytes()
+            # past its own count, v is zero and u stays orthonormal; the other
+            # way round for a wide stack, factored through its conjugate transpose
+            zero, unitary = (u[i], v[i]) if shape[0] < shape[1] else (v[i], u[i])
+            assert not zero[:, k:].any()
+            assert_allclose(unitary.conj().T @ unitary, np.eye(3), atol=1e-15)
+        assert jacobi_svd(stack, compute_uv=False).tobytes() == sigma.tobytes()
     with pytest.raises(ShapeError):
-        jacobi_svd(np.zeros((1, 1, 1, 2, 2)))
+        jacobi_svd(np.zeros(3))
 
 
 def test_stack_with_mixed_ranks_rejected():
     with pytest.raises(ValueError, match=r"same rank, got 1, 2"):
         svd_factors(np.array([np.diag([1.0, 0.1]), np.eye(2)]), tol=0.5)
-    # thin factors keep the vectors of the nonzero values, so their count must agree too
-    with pytest.raises(ValueError, match=r"same number of nonzero singular values, got 1, 2"):
-        jacobi_svd(np.array([np.diag([1.0, 0.0]), np.eye(2)]))
     with pytest.raises(ShapeError):
         svd_factors(np.zeros((0, 2, 2)))
     with pytest.raises(ShapeError):

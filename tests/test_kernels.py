@@ -28,40 +28,10 @@ from pinvperturb.core import (
 from pinvperturb.geometry import deviation_spectral, make_pair, swap_pair
 from pinvperturb.sweeps import CLOSED_FORMS, SweepSpec, case_matrices, sweep_example
 
-from helpers import lowrank
+from helpers import BACKENDS, NO_COMPILED, lowrank
 
-BACKENDS = ["compiled", "python"]
-KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "pinvperturb" / "_jacobi.c"
 # the name setuptools gives the built kernel
 BUILT_KERNEL = Path(backends.__file__).with_name("_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
-NO_COMPILED = "no built _jacobi library, and no cc to compile src/pinvperturb/_jacobi.c"
-
-
-@pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    """The built kernel, else ``_jacobi.c`` compiled here with ``cc``; None without either."""
-    if backends._jacobi is not None or shutil.which("cc") is None:
-        return backends._jacobi
-    lib = tmp_path_factory.mktemp("kernel") / "_jacobi.so"
-    cmd = ["cc", "-O3", "-shared", "-fPIC", "-std=c99", "-o", str(lib), str(KERNEL_SOURCE)]
-    subprocess.run(cmd, check=True)
-    return backends.load_compiled(lib)
-
-
-@pytest.fixture
-def kernels(monkeypatch, compiled_kernel):
-    """Backend names loadable in the test, the compiled one from ``compiled_kernel``."""
-    monkeypatch.setattr(backends, "_jacobi", compiled_kernel)
-    return available_backends()
-
-
-@pytest.fixture
-def backend(request, kernels, monkeypatch):
-    """Select the kernel named by the (indirect) parameter for the whole test."""
-    if request.param not in kernels:
-        pytest.skip(NO_COMPILED)
-    monkeypatch.setenv("PINVPERTURB_BACKEND", request.param)
-    return request.param
 
 
 @pytest.mark.skipif(
@@ -382,12 +352,26 @@ def test_stack_whose_perturbation_vanishes_for_some_pairs(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_stack_mixing_nonzero_counts_at_one_rank(backend):
+    # both of rank one, with two and one nonzero singular values
+    stack = np.array([np.diag([1.0, 1e-20]), np.diag([1.0, 0.0])])
+    f = svd_factors(stack)
+    assert f.rank == 1
+    for i, a in enumerate(stack):
+        alone = svd_factors(a)
+        for field in ("u1", "sigma", "v1"):
+            assert getattr(f, field)[i].tobytes() == getattr(alone, field).tobytes(), field
+        assert_array_equal(pinv(stack)[i], pinv(a))
+    _check_stack_report_equals_pair_reports(stack, stack[::-1])
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_values_alone_equal_the_full_factorization(backend):
     rng = np.random.default_rng(59)
     for shape in [(5, 3), (3, 5), (4, 4), (3, 6, 2), (256, 16)]:
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert_array_equal(jacobi_svd(a, compute_uv=False), jacobi_svd(a)[1])
-    # a stack that mixes nonzero counts has values, but no shared thin vectors
+    # a stack that mixes nonzero counts
     mixed = np.array([np.diag([1.0, 0.0]), np.eye(2)])
     assert_array_equal(jacobi_svd(mixed, compute_uv=False), [[1.0, 0.0], [1.0, 1.0]])
     assert_array_equal(spectral_norm(mixed), [1.0, 1.0])
