@@ -126,8 +126,15 @@ class SvdFactors:
 
     @property
     def norm2(self):
-        """Largest singular value."""
+        """Spectral norm of the kept part: the largest kept singular value, 0 at rank 0."""
+        if not self.rank:
+            return np.zeros(self.sigma.shape[:-1])[()]
         return self.sigma[..., 0][()]
+
+    @property
+    def kept(self):
+        """The kept part u1 @ diag(sigma1) @ v1*, the matrix that ``pinv`` inverts."""
+        return (self.u1 * self.sigma1[..., None, :]) @ conj_transpose(self.v1)
 
     @property
     def pinv_norm2(self):

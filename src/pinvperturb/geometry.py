@@ -59,19 +59,30 @@ class ProductNorms:
     ``na``/``nb``/``nai``/``nbi`` are the spectral norms of a, b and their
     pseudoinverses, and ``na2``/``na4`` and so on their squares and fourth
     powers, taken as products: a power of a numpy scalar goes through the C
-    library's pow(), which would give a pair other bits than its stack.  The
-    remaining fields are squared Frobenius norms of the projected
-    perturbation products, except ``ef`` (Frobenius norm of e, the square
-    root of ``e2``) and ``es`` (spectral norm of e).  A ``_c`` field is a
-    Pythagorean complement, taken as the norm of a projected product rather
-    than as the equal difference noted beside it, which cancels.  A ``_r``
-    or ``_1`` field is such a difference too, taken as a sum of
-    non-negative terms over singular directions: with s_i and v_i the
-    singular values and right vectors of b, |a+ e b+|^2 = sum_i
-    |a+ e v_i|^2 / s_i^2, so ``aebb_r`` weighs |a+ e v_i|^2 by
-    1 - (s_r/s_i)^2 for the smallest s_r, and ``aebb_1`` by (s_1/s_i)^2 - 1
-    for the largest s_1; ``aaeb_r`` and ``aaeb_1`` do the same with the
-    rows u_i* e b+ and the singular values of a.
+    library's pow(), which would give a pair other bits than its stack.
+    ``e2`` is |e|_F^2, ``ef`` its square root and ``es`` |e|_2.  The other
+    fields are the squared Frobenius norms of the projected perturbation
+    products named beside them.  With a = ua Sa va* and b = ub Sb vb* at
+    their ranks, those through (a, e) are read from three thin blocks,
+    F = ua* e, G = e vb and C = ua* e vb (``_oriented``); their mirrors
+    from the same blocks with a and b exchanged.  A ``_c`` field is a
+    Pythagorean complement, taken as the norm of a projected block, such
+    as Sa^-1 (F - C vb*) for ``aebb_c``, rather than as the equal
+    difference noted beside it, which cancels.  A ``_r`` or ``_1`` field
+    is such a difference too, taken as a sum of non-negative terms.  With
+    c_i the columns of Sa^-1 C and s_1 >= ... >= s_r the singular values of
+    b, ``aebb`` = sum_i |c_i|^2 and ``y`` = sum_i |c_i|^2 / s_i^2, so
+    ``aebb_r`` = sum_i (1 - (s_r/s_i)^2) |c_i|^2 and ``aebb_1`` =
+    sum_i ((s_1/s_i)^2 - 1) |c_i|^2; ``aaeb_r`` and ``aaeb_1`` weigh the
+    rows of C Sb^-1 by the singular values of a in the same way.  Since
+    ae = aebb_c + aebb, ae - y / nbi2 = aebb_c + aebb_r and
+    ae - nb2 y = aebb_c - aebb_1, and the same holds for eb with the
+    ``aaeb`` fields.  So ``gamma_upper`` adds the non-negative ``aebb_r``
+    and ``aaeb_r`` to the complements that ``alpha_upper`` scales, and
+    ``gamma_lower`` subtracts the non-negative ``aebb_1`` and ``aaeb_1``
+    from those that ``alpha_lower`` scales.  Rounding is monotone, so
+    gamma_upper >= alpha_upper and gamma_lower <= alpha_lower hold by
+    construction, whatever the rounding of the blocks.
     """
 
     na: float
@@ -188,12 +199,17 @@ def make_pair(a, b, tol=None):
     each keeps its own rank: ``fa`` and ``fb`` equal ``svd_factors(a, tol)``
     and ``svd_factors(b, tol)`` bit for bit.  Within a side, the pairs of a
     stack share one rank; the counts of nonzero singular values may differ.
+    An explicit ``tol`` makes the pair that of the kept parts ``fa.kept``
+    and ``fb.kept``, so that e and every norm describe the matrices whose
+    pseudoinverses are compared.
     """
     a = as_stack(a)
     b = as_stack(b)
     if a.shape != b.shape:
         raise ShapeError(f"pair shapes differ: {a.shape} vs {b.shape}")
     fa, fb = factor_pair(a, b, tol)
+    if tol is not None:
+        a, b = fa.kept, fb.kept
     return PerturbationPair(
         a=a, b=b, e=b - a, fa=fa, fb=fb, pinv_a=pinv(fa), pinv_b=pinv(fb)
     )
@@ -217,31 +233,41 @@ def _weighted(sq, s):
     return np.vecdot((1.0 - low) * (1.0 + low), sq), np.vecdot((high - 1.0) * (high + 1.0), sq)
 
 
-def _oriented(pa, pb, e, a, b, fa, fb):
+def _oriented(e, fa, fb):
     """The squared product norms of one orientation, by their a-side names.
 
-    ``fa`` and ``fb`` are the factors of a and b: I - a a+ = I - ua ua*,
-    I - b+ b = I - vb vb*, with ua = fa.u1 and vb = fb.v1.
+    ``fa`` and ``fb`` are the factors of a and b, with a+ = va Sa^-1 ua* and
+    b+ = vb Sb^-1 ub*.  Every norm is read from three thin blocks,
+    F = ua* e (r_a x n), G = e vb (m x r_b) and C = F vb = ua* e vb
+    (r_a x r_b): the orthonormal columns of va and ub drop out of a
+    Frobenius norm, and a a+ = ua ua*, b+ b = vb vb*.  So |a+ e|^2 =
+    |Sa^-1 F|^2, |e b+|^2 = |G Sb^-1|^2, |a+ e b+|^2 = |Sa^-1 C Sb^-1|^2,
+    |a a+ e b+|^2 = |C Sb^-1|^2, |a+ e b+ b|^2 = |Sa^-1 C|^2, and the
+    complements are |Sa^-1 (F - C vb*)|^2, |(G - ua C) Sb^-1|^2,
+    |e - G vb*|^2 and |e - ua F|^2.  The ``_r`` and ``_1`` sums weigh the
+    columns of Sa^-1 C and the rows of C Sb^-1 (see ``ProductNorms``).  No
+    block is larger than e.
     """
     ua, vb = fa.u1, fb.v1
-    pae = pa @ e
-    epb = e @ pb
-    y_m = pa @ epb
-    vbh, uah = conj_transpose(vb), conj_transpose(ua)
-    pae_vb = pae @ vb  # its column i is a+ e v_i
-    uah_epb = uah @ epb  # its row i is u_i* e b+
-    aebb_r, aebb_1 = _weighted(np.vecdot(pae_vb, pae_vb, axis=-2).real, fb.sigma1)
-    aaeb_r, aaeb_1 = _weighted(np.vecdot(uah_epb, uah_epb).real, fa.sigma1)
+    sa, sb = fa.sigma1[..., :, None], fb.sigma1[..., None, :]
+    f = conj_transpose(ua) @ e
+    g = e @ vb
+    c = f @ vb
+    vbh = conj_transpose(vb)
+    ac = c / sa  # its column i has the norm of a+ e v_i
+    cb = c / sb  # its row i has the norm of u_i* e b+
+    aebb_r, aebb_1 = _weighted(np.vecdot(ac, ac, axis=-2).real, fb.sigma1)
+    aaeb_r, aaeb_1 = _weighted(np.vecdot(cb, cb).real, fa.sigma1)
     return {
-        "ae": _fro2(pae),
-        "eb": _fro2(epb),
-        "y": _fro2(y_m),
-        "aaeb": _fro2(a @ y_m),
-        "aebb": _fro2(y_m @ b),
-        "aebb_c": _fro2(pae - pae_vb @ vbh),
-        "aaeb_c": _fro2(epb - ua @ uah_epb),
-        "ebb_c": _fro2(e - (e @ vb) @ vbh),
-        "aae_c": _fro2(e - ua @ (uah @ e)),
+        "ae": _fro2(f / sa),
+        "eb": _fro2(g / sb),
+        "y": _fro2(ac / sb),
+        "aaeb": _fro2(cb),
+        "aebb": _fro2(ac),
+        "aebb_c": _fro2((f - c @ vbh) / sa),
+        "aaeb_c": _fro2((g - ua @ c) / sb),
+        "ebb_c": _fro2(e - g @ vbh),
+        "aae_c": _fro2(e - ua @ f),
         "aebb_r": aebb_r,
         "aaeb_r": aaeb_r,
         "aebb_1": aebb_1,
@@ -253,7 +279,7 @@ def _oriented(pa, pb, e, a, b, fa, fb):
 def _product_norms(p):
     fa, fb, e = p.fa, p.fb, p.e
     # the mirror's perturbation is -e, whose sign no squared norm sees
-    mirror = _oriented(p.pinv_b, p.pinv_a, e, p.b, p.a, fb, fa)
+    mirror = _oriented(e, fb, fa)
     spectral = dict(na=fa.norm2, nb=fb.norm2, nai=fa.pinv_norm2, nbi=fb.pinv_norm2)
     sq = {name: v * v for name, v in spectral.items()}
     e2 = _fro2(e)
@@ -264,7 +290,7 @@ def _product_norms(p):
         e2=e2,
         ef=np.sqrt(e2),
         es=p.spectral_norms[0],
-        **_oriented(p.pinv_a, p.pinv_b, e, p.a, p.b, fa, fb),
+        **_oriented(e, fa, fb),
         **{k.translate(_SWAP_AB): v for k, v in mirror.items()},
     )
 

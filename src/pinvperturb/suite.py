@@ -211,7 +211,7 @@ def _factor_contract_residuals(f, a):
         float(np.abs(f.u1.conj().T @ f.u1 - r).max(initial=0.0)),
         float(np.abs(f.v1.conj().T @ f.v1 - r).max(initial=0.0)),
     ) / max(f.shape)
-    recon = float(np.abs((f.u1 * f.sigma1) @ f.v1.conj().T - a).max()) / (1.0 + f.norm2)
+    recon = float(np.abs(f.kept - a).max()) / (1.0 + f.norm2)
     return [("svd_unitarity", unit), ("svd_reconstruction", recon)]
 
 

@@ -255,6 +255,17 @@ def test_invalid_rank_cutoff_exit2(pair_files, capsys, command, tol):
     assert len(lines) == 1 and lines[0].startswith("error: rank cutoff")
 
 
+@pytest.mark.parametrize("tol", ["0.5", "1", "3", "1e300"])
+@pytest.mark.parametrize("command", ["bounds", "verify-identities"])
+def test_explicit_rank_cutoff_reports_on_the_kept_pair(tmp_path, capsys, command, tol):
+    # both sides cut to rank 1, or to 0 at 1e300: e and the norms must be
+    # those of the kept parts, whose pseudoinverses the report compares
+    a = _write(tmp_path, "a.mat", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = _write(tmp_path, "b.mat", np.array([[1.0, 2.0], [3.0, 4.1]]))
+    assert cli.main([command, a, b, "--tol", tol]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_suite_trials_below_one_usage_error(trials, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_property_suite", lambda trials, seed: pytest.fail("suite ran"))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +13,7 @@ from numpy.testing import assert_allclose
 from pinvperturb.bounds import full_report
 from pinvperturb.geometry import (
     PerturbationPair,
+    ProductNorms,
     _product_norms,
     aligning_unitaries,
     angle_bounds,
@@ -63,9 +68,18 @@ def test_make_pair_shape_check():
         make_pair(np.eye(2), np.eye(3))
 
 
+def _long_pairs(rng):
+    """Strongly tall and wide pairs, full rank and rank-deficient, real and complex."""
+    for m, n in [(48, 4), (4, 48)]:
+        for ra, rb in [(4, 4), (3, 4), (4, 2), (0, 3)]:
+            for cplx in (False, True):
+                yield lowrank(rng, m, n, ra, cplx), lowrank(rng, m, n, rb, cplx)
+
+
 def test_product_norms_match_their_definitions():
     # pins every field, mirror side included, to the product it names
-    for p in _all_pairs():
+    long_pairs = itertools.starmap(make_pair, _long_pairs(np.random.default_rng(31)))
+    for p in itertools.chain(_all_pairs(), long_pairs):
         a, b, e, pa, pb = p.a, p.b, p.e, p.pinv_a, p.pinv_b
         m, n = p.shape
         # I - a a+, I - a+ a, I - b b+ and I - b+ b
@@ -84,6 +98,30 @@ def test_product_norms_match_their_definitions():
             scale = 1.0 + np.prod([np.linalg.norm(f) for f in factors]) ** 2
             want = np.linalg.norm(np.linalg.multi_dot(factors)) ** 2
             assert getattr(p.norms, name) == pytest.approx(want, abs=1e-12 * scale), name
+    # a stack gives each of its pairs the norms that pair gets alone
+    rng = np.random.default_rng(37)
+    for m, n, ra, rb in [(48, 4, 3, 4), (4, 48, 4, 2), (5, 5, 4, 5)]:
+        a = np.array([lowrank(rng, m, n, ra, True) for _ in range(4)])
+        b = np.array([lowrank(rng, m, n, rb, True) for _ in range(4)])
+        stacked = make_pair(a, b).norms
+        for i, alone in enumerate(make_pair(x, y).norms for x, y in zip(a, b)):
+            for f in fields(ProductNorms):
+                want = getattr(alone, f.name)
+                got = getattr(stacked, f.name)[i]
+                assert got == pytest.approx(want, rel=4 * np.finfo(float).eps), f.name
+
+
+def test_product_norms_form_no_whole_size_product():
+    # one 2000 x 2000 complex product, such as e b+, would take 64 MB
+    rng = np.random.default_rng(41)
+    p = make_pair(lowrank(rng, 2000, 4, 4, True), lowrank(rng, 2000, 4, 3, True))
+    tracemalloc.start()
+    try:
+        p.norms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_swapped_norms_equal_fresh_swapped_pair():
