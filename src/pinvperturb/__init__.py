@@ -42,7 +42,6 @@ from .geometry import (
     deviation_spectral,
     deviation_sq,
     make_pair,
-    swap_pair,
     von_neumann_sum,
 )
 from .matrixio import MatrixFormatError, dump, dumps, load, loads
@@ -94,7 +93,6 @@ __all__ = [
     "run_property_suite",
     "spectral_norm",
     "svd_factors",
-    "swap_pair",
     "sweep_csv",
     "sweep_example",
     "von_neumann_sum",

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import named_failure, strict_arithmetic
+from .core import checked, strict_arithmetic
 from .geometry import PerturbationPair, deviation_fro, deviation_spectral, deviation_sq
 
 SQUARED = "squared_frobenius"
@@ -150,10 +150,7 @@ class Estimator:
                 return BoundValue(
                     self.name, self.kind, self.target, self.norm, False, None, req.reason(p)
                 )
-        try:
-            value = self.formula(p.norms, p)
-        except ArithmeticError as exc:
-            raise named_failure(f"estimator {self.name}", exc) from exc
+        value = checked(f"estimator {self.name}", self.formula, p.norms, p)
         if self.kind == "lower":
             value = np.maximum(value, 0.0)
         return BoundValue(self.name, self.kind, self.target, self.norm, True, value)

@@ -34,20 +34,15 @@ class ShapeError(ValueError):
 strict_arithmetic = np.errstate(over="raise", divide="raise", invalid="raise")
 
 
-def named_failure(what, exc):
-    """An arithmetic error like ``exc`` whose message says that ``what`` failed."""
-    # an overflow's own message is only "(34, 'Numerical result out of range')"
-    detail = exc.args[-1] if exc.args else type(exc).__name__
-    return type(exc)(f"{what} failed: {detail}")
-
-
 @strict_arithmetic
-def _checked(what, fn, *args):
+def checked(what, fn, *args):
     """``fn(*args)`` under ``strict_arithmetic``; an arithmetic error says that ``what`` failed."""
     try:
         return fn(*args)
     except ArithmeticError as exc:
-        raise named_failure(what, exc) from exc
+        # an overflow's own message is only "(34, 'Numerical result out of range')"
+        detail = exc.args[-1] if exc.args else type(exc).__name__
+        raise type(exc)(f"{what} failed: {detail}") from exc
 
 
 def _finite(a):
@@ -144,7 +139,7 @@ class SvdFactors:
         """
         if not self.rank:
             return np.zeros(self.sigma.shape[:-1])[()]
-        return _checked("pseudoinverse", np.divide, 1.0, self.sigma1[..., -1])
+        return checked("pseudoinverse", np.divide, 1.0, self.sigma1[..., -1])
 
 
 # the kernel's convergence threshold (relative to the column norms) and pass limit
@@ -289,7 +284,7 @@ def pinv(a, tol=None):
     or an entry beyond the double range is an ArithmeticError.
     """
     f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
-    return _checked("pseudoinverse", _inverse, f)
+    return checked("pseudoinverse", _inverse, f)
 
 
 def _inverse(f):
@@ -328,7 +323,7 @@ def lstsq_min_norm(a, b, tol=None):
         raise ShapeError(
             f"cannot solve a {a.shape} system with right-hand side of shape {np.asarray(b).shape}"
         )
-    x = _checked("least-squares solution", np.matmul, pinv(a, tol=tol), bb)
+    x = checked("least-squares solution", np.matmul, pinv(a, tol=tol), bb)
     return x[:, 0] if vec else x
 
 

@@ -2,21 +2,22 @@
 
 Both factorizations are split at their numerical rank and keep only u1,
 sigma1 and v1: a null block u2 only ever appears inside a Frobenius norm,
-which ``_outside`` takes through u2 u2* = I - u1 u1*.  The module exposes
-the exact decomposition of the squared Frobenius deviation of the
-pseudoinverses, the matching decomposition of the perturbation energy, the
-principal-angle masses between range/null spaces, and the trace inequality
-that compares singular value lists (with an explicit aligning pair of
-unitaries attaining it).
+which ``_outside`` takes through u2 u2* = I - u1 u1*, once per block in
+``PerturbationPair.leaks``.  The module exposes the exact decomposition of
+the squared Frobenius deviation of the pseudoinverses, the matching
+decomposition of the perturbation energy, the principal-angle masses
+between range/null spaces, and the trace inequality that compares singular
+value lists (with an explicit aligning pair of unitaries attaining it).
 
 Each quantity has a route through (a, e) and a mirror route with a and b
 exchanged.  Only the first is written here; the mirror is the same function
-on ``swap_pair(p)``, whose norms ``ProductNorms.swapped`` maps from p's
+on ``p.swapped``, whose norms ``ProductNorms.swapped`` maps from p's
 without a new product or SVD.
 
-``make_pair``, ``swap_pair``, the product norms and the deviations also
+``make_pair``, ``p.swapped``, the product norms and the deviations also
 take a stack of same-shape pairs, one pair per leading index, and give one
-value per pair; the identity, angle and trace helpers take single pairs.
+value per pair; the identity, angle and trace helpers take single pairs,
+and the identity and angle helpers reject a stack with a ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from .core import (
     SvdFactors,
     as_matrix,
     as_stack,
+    checked,
     conj_transpose,
     factor_pair,
     jacobi_svd,
-    named_failure,
     pinv,
-    strict_arithmetic,
 )
 
 def _fro2(x):
@@ -167,10 +167,7 @@ class PerturbationPair:
 
     @cached_property
     def norms(self):
-        try:
-            return _product_norms(self)
-        except ArithmeticError as exc:
-            raise named_failure("product norms", exc) from exc
+        return checked("product norms", _product_norms, self)
 
     @cached_property
     def spectral_norms(self):
@@ -190,6 +187,23 @@ class PerturbationPair:
 
         s = _deviation(self, with_e)
         return s[0][()], s[1][()]
+
+    @cached_property
+    def swapped(self):
+        """The pair (b, a), whose norms are ``norms.swapped``; its own ``swapped`` is this pair."""
+        q = PerturbationPair(self.b, self.a, -self.e, self.fb, self.fa, self.pinv_b, self.pinv_a)
+        # no norm sees the sign of e or of b+ - a+, so nothing is recomputed
+        vars(q).update(norms=self.norms.swapped, spectral_norms=self.spectral_norms, swapped=self)
+        return q
+
+    @cached_property
+    def leaks(self):
+        """u1b* (I - ua ua*) and va* (I - vb vb*), with the norms of u1b* u2a and v2b* v1a.
+
+        Every exact identity reads its blocks here, and its mirror's from ``swapped.leaks``.
+        """
+        fa, fb = _single(self)
+        return _outside(fb.u1, fa.u1), _outside(fa.v1, fb.v1)
 
 
 def make_pair(a, b, tol=None):
@@ -213,17 +227,6 @@ def make_pair(a, b, tol=None):
     return PerturbationPair(
         a=a, b=b, e=b - a, fa=fa, fb=fb, pinv_a=pinv(fa), pinv_b=pinv(fb)
     )
-
-
-def swap_pair(p):
-    """The same data with a and b interchanged; its norms are ``p.norms.swapped``."""
-    q = PerturbationPair(
-        a=p.b, b=p.a, e=-p.e, fa=p.fb, fb=p.fa, pinv_a=p.pinv_b, pinv_b=p.pinv_a
-    )
-    # prefill the cached properties: no norm sees the sign of e or of b+ - a+
-    q.__dict__["norms"] = p.norms.swapped
-    q.__dict__["spectral_norms"] = p.spectral_norms
-    return q
 
 
 def _weighted(sq, s):
@@ -275,7 +278,6 @@ def _oriented(e, fa, fb):
     }
 
 
-@strict_arithmetic
 def _product_norms(p):
     fa, fb, e = p.fa, p.fb, p.e
     # the mirror's perturbation is -e, whose sign no squared norm sees
@@ -295,13 +297,9 @@ def _product_norms(p):
     )
 
 
-@strict_arithmetic
 def _deviation(p, norm):
     """``norm(b+ - a+)``; an arithmetic error names the exact deviation."""
-    try:
-        return norm(p.pinv_b - p.pinv_a)
-    except ArithmeticError as exc:
-        raise named_failure("exact deviation", exc) from exc
+    return checked("exact deviation", lambda: norm(p.pinv_b - p.pinv_a))
 
 
 def deviation_sq(p):
@@ -318,17 +316,24 @@ def deviation_spectral(p):
     return p.spectral_norms[1]
 
 
+def _single(p):
+    """``(p.fa, p.fb)``; a stack is a ``ShapeError``, since ``_outside`` takes matrices."""
+    if p.a.ndim != 2:
+        raise ShapeError(f"the exact identities take one pair, not a stack of shape {p.a.shape}")
+    return p.fa, p.fb
+
+
 def identity_terms(p):
     """Exact three-term split of ``deviation_sq``.
 
     Terms: b's inverted null-leak against a's left null space, a's inverted
     null-leak against b's right null space, and the doubly-projected cross
     term |b+ e a+|^2.  Their sum equals the deviation exactly; the mirror
-    split is ``identity_terms(swap_pair(p))``.
+    split is ``identity_terms(p.swapped)``.
     """
-    fa, fb = p.fa, p.fb
-    t1 = _fro2(_outside(fb.u1, fa.u1) / fb.sigma1[:, None])
-    t2 = _fro2(_outside(fa.v1, fb.v1) / fa.sigma1[:, None])
+    lu, lv = p.leaks
+    t1 = _fro2(lu / p.fb.sigma1[:, None])
+    t2 = _fro2(lv / p.fa.sigma1[:, None])
     return t1, t2, p.norms.x
 
 
@@ -336,9 +341,9 @@ def cross_term_blocks(p):
     """The cross term norms.x recomputed from rank-block data.
 
     It is the squared norm of a weighted difference of the aligned unitary
-    blocks; ``norms.y`` is the same on ``swap_pair(p)``.
+    blocks; ``norms.y`` is the same on ``p.swapped``.
     """
-    fa, fb = p.fa, p.fb
+    fa, fb = _single(p)
     g = (fb.v1.conj().T @ fa.v1) / fa.sigma1[None, :]
     h = (fb.u1.conj().T @ fa.u1) / fb.sigma1[:, None]
     return _fro2(g - h)
@@ -346,12 +351,12 @@ def cross_term_blocks(p):
 
 def proof_identity_u(p):
     """Left-block identity: |u1b* u2a|^2 == |(I - a a+) e b+|^2."""
-    return _fro2(_outside(p.fb.u1, p.fa.u1)), p.norms.aaeb_c
+    return _fro2(p.leaks[0]), p.norms.aaeb_c
 
 
 def proof_identity_v(p):
     """Right-block identity: |v2b* v1a|^2 == |a+ e (I - b+ b)|^2."""
-    return _fro2(_outside(p.fa.v1, p.fb.v1)), p.norms.aebb_c
+    return _fro2(p.leaks[1]), p.norms.aebb_c
 
 
 def energy_terms(p):
@@ -359,53 +364,28 @@ def energy_terms(p):
 
     Terms: core block, row-space leak of a against b's right null space,
     column leak of b against a's left null space.  The split in the other
-    mixed bases (v of a, u of b) is ``energy_terms(swap_pair(p))``.
+    mixed bases (v of a, u of b) is ``energy_terms(p.swapped)``.
     """
+    lu, lv = p.leaks
     fa, fb = p.fa, p.fb
     core = (fa.u1.conj().T @ fb.u1) * fb.sigma1[None, :] - fa.sigma1[:, None] * (
         fa.v1.conj().T @ fb.v1
     )
-    t2 = _fro2(fa.sigma1[:, None] * _outside(fa.v1, fb.v1))
-    t3 = _fro2(fb.sigma1[:, None] * _outside(fb.u1, fa.u1))
+    t2 = _fro2(fa.sigma1[:, None] * lv)
+    t3 = _fro2(fb.sigma1[:, None] * lu)
     return _fro2(core), t2, t3
 
 
-@dataclass(frozen=True)
-class SubspaceAngles:
-    """Frobenius masses of the four cross blocks between the two splittings."""
-
-    u12: float  # |u1b* u2a|_F
-    u21: float  # |u2b* u1a|_F
-    v12: float  # |v1b* v2a|_F
-    v21: float  # |v2b* v1a|_F
-
-
 def subspace_angles(p):
-    fa, fb = p.fa, p.fb
-    return SubspaceAngles(
-        u12=float(np.linalg.norm(_outside(fb.u1, fa.u1))),
-        u21=float(np.linalg.norm(_outside(fa.u1, fb.u1))),
-        v12=float(np.linalg.norm(_outside(fb.v1, fa.v1))),
-        v21=float(np.linalg.norm(_outside(fa.v1, fb.v1))),
-    )
+    """``(|u1b* u2a|_F, |v2b* v1a|_F)``; on ``p.swapped``, ``(|u2b* u1a|_F, |v1b* v2a|_F)``."""
+    return tuple(float(np.linalg.norm(block)) for block in p.leaks)
 
 
 def equal_rank_angle_gap(p):
     """Max of |u12 - u21| and |v12 - v21|; zero when the ranks agree."""
-    ang = subspace_angles(p)
-    return max(abs(ang.u12 - ang.u21), abs(ang.v12 - ang.v21))
-
-
-@dataclass(frozen=True)
-class AngleBounds:
-    """Principal-angle sandwich of the squared deviation.
-
-    ``upper`` dominates the deviation and ``lower`` is dominated by it; the
-    mirror sandwich is ``angle_bounds(swap_pair(p))``.
-    """
-
-    upper: float
-    lower: float
+    u12, v21 = subspace_angles(p)
+    u21, v12 = subspace_angles(p.swapped)
+    return max(abs(u12 - u21), abs(v12 - v21))
 
 
 def _ratio(num, den):
@@ -414,11 +394,16 @@ def _ratio(num, den):
 
 
 def angle_bounds(p):
-    ang = subspace_angles(p)
+    """Principal-angle sandwich ``(lower, upper)`` of the squared deviation.
+
+    ``upper`` dominates the deviation and ``lower`` is dominated by it; the
+    mirror sandwich is ``angle_bounds(p.swapped)``.
+    """
+    u12, v21 = subspace_angles(p)
     n = p.norms
-    return AngleBounds(
-        upper=n.nbi2 * ang.u12**2 + n.nai2 * ang.v21**2 + n.x,
-        lower=_ratio(ang.u12**2, n.nb2) + _ratio(ang.v21**2, n.na2) + n.x,
+    return (
+        _ratio(u12**2, n.nb2) + _ratio(v21**2, n.na2) + n.x,
+        n.nbi2 * u12**2 + n.nai2 * v21**2 + n.x,
     )
 
 

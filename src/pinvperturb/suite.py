@@ -28,7 +28,6 @@ from .geometry import (
     make_pair,
     proof_identity_u,
     proof_identity_v,
-    swap_pair,
     trace_real,
     von_neumann_sum,
     aligning_unitaries,
@@ -169,14 +168,14 @@ def default_specs(seed=DEFAULT_SEED):
 def identity_checks(p):
     """Residuals of every exact identity for one pair, as (name, residual).
 
-    Each is checked on ``p`` and on ``swap_pair(p)``, the ``_a`` and ``_b``
+    Each is checked on ``p`` and on ``p.swapped``, the ``_a`` and ``_b``
     properties of a split.
     """
     out = []
     dev = deviation_sq(p)
     sdev = 1.0 + dev
     e2 = p.norms.e2
-    both = (p, swap_pair(p))
+    both = (p, p.swapped)
     for name, q in zip(("identity_sum_a", "identity_sum_b"), both):
         out.append((name, abs(sum(identity_terms(q)) - dev) / sdev))
     cross = max(abs(cross_term_blocks(q) - q.norms.x) / (1.0 + q.norms.x) for q in both)
@@ -198,8 +197,8 @@ def identity_checks(p):
     if p.rank_a == p.rank_b:
         out.append(("equal_rank_angles", equal_rank_angle_gap(p)))
     sandwich = 0.0
-    for ab in map(angle_bounds, both):
-        sandwich = max(sandwich, dev - ab.upper, ab.lower - dev)
+    for lower, upper in map(angle_bounds, both):
+        sandwich = max(sandwich, dev - upper, lower - dev)
     out.append(("angle_sandwich", sandwich / sdev))
     return out
 
@@ -358,12 +357,10 @@ def trial_pair(seed, t):
 
 def trial_residuals(pair, aux):
     """Each per-pair residual, as (name, residual); ``aux`` feeds the solves, then the scale."""
-    for f, mat in ((pair.fa, pair.a), (pair.fb, pair.b)):
-        yield from _factor_contract_residuals(f, mat)
-
-    for mat, px, f in ((pair.a, pair.pinv_a, pair.fa), (pair.b, pair.pinv_b, pair.fb)):
-        pr = max(penrose_residuals(mat, px))
-        yield "penrose", pr / (1.0 + f.norm2 * f.pinv_norm2)
+    for q in (pair, pair.swapped):  # a's side, then b's
+        yield from _factor_contract_residuals(q.fa, q.a)
+        pr = max(penrose_residuals(q.a, q.pinv_a))
+        yield "penrose", pr / (1.0 + q.fa.norm2 * q.fa.pinv_norm2)
 
     back = pinv(pair.pinv_a)
     yield "pinv_involution", float(np.abs(back - pair.a).max()) / (1.0 + pair.fa.norm2)

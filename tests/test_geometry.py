@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pinvperturb import geometry
 from pinvperturb.bounds import full_report
 from pinvperturb.geometry import (
     PerturbationPair,
@@ -28,11 +30,11 @@ from pinvperturb.geometry import (
     proof_identity_u,
     proof_identity_v,
     subspace_angles,
-    swap_pair,
     trace_real,
     von_neumann_sum,
 )
 from pinvperturb.core import ShapeError, jacobi_svd, lstsq_min_norm
+from pinvperturb.suite import identity_checks
 
 from helpers import lowrank
 
@@ -130,13 +132,13 @@ def test_swapped_norms_equal_fresh_swapped_pair():
             a=p.b, b=p.a, e=-p.e, fa=p.fb, fb=p.fa, pinv_a=p.pinv_b, pinv_b=p.pinv_a
         )
         assert p.norms.swapped == _product_norms(fresh)
-        assert swap_pair(p).norms is p.norms.swapped
+        assert p.swapped.norms is p.norms.swapped
 
 
 def test_two_route_rows_equal_on_swapped_pair():
     for p in _all_pairs():
         rep = full_report(p)
-        rep_q = full_report(swap_pair(p))
+        rep_q = full_report(p.swapped)
         for name in TWO_ROUTE_ROWS:
             v, vq = rep.by_name(name), rep_q.by_name(name)
             assert (vq.applicable, vq.value) == (v.applicable, v.value), name
@@ -151,20 +153,20 @@ def test_two_route_rows_equal_on_swapped_pair():
 def test_identity_sums_equal_deviation():
     for p in _all_pairs():
         dev = deviation_sq(p)
-        for q in (p, swap_pair(p)):
+        for q in (p, p.swapped):
             assert sum(identity_terms(q)) == pytest.approx(dev, abs=1e-9 * (1 + dev))
 
 
 def test_cross_term_block_forms_agree():
     for p in _all_pairs():
-        for q in (p, swap_pair(p)):
+        for q in (p, p.swapped):
             x_alt = cross_term_blocks(q)
             assert x_alt == pytest.approx(q.norms.x, abs=1e-9 * (1 + q.norms.x))
 
 
 def test_proof_identities_both_orientations():
     for p in _all_pairs():
-        for q in (p, swap_pair(p)):
+        for q in (p, p.swapped):
             lhs, rhs = proof_identity_u(q)
             assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + lhs + q.norms.eb))
             lhs, rhs = proof_identity_v(q)
@@ -174,7 +176,7 @@ def test_proof_identities_both_orientations():
 def test_energy_splits_equal_perturbation_energy():
     for p in _all_pairs():
         e2 = p.norms.e2
-        for q in (p, swap_pair(p)):
+        for q in (p, p.swapped):
             assert sum(energy_terms(q)) == pytest.approx(e2, abs=1e-9 * (1 + e2))
 
 
@@ -190,10 +192,10 @@ def test_angle_sandwich():
     for p in _all_pairs():
         dev = deviation_sq(p)
         slack = 1e-9 * (1 + dev)
-        for q in (p, swap_pair(p)):
-            ab = angle_bounds(q)
-            assert dev <= ab.upper + slack
-            assert ab.lower <= dev + slack
+        for q in (p, p.swapped):
+            lower, upper = angle_bounds(q)
+            assert dev <= upper + slack
+            assert lower <= dev + slack
 
 
 def test_known_split_for_diagonal_jump_case():
@@ -204,11 +206,11 @@ def test_known_split_for_diagonal_jump_case():
     assert deviation_sq(p) == pytest.approx(4 * t**2 + 1 / t**2, rel=1e-12)
     t1, t2, x = identity_terms(p)
     assert (t1, t2, x) == pytest.approx((25.0, 0.0, 0.16), abs=1e-12)
-    t1, t2, y = identity_terms(swap_pair(p))
+    t1, t2, y = identity_terms(p.swapped)
     assert (t1, t2, y) == pytest.approx((0.0, 25.0, 0.16), abs=1e-12)
-    ang = subspace_angles(p)
-    assert ang.u12 == pytest.approx(1.0, abs=1e-12)
-    assert ang.v21 == pytest.approx(0.0, abs=1e-12)
+    u12, v21 = subspace_angles(p)
+    assert u12 == pytest.approx(1.0, abs=1e-12)
+    assert v21 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_deviation_norm_variants_consistent():
@@ -302,8 +304,50 @@ def test_von_neumann_diagonal_case():
 def test_swap_pair_flips_roles():
     rng = np.random.default_rng(43)
     p = make_pair(lowrank(rng, 4, 3, 2, True), lowrank(rng, 4, 3, 3, True))
-    q = swap_pair(p)
+    q = p.swapped
     assert q.rank_a == p.rank_b
     assert_allclose(q.e, -p.e, atol=0.0)
     assert deviation_sq(q) == pytest.approx(deviation_sq(p), rel=1e-12)
     assert q.norms.x == pytest.approx(p.norms.y, rel=1e-12)
+
+
+def test_identity_checks_form_each_leak_block_once(monkeypatch):
+    # two leak blocks per orientation, cached on the pair and on its mirror
+    rng = np.random.default_rng(47)
+    calls = []
+    outside = geometry._outside
+    monkeypatch.setattr(geometry, "_outside", lambda q, p: calls.append(1) or outside(q, p))
+    for ra, rb in [(3, 3), (2, 3)]:
+        p = make_pair(lowrank(rng, 5, 4, ra, True), lowrank(rng, 5, 4, rb, True))
+        del calls[:]
+        identity_checks(p)
+        assert len(calls) == 4, (ra, rb)
+        assert p.swapped.swapped is p
+        assert p.swapped.norms is p.norms.swapped
+        assert p.swapped.spectral_norms is p.spectral_norms
+
+
+IDENTITY_HELPERS = (
+    identity_terms,
+    cross_term_blocks,
+    proof_identity_u,
+    proof_identity_v,
+    energy_terms,
+    subspace_angles,
+    equal_rank_angle_gap,
+    angle_bounds,
+    identity_checks,
+    lambda p: p.leaks,
+)
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_identity_helpers_reject_a_stack(count):
+    # transposing a stack reverses every axis: a stack of 4 gave wrong terms
+    # and no error, a stack of 3 a bare matmul error
+    rng = np.random.default_rng(53)
+    a = rng.standard_normal((count, 4, 4))
+    p = make_pair(a, a + 0.3 * rng.standard_normal((count, 4, 4)))
+    for helper in IDENTITY_HELPERS:
+        with pytest.raises(ShapeError, match=re.escape(f"stack of shape {(count, 4, 4)}")):
+            helper(p)

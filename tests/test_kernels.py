@@ -25,7 +25,7 @@ from pinvperturb.core import (
     spectral_norm,
     svd_factors,
 )
-from pinvperturb.geometry import deviation_spectral, make_pair, swap_pair
+from pinvperturb.geometry import deviation_spectral, make_pair
 from pinvperturb.sweeps import CLOSED_FORMS, SweepSpec, case_matrices, sweep_example
 
 from helpers import BACKENDS, NO_COMPILED, lowrank
@@ -526,4 +526,4 @@ def test_spectral_deviation_is_the_same_whichever_norm_runs_first(backend):
         alone = spectral_norm(first.pinv_b - first.pinv_a)
         assert np.asarray(d_first).tobytes() == np.asarray(alone).tobytes()
         assert np.asarray(es_first).tobytes() == np.asarray(spectral_norm(first.e)).tobytes()
-        assert deviation_spectral(swap_pair(first)) is d_first
+        assert deviation_spectral(first.swapped) is d_first

@@ -14,7 +14,10 @@ and four special pairs; the sweeps are both closed-form examples at their
 default 401 steps.  ``factors`` hashes the bytes of ``u1``, ``sigma`` and
 ``v1`` of both factorizations of every reported pair and of both sweep
 stacks, so a column swap or sign error that u and v share, which no report
-sees, still moves a digest.  ``--suite`` adds the stdout of
+sees, still moves a digest.  ``identities`` holds one ``name residual``
+line (``%.17g``) per ``identity_checks`` row of the same pairs, every bit
+of the exact identities that the suite shows only to three digits.
+``--suite`` adds the stdout of
 ``pinvperturb suite --trials 500 --seed 1729`` followed by its exit code.
 """
 
@@ -32,7 +35,7 @@ from pinvperturb import cli
 from pinvperturb.backends import default_backend
 from pinvperturb.bounds import full_report, report_csv, report_table
 from pinvperturb.geometry import make_pair
-from pinvperturb.suite import DEFAULT_SEED, default_specs, trial_pair
+from pinvperturb.suite import DEFAULT_SEED, default_specs, identity_checks, trial_pair
 from pinvperturb.sweeps import SweepSpec, case_matrices, sweep_csv, sweep_example
 
 SPECIAL_PAIRS = (
@@ -60,6 +63,12 @@ def _factor_bytes(pairs):
     )
 
 
+def _identity_lines(pairs):
+    return "".join(
+        f"{name} {resid:.17g}\n" for p in pairs for name, resid in identity_checks(p)
+    )
+
+
 def _digest(data):
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
@@ -78,6 +87,7 @@ def output_texts(suite=False):
         ("sweep_csv_1", sweep_csv(sweep_example(SweepSpec(example=1)))),
         ("sweep_csv_2", sweep_csv(sweep_example(SweepSpec(example=2)))),
         ("factors", _factor_bytes(pairs + special_pairs + [_sweep_pair(1), _sweep_pair(2)])),
+        ("identities", _identity_lines(pairs + special_pairs)),
     ]
     if suite:
         out = io.StringIO()
