@@ -10,7 +10,8 @@ squared estimates, and can check it against the exact deviation.
 
 The table is evaluated on arrays: for a stack of pairs, each value is an
 array with one entry per pair, from the same arithmetic as one pair's.  A
-requirement must hold for every pair of a stack or for none.
+requirement reads only the shape and the two ranks, which every pair of a
+stack shares, so a row applies to all of its pairs or to none.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import checked, strict_arithmetic
-from .geometry import PerturbationPair, deviation_fro, deviation_spectral, deviation_sq
+from .core import checked
+from .geometry import deviation_spectral, deviation_sq
 
 SQUARED = "squared_frobenius"
 NORM = "norm"
@@ -76,52 +77,53 @@ def _d(t):
 
 @dataclass(frozen=True)
 class Requirement:
-    """A hypothesis an estimator needs: when ``violated(p)``, ``reason(p)`` says why it is skipped.
+    """A hypothesis an estimator needs, on the shape m x n and the ranks ra and rb alone.
 
-    On a stack, ``violated`` gives one truth value per pair.
+    When ``violated(m, n, ra, rb)``, ``reason(m, n, ra, rb)`` says why the row is skipped.
     """
 
-    violated: Callable[[PerturbationPair], bool]
-    reason: Callable[[PerturbationPair], str]
+    violated: Callable[[int, int, int, int], bool]
+    reason: Callable[[int, int, int, int], str]
 
 
-# the closed set of requirements; each row checks its own in the order listed
+# the closed set of requirements; each row checks its own in the order listed.  A spectral
+# norm and a pseudoinverse norm are 0 exactly at rank 0, so a reason may name either.
 _EQUAL_RANKS = Requirement(
-    lambda p: p.rank_a != p.rank_b,
-    lambda p: f"needs equal ranks, got {p.rank_a} and {p.rank_b}",
+    lambda m, n, ra, rb: ra != rb,
+    lambda m, n, ra, rb: f"needs equal ranks, got {ra} and {rb}",
 )
 _PINV_NONZERO = Requirement(
-    lambda p: (p.norms.nai == 0.0) | (p.norms.nbi == 0.0),
-    lambda p: "needs both operands nonzero, a pseudoinverse norm is 0",
+    lambda m, n, ra, rb: not (ra and rb),
+    lambda m, n, ra, rb: "needs both operands nonzero, a pseudoinverse norm is 0",
 )
 _SPECTRAL_NONZERO = Requirement(
-    lambda p: (p.norms.na == 0.0) | (p.norms.nb == 0.0),
-    lambda p: "needs both operands nonzero, a spectral norm is 0",
+    lambda m, n, ra, rb: not (ra and rb),
+    lambda m, n, ra, rb: "needs both operands nonzero, a spectral norm is 0",
 )
 _ANY_NONZERO = Requirement(
-    lambda p: np.maximum(p.norms.na, p.norms.nb) == 0.0,
-    lambda p: "needs a nonzero operand, both spectral norms are 0",
+    lambda m, n, ra, rb: not (ra or rb),
+    lambda m, n, ra, rb: "needs a nonzero operand, both spectral norms are 0",
 )
 _B_NONZERO = Requirement(
-    lambda p: p.norms.nbi == 0.0,
-    lambda p: "needs b nonzero, its pseudoinverse norm is 0",
+    lambda m, n, ra, rb: not rb,
+    lambda m, n, ra, rb: "needs b nonzero, its pseudoinverse norm is 0",
 )
 _FULL_COLUMN_RANK_A = Requirement(
-    lambda p: p.rank_a != p.shape[1],
-    lambda p: f"needs full column rank of a, got rank {p.rank_a} of {p.shape[1]}",
+    lambda m, n, ra, rb: ra != n,
+    lambda m, n, ra, rb: f"needs full column rank of a, got rank {ra} of {n}",
 )
 _FULL_COLUMN_RANK_BOTH = Requirement(
-    lambda p: p.rank_a != p.shape[1] or p.rank_b != p.shape[1],
-    lambda p: f"needs both ranks equal to {p.shape[1]}, got {p.rank_a} and {p.rank_b}",
+    lambda m, n, ra, rb: ra != n or rb != n,
+    lambda m, n, ra, rb: f"needs both ranks equal to {n}, got {ra} and {rb}",
 )
 
 
 def _no_single_norm(constant):
-    """Never met: the bound holds with ``constant(p)`` for every unitarily invariant norm."""
+    """Never met: the bound holds with ``constant`` for every unitarily invariant norm."""
     return Requirement(
-        lambda p: True,
-        lambda p: f"constant {constant(p):g} holds for every unitarily invariant norm; "
-        "no single norm to evaluate",
+        lambda m, n, ra, rb: True,
+        lambda m, n, ra, rb: f"constant {constant(m, n, ra, rb):g} holds for every unitarily "
+        "invariant norm; no single norm to evaluate",
     )
 
 
@@ -137,18 +139,11 @@ class Estimator:
     norm: str = "frobenius"
 
     def evaluate(self, p):
+        facts = (*p.shape, p.rank_a, p.rank_b)
         for req in self.requires:
-            violated = req.violated(p)
-            if np.ndim(violated):  # a stack's, one per pair
-                if violated.any() != violated.all():
-                    raise ValueError(
-                        f"estimator {self.name} applies to some pairs of the stack but not to "
-                        f"others: {req.reason(p)}"
-                    )
-                violated = violated.all()
-            if violated:
+            if req.violated(*facts):
                 return BoundValue(
-                    self.name, self.kind, self.target, self.norm, False, None, req.reason(p)
+                    self.name, self.kind, self.target, self.norm, False, None, req.reason(*facts)
                 )
         value = checked(f"estimator {self.name}", self.formula, p.norms, p)
         if self.kind == "lower":
@@ -285,7 +280,7 @@ ESTIMATORS = (
     ),
     Estimator(
         "wedin_unitarily_invariant", "upper", None,
-        (_no_single_norm(lambda p: MU[UI]),), target=NORM, norm=UI,
+        (_no_single_norm(lambda m, n, ra, rb: MU[UI]),), target=NORM, norm=UI,
     ),
     Estimator(
         "wedin_equal_rank_spectral", "upper",
@@ -299,7 +294,8 @@ ESTIMATORS = (
     ),
     Estimator(
         "wedin_equal_rank_unitarily_invariant", "upper", None,
-        (_EQUAL_RANKS, _no_single_norm(lambda p: _nu(p, UI))), target=NORM, norm=UI,
+        (_EQUAL_RANKS, _no_single_norm(lambda m, n, ra, rb: equal_rank_multiplier(m, n, ra, UI))),
+        target=NORM, norm=UI,
     ),
     Estimator(
         "meng_zheng", "upper", lambda nm, p: np.maximum(nm.nai2, nm.nbi2) * nm.ef, target=NORM
@@ -334,7 +330,6 @@ ESTIMATORS = (
 )
 
 
-@strict_arithmetic
 def evaluate_all(p):
     """The whole family in a fixed, deterministic order.
 
@@ -342,7 +337,6 @@ def evaluate_all(p):
     norms or in a row raises, naming where it happened, rather than
     passing on an inf or a nan.
     """
-    p.norms  # first, so that a failure of the norms is not named after a row
     return [row.evaluate(p) for row in ESTIMATORS]
 
 
@@ -371,10 +365,11 @@ def full_report(p):
     values = evaluate_all(p)
     lows = [v.value for v in values if v.applicable and v.kind == "lower" and v.target == SQUARED]
     ups = [v.value for v in values if v.applicable and v.kind == "upper" and v.target == SQUARED]
+    exact_sq = deviation_sq(p)
     # the singular-value pair is always applicable, so neither list is empty
     return BoundReport(
-        exact_sq=deviation_sq(p),
-        exact_fro=deviation_fro(p),
+        exact_sq=exact_sq,
+        exact_fro=np.sqrt(exact_sq),
         exact_spectral=deviation_spectral(p),
         values=tuple(values),
         envelope=(functools.reduce(np.maximum, lows), functools.reduce(np.minimum, ups)),

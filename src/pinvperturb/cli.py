@@ -21,9 +21,9 @@ from pathlib import Path
 
 from .backends import available_backends, default_backend
 from .bounds import _fmt, envelope_ok, full_report, norm_bounds_ok, report_csv, report_table
-from .core import ShapeError, pinv, svd_factors
+from .core import pinv, svd_factors
 from .geometry import make_pair
-from .matrixio import MatrixFormatError, dumps, load
+from .matrixio import dumps, load
 from .suite import DEFAULT_SEED, DEFAULT_TRIALS, PROPERTIES, identity_checks, run_property_suite
 from .sweeps import (
     DEFAULT_STEPS,
@@ -181,13 +181,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: cannot read {exc.filename}", file=sys.stderr)
         return 2
-    except (ShapeError, ValueError) as exc:
+    except ValueError as exc:  # a MatrixFormatError and a ShapeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:

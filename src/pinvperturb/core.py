@@ -31,12 +31,9 @@ class ShapeError(ValueError):
 
 # overflow, division by zero and invalid operations raise FloatingPointError
 # in the pseudoinverse, the product norms, the exact deviations and the estimators
-strict_arithmetic = np.errstate(over="raise", divide="raise", invalid="raise")
-
-
-@strict_arithmetic
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def checked(what, fn, *args):
-    """``fn(*args)`` under ``strict_arithmetic``; an arithmetic error says that ``what`` failed."""
+    """``fn(*args)`` under strict arithmetic; an arithmetic error says that ``what`` failed."""
     try:
         return fn(*args)
     except ArithmeticError as exc:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import SQUARED, TOL_BOUND, envelope_residual, full_report, norm_residual
-from .core import penrose_residuals, pinv, spectral_norm
+from .core import penrose_residuals, pinv, svd_factors
 from .geometry import (
     angle_bounds,
     cross_term_blocks,
@@ -362,13 +362,12 @@ def trial_residuals(pair, aux):
         pr = max(penrose_residuals(q.a, q.pinv_a))
         yield "penrose", pr / (1.0 + q.fa.norm2 * q.fa.pinv_norm2)
 
-    back = pinv(pair.pinv_a)
-    yield "pinv_involution", float(np.abs(back - pair.a).max()) / (1.0 + pair.fa.norm2)
+    # independent route: factor the explicit pseudoinverse matrix, once for both checks
+    fi = svd_factors(pair.pinv_a)
+    yield "pinv_involution", float(np.abs(pinv(fi) - pair.a).max()) / (1.0 + pair.fa.norm2)
 
     if pair.rank_a >= 1:
-        # independent route: factor the explicit pseudoinverse matrix
-        sn = spectral_norm(pair.pinv_a)
-        yield "pinv_spectral_reciprocal", abs(sn * pair.fa.sigma1[-1] - 1.0)
+        yield "pinv_spectral_reciprocal", abs(fi.sigma[0] * pair.fa.sigma1[-1] - 1.0)
 
     yield from _lstsq_residuals(pair, aux)
     yield from identity_checks(pair)

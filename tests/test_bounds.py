@@ -7,12 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pinvperturb import bounds
 from pinvperturb.bounds import (
     MU,
     BoundReport,
     Estimator,
-    Requirement,
     envelope_ok,
     envelope_residual,
     equal_rank_multiplier,
@@ -23,7 +21,9 @@ from pinvperturb.bounds import (
     report_csv,
     report_table,
 )
+from pinvperturb.core import svd_factors
 from pinvperturb.geometry import make_pair
+from pinvperturb.suite import default_specs, trial_pair
 
 from helpers import lowrank
 
@@ -419,14 +419,42 @@ def test_stack_with_mixed_ranks_names_both():
         make_pair(a, b)
 
 
-def test_requirement_split_across_a_stack_rejected():
-    # every requirement of the table depends on the ranks, which a stack shares,
-    # so this one is made up: it holds for the first pair only
-    split = Requirement(lambda p: np.array([False, True]), lambda p: "needs the first pair")
-    probe = Estimator("probe_split", "upper", lambda nm, p: nm.e2, (split,))
-    p = make_pair(np.array([np.eye(2), np.eye(2)]), np.array([2.0 * np.eye(2), 3.0 * np.eye(2)]))
-    with pytest.raises(ValueError, match="probe_split applies to some pairs of the stack but not"):
-        probe.evaluate(p)
+def test_nonzero_norms_are_nonzero_ranks():
+    # the requirements read "a spectral norm is 0" and "a pseudoinverse norm is 0"
+    # as rank 0: both norms are 0 exactly at rank 0, at any scale and cutoff
+    def factors():
+        for t in range(len(default_specs())):
+            _, pair = trial_pair(1729, t)
+            for x in (pair.a, pair.b):
+                yield svd_factors(x)
+                for tol in (0.5, 1e300):
+                    yield svd_factors(x, tol=tol)
+                for k in (900, -900):
+                    yield svd_factors(x * 2.0**k)
+        yield svd_factors(np.zeros((3, 2)))
+
+    ranks = set()
+    for f in factors():
+        assert (f.norm2 == 0.0) == (f.pinv_norm2 == 0.0) == (f.rank == 0)
+        ranks.add(f.rank)
+    assert {0, 1, 8} <= ranks
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 4)], ids=str)
+def test_stack_applicability_is_that_of_each_pair(shape, cplx):
+    # a requirement reads the shape and the ranks, which a stack shares
+    m, n = shape
+    rng = np.random.default_rng([m, n, cplx])
+    k = min(m, n)
+    for ra in range(k + 1):
+        for rb in range(k + 1):
+            a = np.array([lowrank(rng, m, n, ra, cplx) for _ in range(3)])
+            b = np.array([lowrank(rng, m, n, rb, cplx) for _ in range(3)])
+            stacked = [(v.applicable, v.reason) for v in evaluate_all(make_pair(a, b))]
+            for ai, bi in zip(a, b):
+                alone = [(v.applicable, v.reason) for v in evaluate_all(make_pair(ai, bi))]
+                assert stacked == alone, (ra, rb)
 
 
 def _report_with(value, exact=1.0):
@@ -453,7 +481,7 @@ def test_overflow_in_a_row_is_an_error_not_an_inf():
     probe = Estimator("probe_product", "upper", lambda nm, p: nm.na * 1e308 * 10.0)
     p = make_pair(np.eye(2), 2.0 * np.eye(2))
     with pytest.raises(FloatingPointError, match="estimator probe_product failed: overflow"):
-        bounds.strict_arithmetic(probe.evaluate)(p)
+        probe.evaluate(p)
 
 
 def test_frobenius_values_are_square_roots_of_the_squared_ones():
