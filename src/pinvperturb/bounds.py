@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import checked
 from .geometry import deviation_spectral, deviation_sq
+from .matrixio import format_float
 
 SQUARED = "squared_frobenius"
 NORM = "norm"
@@ -409,10 +410,6 @@ def norm_bounds_ok(report):
     return norm_residual(report) <= TOL_BOUND
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def _report_rows(report):
     """Every rendered row: the exact deviations, the estimators, the envelope."""
 
@@ -435,7 +432,7 @@ def report_csv(report):
     lines = ["name,kind,target,norm,applicable,value"]
     for v in _report_rows(report):
         flag = "true" if v.applicable else "false"
-        val = _fmt(v.value) if v.applicable else ""
+        val = format_float(v.value) if v.applicable else ""
         lines.append(f"{v.name},{v.kind},{v.target},{v.norm_used},{flag},{val}")
     return "\n".join(lines) + "\n"
 
@@ -444,7 +441,7 @@ def report_table(report):
     """Human-readable report with one row per estimator."""
     rows = [("name", "kind", "target", "norm", "value", "note")]
     for v in _report_rows(report):
-        val = _fmt(v.value) if v.applicable else "-"
+        val = format_float(v.value) if v.applicable else "-"
         rows.append((v.name, v.kind, v.target, v.norm_used, val, v.reason))
     widths = [max(len(r[c]) for r in rows) for c in range(6)]
     out = []

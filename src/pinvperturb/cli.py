@@ -20,10 +20,10 @@ import sys
 from pathlib import Path
 
 from .backends import available_backends, default_backend
-from .bounds import _fmt, envelope_ok, full_report, norm_bounds_ok, report_csv, report_table
+from .bounds import envelope_ok, full_report, norm_bounds_ok, report_csv, report_table
 from .core import pinv, svd_factors
 from .geometry import make_pair
-from .matrixio import dumps, load
+from .matrixio import dumps, format_float, load
 from .suite import DEFAULT_SEED, DEFAULT_TRIALS, PROPERTIES, identity_checks, run_property_suite
 from .sweeps import (
     DEFAULT_STEPS,
@@ -48,8 +48,8 @@ def cmd_pinv(args):
     x = pinv(f)
     comments = [
         f"rank {f.rank}",
-        "sigma " + " ".join(_fmt(s) for s in f.sigma),
-        f"pinv_spectral_norm {_fmt(f.pinv_norm2)}",
+        "sigma " + " ".join(format_float(s) for s in f.sigma),
+        f"pinv_spectral_norm {format_float(f.pinv_norm2)}",
     ]
     text = dumps(x, comments=comments)
     _emit(text, args.out)
@@ -84,7 +84,7 @@ def cmd_verify_identities(args):
         tol = PROPERTIES[name].tol
         ok = resid <= tol
         status = "ok" if ok else "VIOLATION"
-        print(f"{status} {name} residual={_fmt(resid)} tol={_fmt(tol)}")
+        print(f"{status} {name} residual={format_float(resid)} tol={format_float(tol)}")
         bad += 0 if ok else 1
     if bad:
         print(f"error: {bad} identity check(s) violated", file=sys.stderr)

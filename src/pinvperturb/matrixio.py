@@ -5,6 +5,9 @@ data rows follow.  A real row holds n numbers; a complex row holds 2n
 numbers as re/im pairs.  Lines whose first non-blank character is ``#`` are
 comments; blank lines are skipped.  Files are UTF-8 and numbers round-trip
 at full double precision.
+
+Every number the package writes goes through ``format_float`` or
+``format_floats``: ``%.17g``, which reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -88,6 +91,26 @@ def _is_number(token):
         return False
 
 
+def format_float(x):
+    """One number as ``%.17g``."""
+    return f"{x:.17g}"
+
+
+def format_floats(x):
+    """``format_float`` of every entry of a float64 array, nested as ``x.tolist()``.
+
+    Each distinct value is formatted once: tables repeat values (exact
+    zeros, a closed form shared by several columns), and formatting is most
+    of the cost of writing one.  Values are told apart by their bits, so
+    ``-0.0`` keeps its own ``-0``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    text = ("\n".join(["%.17g"] * len(bits)) % tuple(bits.view(np.float64).tolist())).split("\n")
+    # the shape of ``inverse`` differs between numpy 2.0.0 and 2.0.1
+    return np.array(text, dtype=object)[inverse.reshape(x.shape)].tolist()
+
+
 def dumps(a, field="auto", comments=()):
     """Render a matrix; ``field='auto'`` picks complex only when needed.
 
@@ -103,16 +126,10 @@ def dumps(a, field="auto", comments=()):
         raise ValueError("matrix has nonzero imaginary parts, cannot write field 'real'")
     elif field not in ("real", "complex"):
         raise ValueError(f"field must be 'real', 'complex' or 'auto', got {field!r}")
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"{m} {n} {field}")
-    for i in range(m):
-        if field == "real":
-            lines.append(" ".join(f"{a[i, j].real:.17g}" for j in range(n)))
-        else:
-            lines.append(
-                " ".join(f"{a[i, j].real:.17g} {a[i, j].imag:.17g}" for j in range(n))
-            )
-    return "\n".join(lines) + "\n"
+    # a complex row interleaves re/im pairs
+    parts = a.real if field == "real" else np.stack([a.real, a.imag], axis=-1).reshape(m, 2 * n)
+    rows = list(map(" ".join, format_floats(parts)))
+    return "\n".join([*(f"# {c}" for c in comments), f"{m} {n} {field}", *rows, ""])
 
 
 def load(path):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .bounds import full_report
 from .geometry import make_pair
+from .matrixio import format_floats
 
 TAU_OPEN_MIN = 0.1
 TAU_OPEN_MAX = 0.5
@@ -124,6 +125,7 @@ def sweep_example(spec):
 
 def sweep_csv(result):
     names = list(result.columns)
-    row = ",".join(["{:.17g}"] * (len(names) + 1))
-    values = zip(result.taus.tolist(), *(result.columns[c].tolist() for c in names))
-    return "\n".join([",".join(["tau"] + names), *(row.format(*v) for v in values)]) + "\n"
+    table = np.column_stack([result.taus, *result.columns.values()])
+    # a list, so that the per-value strings are freed before the file is joined
+    rows = list(map(",".join, format_floats(table)))
+    return "\n".join([",".join(["tau"] + names), *rows, ""])

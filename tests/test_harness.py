@@ -30,6 +30,7 @@ from pinvperturb.suite import (
     trial_pair,
 )
 from pinvperturb.sweeps import (
+    SweepResult,
     SweepSpec,
     case_matrices,
     sweep_csv,
@@ -269,6 +270,33 @@ def test_sweep_csv_layout_and_determinism():
     assert all(len(ln.split(",")) == len(header) for ln in lines[1:])
     assert float(lines[1].split(",")[0]) == 0.101
     assert text == sweep_csv(sweep_example(spec))
+
+
+def _sweep_csv_per_row(result):
+    """Reference: one ``.17g`` template per row; ``sweep_csv`` matches it byte for byte."""
+    names = list(result.columns)
+    row = ",".join(["{:.17g}"] * (len(names) + 1))
+    values = zip(result.taus.tolist(), *(result.columns[c].tolist() for c in names))
+    return "\n".join([",".join(["tau"] + names), *(row.format(*v) for v in values)]) + "\n"
+
+
+@pytest.mark.parametrize("example", [1, 2])
+def test_sweep_csv_matches_per_row_rendering(example):
+    res = sweep_example(SweepSpec(example=example))
+    assert sweep_csv(res) == _sweep_csv_per_row(res)
+
+
+def test_sweep_csv_keeps_negative_zero_and_equal_columns():
+    taus = np.array([0.2, 0.3, 0.4])
+    same = np.array([1.5, -0.0, 2.0**-1074])
+    res = SweepResult(
+        spec=SweepSpec(example=1, tau_min=0.2, tau_max=0.4, steps=3),
+        taus=taus,
+        columns={"x": same, "x_closed": same.copy(), "x_diff": np.array([0.0, -0.0, 0.0])},
+    )
+    text = sweep_csv(res)
+    assert text == _sweep_csv_per_row(res)
+    assert text.splitlines()[2] == "0.29999999999999999,-0,-0,-0"
 
 
 def test_nan_residual_fails_and_stays_the_worst():

@@ -1,4 +1,4 @@
-"""Matrix text format: roundtrips, comments, and line-numbered errors."""
+"""Matrix text format: roundtrips, comments, line-numbered errors and the number writer."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pinvperturb.matrixio import MatrixFormatError, dump, dumps, load, loads
+from pinvperturb.matrixio import MatrixFormatError, dump, dumps, format_floats, load, loads
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -107,3 +107,75 @@ def test_roundtrip_bit_exact(rows, cols, data, cplx):
     m, _ = loads(dumps(a))
     # 17 significant digits reproduce doubles exactly
     assert np.array_equal(m, a)
+
+
+# edge values of the double range, drawn often so that arrays repeat them
+EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    1e-310,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+    -float("nan"),
+    1.0,
+    0.1,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 5),
+    data=st.data(),
+)
+def test_format_floats_is_per_entry_17g(rows, cols, data):
+    values = st.sampled_from(EDGES) | st.floats(width=64)
+    x = np.array(data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
+    assert format_floats(x) == [f"{v:.17g}" for v in x.tolist()]
+    table = x.reshape(rows, cols)
+    assert format_floats(table) == [[f"{v:.17g}" for v in row] for row in table.tolist()]
+
+
+def _dumps_per_entry(a, field, comments=()):
+    """Reference: one ``.17g`` format per entry; ``dumps`` matches it byte for byte."""
+    a = np.asarray(a, dtype=np.complex128)
+    m, n = a.shape
+    lines = [f"# {c}" for c in comments]
+    lines.append(f"{m} {n} {field}")
+    for i in range(m):
+        if field == "real":
+            lines.append(" ".join(f"{a[i, j].real:.17g}" for j in range(n)))
+        else:
+            lines.append(
+                " ".join(f"{a[i, j].real:.17g} {a[i, j].imag:.17g}" for j in range(n))
+            )
+    return "\n".join(lines) + "\n"
+
+
+_rng = np.random.default_rng(5)
+
+
+@pytest.mark.parametrize(
+    "a,field",
+    [
+        (np.array([[1.0, -0.0], [0.1, 3.0e-17]]), "real"),
+        (np.array([[1.0 + 2.0j, -0.0], [0.5 - 0.25j, 1.0 + 2.0j]]), "complex"),
+        (np.array([[complex(1.0, -0.0), complex(-0.0, 0.0)]]), "real"),
+        (np.array([[complex(2.0, -0.0), 1.0j]]), "complex"),
+        (np.array([[-0.0]]), "real"),
+        (np.array([[7.0 - 7.0j]]), "complex"),
+        (np.round(_rng.standard_normal((2, 300)), 2), "real"),
+        (_rng.standard_normal((3, 200)) + 1j * _rng.standard_normal((3, 200)), "complex"),
+    ],
+)
+def test_dumps_matches_per_entry_rendering(a, field):
+    assert dumps(a, comments=["rank 1", "sigma 2"]) == _dumps_per_entry(
+        a, field, comments=["rank 1", "sigma 2"]
+    )
+    assert dumps(a, field="complex") == _dumps_per_entry(a, "complex")
