@@ -30,15 +30,11 @@ from .core import (
     lstsq_min_norm,
     penrose_residuals,
     pinv,
-    projector_col,
-    projector_row,
-    spectral_norm,
     svd_factors,
 )
 from .geometry import (
     PerturbationPair,
     ProductNorms,
-    deviation_fro,
     deviation_spectral,
     deviation_sq,
     make_pair,
@@ -66,7 +62,6 @@ __all__ = [
     "available_backends",
     "default_backend",
     "default_cutoff",
-    "deviation_fro",
     "deviation_spectral",
     "deviation_sq",
     "dump",
@@ -86,12 +81,9 @@ __all__ = [
     "norm_bounds_ok",
     "penrose_residuals",
     "pinv",
-    "projector_col",
-    "projector_row",
     "report_csv",
     "report_table",
     "run_property_suite",
-    "spectral_norm",
     "svd_factors",
     "sweep_csv",
     "sweep_example",

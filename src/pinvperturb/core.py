@@ -5,15 +5,16 @@ the one ``backends.get_kernel()`` picks for the whole process (the C kernel
 when built, else numpy; chosen only through ``PINVPERTURB_BACKEND``).  Its
 threshold and pass limit are ``JACOBI_EPS`` and ``JACOBI_MAX_SWEEPS`` here,
 and nowhere else.  On top of that sit the Moore-Penrose inverse,
-spectral/Frobenius norms, orthogonal projectors and minimum-norm least
-squares.  Everything works internally in complex128 and accepts any real or
-complex 2-d array-like with finite entries.  ``svd_factors`` and ``pinv``
-also take a stack ``(B, m, n)`` of same-shape matrices, ``jacobi_svd`` a
+minimum-norm least squares and the residuals of the Penrose equations.
+Everything works internally in complex128 and accepts any real or complex
+2-d array-like with finite entries.  ``svd_factors`` and ``pinv`` also
+take a stack ``(B, m, n)`` of same-shape matrices, ``jacobi_svd`` a
 stack of any leading shape, and each factors it in one kernel call; a
 matrix is the one-element case.  A stack's thin factors keep as many
 vectors as its largest count of nonzero singular values, with zero ``v``
 (wide: ``u``) columns past each matrix's own count.  Only the rank is
 shared, so ``factor_pair`` factors a and b as one stack, each at its own.
+``penrose_residuals`` takes a stack too, with one residual per matrix.
 """
 
 from __future__ import annotations
@@ -288,23 +289,6 @@ def _inverse(f):
     return (f.v1 / f.sigma1[..., None, :]) @ conj_transpose(f.u1)
 
 
-def spectral_norm(a):
-    """Largest singular value, one per matrix of a stack, from the values alone."""
-    return jacobi_svd(a, compute_uv=False)[..., 0][()]
-
-
-def projector_col(a, tol=None):
-    """Orthogonal projector onto the column space (equals a @ pinv(a))."""
-    f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
-    return f.u1 @ conj_transpose(f.u1)
-
-
-def projector_row(a, tol=None):
-    """Orthogonal projector onto the row space (equals pinv(a) @ a)."""
-    f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
-    return f.v1 @ conj_transpose(f.v1)
-
-
 def lstsq_min_norm(a, b, tol=None):
     """Minimum-norm least-squares solution pinv(a) @ b.
 
@@ -327,17 +311,16 @@ def lstsq_min_norm(a, b, tol=None):
 def penrose_residuals(a, x):
     """Max-entry residuals of the four defining equations for candidate ``x``.
 
-    Returns (a x a - a, x a x - x, hermiticity of a x, hermiticity of x a).
+    Returns (a x a - a, x a x - x, hermiticity of a x, hermiticity of x a),
+    each one value per matrix of a stack ``a`` with its stack of candidates.
     """
-    a = as_matrix(a)
-    x = as_matrix(x)
-    if x.shape != (a.shape[1], a.shape[0]):
+    a = as_stack(a)
+    x = as_stack(x)
+    if x.shape != conj_transpose(a).shape:
         raise ShapeError(f"candidate shape {x.shape} does not match {a.shape}")
     ax = a @ x
     xa = x @ a
-    return (
-        float(np.abs(ax @ a - a).max()),
-        float(np.abs(xa @ x - x).max()),
-        float(np.abs(ax.conj().T - ax).max()),
-        float(np.abs(xa.conj().T - xa).max()),
+    return tuple(
+        np.abs(r).max(axis=(-2, -1))
+        for r in (ax @ a - a, xa @ x - x, conj_transpose(ax) - ax, conj_transpose(xa) - xa)
     )

@@ -14,10 +14,11 @@ exchanged.  Only the first is written here; the mirror is the same function
 on ``p.swapped``, whose norms ``ProductNorms.swapped`` maps from p's
 without a new product or SVD.
 
-``make_pair``, ``p.swapped``, the product norms and the deviations also
-take a stack of same-shape pairs, one pair per leading index, and give one
-value per pair; the identity, angle and trace helpers take single pairs,
-and the identity and angle helpers reject a stack with a ``ShapeError``.
+Everything that takes a pair also takes a stack of same-shape pairs, one
+pair per leading index, and gives one value per pair, with the bits that
+pair gets alone; only the trace helpers take two matrices instead.
+``ProductNorms`` stores the norms that need the factors or a product, and
+derives the squares, fourth powers and |e|_F from them on first use.
 """
 
 from __future__ import annotations
@@ -46,22 +47,41 @@ def _fro2(x):
     return np.vecdot(f, f).real
 
 
+def _fro(x):
+    """Frobenius norm, summed as ``np.linalg.norm`` sums one matrix: real parts, then imaginary."""
+    f = x.reshape(x.shape[:-2] + (-1,))
+    re, im = f.real, f.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
 def _outside(q, p):
     """q* (I - p p*) = q* - (q* p) p*; with p = u1, any row scaling of it has the norm of q* u2."""
-    qh = q.conj().T
-    return qh - (qh @ p) @ p.conj().T
+    qh = conj_transpose(q)
+    return qh - (qh @ p) @ conj_transpose(p)
+
+
+def _square(name):
+    """A derived ``ProductNorms`` value: the square of ``name``, as a product."""
+
+    def square(nm):
+        v = getattr(nm, name)
+        return v * v
+
+    return cached_property(square)
 
 
 @dataclass(frozen=True)
 class ProductNorms:
     """Ingredients shared by the deviation estimators, one value per pair.
 
-    ``na``/``nb``/``nai``/``nbi`` are the spectral norms of a, b and their
-    pseudoinverses, and ``na2``/``na4`` and so on their squares and fourth
-    powers, taken as products: a power of a numpy scalar goes through the C
-    library's pow(), which would give a pair other bits than its stack.
-    ``e2`` is |e|_F^2, ``ef`` its square root and ``es`` |e|_2.  The other
-    fields are the squared Frobenius norms of the projected perturbation
+    The 32 fields are what needs the factors or a product; the rest is
+    derived from them on first use and cached.  ``na``/``nb``/``nai``/``nbi``
+    are the spectral norms of a, b and their pseudoinverses; their squares
+    ``na2`` and so on and fourth powers ``na4`` and so on are derived, as
+    products: a power of a numpy scalar goes through the C library's pow(),
+    which would give a pair other bits than its stack.  ``e2`` is |e|_F^2,
+    ``es`` |e|_2, and the derived ``ef`` the square root of ``e2``.  The
+    other fields are the squared Frobenius norms of the projected perturbation
     products named beside them.  With a = ua Sa va* and b = ub Sb vb* at
     their ranks, those through (a, e) are read from three thin blocks,
     F = ua* e, G = e vb and C = ua* e vb (``_oriented``); their mirrors
@@ -89,16 +109,7 @@ class ProductNorms:
     nb: float
     nai: float
     nbi: float
-    na2: float
-    nb2: float
-    nai2: float
-    nbi2: float
-    na4: float
-    nb4: float
-    nai4: float
-    nbi4: float
     e2: float
-    ef: float
     es: float
     ae: float    # |a+ e|^2
     ea: float    # |e a+|^2
@@ -127,6 +138,16 @@ class ProductNorms:
     beaa_1: float  # na2 x - beaa
     bbea_1: float  # nb2 x - bbea
 
+    na2 = _square("na")
+    nb2 = _square("nb")
+    nai2 = _square("nai")
+    nbi2 = _square("nbi")
+    na4 = _square("na2")
+    nb4 = _square("nb2")
+    nai4 = _square("nai2")
+    nbi4 = _square("nbi2")
+    ef = cached_property(lambda nm: np.sqrt(nm.e2))
+
     @cached_property
     def swapped(self):
         """The same norms for the pair with a and b exchanged."""
@@ -134,7 +155,7 @@ class ProductNorms:
 
 
 # a field's counterpart under a <-> b swaps a with b and x with y in its name;
-# e2, ef and es are their own
+# e2 and es are their own, and the derived values follow their fields
 _SWAP_AB = str.maketrans("abxy", "bayx")
 # the mirror's field values in ProductNorms' positional order
 _mirrored_fields = attrgetter(*(f.name.translate(_SWAP_AB) for f in fields(ProductNorms)))
@@ -202,8 +223,7 @@ class PerturbationPair:
 
         Every exact identity reads its blocks here, and its mirror's from ``swapped.leaks``.
         """
-        fa, fb = _single(self)
-        return _outside(fb.u1, fa.u1), _outside(fa.v1, fb.v1)
+        return _outside(self.fb.u1, self.fa.u1), _outside(self.fa.v1, self.fb.v1)
 
 
 def make_pair(a, b, tol=None):
@@ -282,15 +302,12 @@ def _product_norms(p):
     fa, fb, e = p.fa, p.fb, p.e
     # the mirror's perturbation is -e, whose sign no squared norm sees
     mirror = _oriented(e, fb, fa)
-    spectral = dict(na=fa.norm2, nb=fb.norm2, nai=fa.pinv_norm2, nbi=fb.pinv_norm2)
-    sq = {name: v * v for name, v in spectral.items()}
-    e2 = _fro2(e)
     return ProductNorms(
-        **spectral,
-        **{f"{name}2": v for name, v in sq.items()},
-        **{f"{name}4": v * v for name, v in sq.items()},
-        e2=e2,
-        ef=np.sqrt(e2),
+        na=fa.norm2,
+        nb=fb.norm2,
+        nai=fa.pinv_norm2,
+        nbi=fb.pinv_norm2,
+        e2=_fro2(e),
         es=p.spectral_norms[0],
         **_oriented(e, fa, fb),
         **{k.translate(_SWAP_AB): v for k, v in mirror.items()},
@@ -307,20 +324,9 @@ def deviation_sq(p):
     return _deviation(p, _fro2)
 
 
-def deviation_fro(p):
-    return np.sqrt(deviation_sq(p))
-
-
 def deviation_spectral(p):
     """Exact spectral deviation |b+ - a+|_2, read from ``p.spectral_norms``."""
     return p.spectral_norms[1]
-
-
-def _single(p):
-    """``(p.fa, p.fb)``; a stack is a ``ShapeError``, since ``_outside`` takes matrices."""
-    if p.a.ndim != 2:
-        raise ShapeError(f"the exact identities take one pair, not a stack of shape {p.a.shape}")
-    return p.fa, p.fb
 
 
 def identity_terms(p):
@@ -332,8 +338,8 @@ def identity_terms(p):
     split is ``identity_terms(p.swapped)``.
     """
     lu, lv = p.leaks
-    t1 = _fro2(lu / p.fb.sigma1[:, None])
-    t2 = _fro2(lv / p.fa.sigma1[:, None])
+    t1 = _fro2(lu / p.fb.sigma1[..., :, None])
+    t2 = _fro2(lv / p.fa.sigma1[..., :, None])
     return t1, t2, p.norms.x
 
 
@@ -343,9 +349,9 @@ def cross_term_blocks(p):
     It is the squared norm of a weighted difference of the aligned unitary
     blocks; ``norms.y`` is the same on ``p.swapped``.
     """
-    fa, fb = _single(p)
-    g = (fb.v1.conj().T @ fa.v1) / fa.sigma1[None, :]
-    h = (fb.u1.conj().T @ fa.u1) / fb.sigma1[:, None]
+    fa, fb = p.fa, p.fb
+    g = (conj_transpose(fb.v1) @ fa.v1) / fa.sigma1[..., None, :]
+    h = (conj_transpose(fb.u1) @ fa.u1) / fb.sigma1[..., :, None]
     return _fro2(g - h)
 
 
@@ -368,42 +374,48 @@ def energy_terms(p):
     """
     lu, lv = p.leaks
     fa, fb = p.fa, p.fb
-    core = (fa.u1.conj().T @ fb.u1) * fb.sigma1[None, :] - fa.sigma1[:, None] * (
-        fa.v1.conj().T @ fb.v1
+    sa = fa.sigma1[..., :, None]
+    core = (conj_transpose(fa.u1) @ fb.u1) * fb.sigma1[..., None, :] - sa * (
+        conj_transpose(fa.v1) @ fb.v1
     )
-    t2 = _fro2(fa.sigma1[:, None] * lv)
-    t3 = _fro2(fb.sigma1[:, None] * lu)
+    t2 = _fro2(sa * lv)
+    t3 = _fro2(fb.sigma1[..., :, None] * lu)
     return _fro2(core), t2, t3
 
 
 def subspace_angles(p):
     """``(|u1b* u2a|_F, |v2b* v1a|_F)``; on ``p.swapped``, ``(|u2b* u1a|_F, |v1b* v2a|_F)``."""
-    return tuple(float(np.linalg.norm(block)) for block in p.leaks)
+    return tuple(_fro(block) for block in p.leaks)
 
 
 def equal_rank_angle_gap(p):
     """Max of |u12 - u21| and |v12 - v21|; zero when the ranks agree."""
     u12, v21 = subspace_angles(p)
     u21, v12 = subspace_angles(p.swapped)
-    return max(abs(u12 - u21), abs(v12 - v21))
+    return np.maximum(abs(u12 - u21), abs(v12 - v21))
 
 
 def _ratio(num, den):
     # a zero numerator comes from an empty block, where den may be 0 too
-    return 0.0 if num == 0.0 else num / den
+    return np.divide(num, den, out=np.zeros_like(num), where=num != 0.0)[()]
 
 
 def angle_bounds(p):
     """Principal-angle sandwich ``(lower, upper)`` of the squared deviation.
 
     ``upper`` dominates the deviation and ``lower`` is dominated by it; the
-    mirror sandwich is ``angle_bounds(p.swapped)``.
+    mirror sandwich is ``angle_bounds(p.swapped)``.  An overflow, such as
+    that of a pseudoinverse norm's square, names the angle bounds.
     """
     u12, v21 = subspace_angles(p)
-    n = p.norms
+    # squares as products, as in ``ProductNorms``
+    return checked("angle bounds", _sandwich, u12 * u12, v21 * v21, p.norms)
+
+
+def _sandwich(u2, v2, n):
     return (
-        _ratio(u12**2, n.nb2) + _ratio(v21**2, n.na2) + n.x,
-        n.nbi2 * u12**2 + n.nai2 * v21**2 + n.x,
+        _ratio(u2, n.nb2) + _ratio(v2, n.na2) + n.x,
+        n.nbi2 * u2 + n.nai2 * v2 + n.x,
     )
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import SQUARED, TOL_BOUND, envelope_residual, full_report, norm_residual
-from .core import penrose_residuals, pinv, svd_factors
+from .core import conj_transpose, penrose_residuals, pinv, svd_factors
 from .geometry import (
     angle_bounds,
     cross_term_blocks,
@@ -166,10 +166,11 @@ def default_specs(seed=DEFAULT_SEED):
 
 
 def identity_checks(p):
-    """Residuals of every exact identity for one pair, as (name, residual).
+    """Residuals of every exact identity for a pair, or a stack of them, as (name, residual).
 
     Each is checked on ``p`` and on ``p.swapped``, the ``_a`` and ``_b``
-    properties of a split.
+    properties of a split.  A stack gives one residual per pair, with the
+    bits of that pair's own.
     """
     out = []
     dev = deviation_sq(p)
@@ -178,8 +179,8 @@ def identity_checks(p):
     both = (p, p.swapped)
     for name, q in zip(("identity_sum_a", "identity_sum_b"), both):
         out.append((name, abs(sum(identity_terms(q)) - dev) / sdev))
-    cross = max(abs(cross_term_blocks(q) - q.norms.x) / (1.0 + q.norms.x) for q in both)
-    out.append(("cross_term_blocks", cross))
+    cross = [abs(cross_term_blocks(q) - q.norms.x) / (1.0 + q.norms.x) for q in both]
+    out.append(("cross_term_blocks", np.maximum(*cross)))
     for name, fn, product in (
         ("proof_identity_u", proof_identity_u, "eb"),
         ("proof_identity_v", proof_identity_v, "ae"),
@@ -190,7 +191,7 @@ def identity_checks(p):
             # the rhs is projected off a potentially huge product, so the
             # roundoff budget scales with that product, not the result
             big = getattr(q.norms, product)
-            resid = max(resid, abs(lhs - rhs) / (1.0 + lhs + big))
+            resid = np.maximum(resid, abs(lhs - rhs) / (1.0 + lhs + big))
         out.append((name, resid))
     for name, q in zip(("energy_split_a", "energy_split_b"), both):
         out.append((name, abs(sum(energy_terms(q)) - e2) / (1.0 + e2)))
@@ -198,19 +199,18 @@ def identity_checks(p):
         out.append(("equal_rank_angles", equal_rank_angle_gap(p)))
     sandwich = 0.0
     for lower, upper in map(angle_bounds, both):
-        sandwich = max(sandwich, dev - upper, lower - dev)
+        sandwich = np.maximum(np.maximum(sandwich, dev - upper), lower - dev)
     out.append(("angle_sandwich", sandwich / sdev))
     return out
 
 
 def _factor_contract_residuals(f, a):
-    """Orthonormality of u1 and v1, and a rebuilt from its kept rank."""
+    """Orthonormality of u1 and v1, and a rebuilt from its kept rank; one value per matrix of a stack."""
     r = np.eye(f.rank)
-    unit = max(
-        float(np.abs(f.u1.conj().T @ f.u1 - r).max(initial=0.0)),
-        float(np.abs(f.v1.conj().T @ f.v1 - r).max(initial=0.0)),
+    unit = np.maximum(
+        *(np.abs(conj_transpose(q) @ q - r).max(axis=(-2, -1), initial=0.0) for q in (f.u1, f.v1))
     ) / max(f.shape)
-    recon = float(np.abs(f.kept - a).max()) / (1.0 + f.norm2)
+    recon = np.abs(f.kept - a).max(axis=(-2, -1)) / (1.0 + f.norm2)
     return [("svd_unitarity", unit), ("svd_reconstruction", recon)]
 
 

@@ -219,6 +219,22 @@ def test_out_of_range_failure_names_its_step(tmp_path, capsys, command, scale, w
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, what",
+    [("bounds", "estimator wedin_spectral"), ("verify-identities", "angle bounds")],
+)
+def test_derived_norm_overflow_names_its_reader(tmp_path, capsys, command, what):
+    # a = b = 1e-160 I: every stored product norm is finite, but the square of
+    # |a+|_2 = 1e160, derived on first use, overflows where it is first read
+    path = _write(tmp_path, "a.mat", 1e-160 * np.eye(2))
+    assert cli.main([command, path, path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {what} failed: overflow")
+
+
+@pytest.mark.filterwarnings("error")
 def test_no_convergence_exit3_without_warnings(tmp_path, capsys, monkeypatch):
     # the rank-one 0.3 * ones that stalled the kernel converges once
     # preconditioned, so a stub reports the kernel's failure; the error path

@@ -1,4 +1,4 @@
-"""Core API tests: pseudoinverse contract, norms, projectors, least squares."""
+"""Core API tests: pseudoinverse contract, norms, least squares."""
 
 from __future__ import annotations
 
@@ -16,9 +16,6 @@ from pinvperturb.core import (
     lstsq_min_norm,
     penrose_residuals,
     pinv,
-    projector_col,
-    projector_row,
-    spectral_norm,
     svd_factors,
 )
 
@@ -79,7 +76,7 @@ def test_pinv_involution():
     rng = np.random.default_rng(5)
     a = lowrank(rng, 5, 4, 3, True)
     back = pinv(pinv(a))
-    assert_allclose(back, a, atol=1e-10 * (1.0 + spectral_norm(a)))
+    assert_allclose(back, a, atol=1e-10 * (1.0 + jacobi_svd(a, compute_uv=False)[..., 0]))
 
 
 def test_pinv_matches_reference():
@@ -109,20 +106,7 @@ def test_spectral_norm_of_pinv_is_reciprocal():
     rng = np.random.default_rng(13)
     a = lowrank(rng, 6, 4, 2, False)
     f = svd_factors(a)
-    assert abs(spectral_norm(pinv(a)) * f.sigma1[-1] - 1.0) <= 1e-9
-
-
-def test_projectors():
-    rng = np.random.default_rng(17)
-    a = lowrank(rng, 5, 3, 2, True)
-    pc = projector_col(a)
-    pr = projector_row(a)
-    x = pinv(a)
-    assert_allclose(pc, a @ x, atol=1e-11)
-    assert_allclose(pr, x @ a, atol=1e-11)
-    assert_allclose(pc @ pc, pc, atol=1e-12)
-    assert_allclose(pr @ pr, pr, atol=1e-12)
-    assert_allclose(pc.conj().T, pc, atol=1e-12)
+    assert abs(jacobi_svd(pinv(a), compute_uv=False)[..., 0] * f.sigma1[-1] - 1.0) <= 1e-9
 
 
 def test_lstsq_known_value():
