@@ -168,15 +168,18 @@ def _li_full_column_rank(nm, p):
 
 
 def _singular_value_bound(p, c):
-    """total + c * aligned, from the two singular value lists only (c = +-2)."""
-    ra = 1.0 / p.fa.sigma1
-    rb = 1.0 / p.fb.sigma1
-    total = np.sum(ra**2, axis=-1) + np.sum(rb**2, axis=-1)
+    """sum_i (1/sa_i + c/sb_i)^2 over matched reciprocals, plus the unmatched ones squared (c = +-1).
+
+    Largest reciprocal pairs with largest: the trace bound for the aligned
+    part; sigma1 is decreasing, so its reciprocals reversed are sorted.  Each
+    matched pair is combined before it is squared, so the lower row does not
+    cancel when a and b are close.
+    """
+    ra = 1.0 / p.fa.sigma1[..., ::-1]
+    rb = 1.0 / p.fb.sigma1[..., ::-1]
     k = min(p.rank_a, p.rank_b)
-    # largest reciprocal pairs with largest: the trace bound for the aligned
-    # part; sigma1 is decreasing, so its reciprocals reversed are sorted
-    aligned = np.sum(ra[..., ::-1][..., :k] * rb[..., ::-1][..., :k], axis=-1)
-    return total + c * aligned
+    terms = np.concatenate((ra[..., :k] + c * rb[..., :k], ra[..., k:], rb[..., k:]), axis=-1)
+    return np.sum(terms * terms, axis=-1)
 
 
 def _upper(route):
@@ -315,14 +318,14 @@ ESTIMATORS = (
         _upper(lambda nm: nm.nbi2 * nm.ea),
         (_FULL_COLUMN_RANK_BOTH,),
     ),
-    Estimator("singular_value_upper", "upper", lambda nm, p: _singular_value_bound(p, 2.0)),
+    Estimator("singular_value_upper", "upper", lambda nm, p: _singular_value_bound(p, 1.0)),
     Estimator("alpha_upper", "upper", _upper(_alpha_upper)),
     Estimator("beta_upper", "upper", _upper(_beta_upper)),
     Estimator("gamma_upper", "upper", _upper(_gamma_upper), (_PINV_NONZERO,)),
     Estimator("delta_upper", "upper", _upper(_delta_upper), (_PINV_NONZERO,)),
     Estimator("epsilon_upper", "upper", _upper(_epsilon_upper), (_EQUAL_RANKS, _PINV_NONZERO)),
     Estimator("averaged_upper", "upper", _averaged_upper, (_PINV_NONZERO,)),
-    Estimator("singular_value_lower", "lower", lambda nm, p: _singular_value_bound(p, -2.0)),
+    Estimator("singular_value_lower", "lower", lambda nm, p: _singular_value_bound(p, -1.0)),
     Estimator("alpha_lower", "lower", _lower(_alpha_lower), (_SPECTRAL_NONZERO,)),
     Estimator("beta_lower", "lower", _lower(_beta_lower), (_SPECTRAL_NONZERO,)),
     Estimator("gamma_lower", "lower", _lower(_gamma_lower), (_SPECTRAL_NONZERO,)),

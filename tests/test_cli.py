@@ -18,6 +18,8 @@ from pinvperturb.core import pinv
 from pinvperturb.matrixio import dumps, loads
 from pinvperturb.suite import PropertyResult, SuiteResult
 
+from helpers import BACKENDS
+
 
 def _write(tmp_path, name, a):
     path = tmp_path / name
@@ -232,6 +234,22 @@ def test_derived_norm_overflow_names_its_reader(tmp_path, capsys, command, what)
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {what} failed: overflow")
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_near_equal_pair_bounds_exit0(tmp_path, capsys, backend):
+    # singular_value_lower once subtracted twice the aligned sum from the two
+    # sums of 1/sigma^2, all near 1e8, and read 2.98e-8 against an exact 1.00e-8
+    a = tmp_path / "a.mat"
+    b = tmp_path / "b.mat"
+    a.write_text("2 2 real\n1 0\n0 1e-4\n", encoding="utf-8")
+    b.write_text("2 2 real\n1 0\n0 0.000100000001\n", encoding="utf-8")
+    assert cli.main(["bounds", str(a), str(b), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    value = {row[0]: float(row[-1]) for row in rows if row[-1]}
+    assert value["singular_value_lower"] <= value["exact_squared_frobenius"]
 
 
 @pytest.mark.filterwarnings("error")
