@@ -62,12 +62,7 @@ def _outside(q, p):
 
 def _square(name):
     """A derived ``ProductNorms`` value: the square of ``name``, as a product."""
-
-    def square(nm):
-        v = getattr(nm, name)
-        return v * v
-
-    return cached_property(square)
+    return cached_property(lambda nm: getattr(nm, name) * getattr(nm, name))
 
 
 @dataclass(frozen=True)

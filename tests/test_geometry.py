@@ -224,6 +224,7 @@ def test_known_split_for_diagonal_jump_case():
 def test_deviation_norm_variants_consistent():
     rng = np.random.default_rng(37)
     p = make_pair(lowrank(rng, 5, 4, 3, True), lowrank(rng, 5, 4, 2, True))
+    assert np.sqrt(deviation_sq(p)) ** 2 == pytest.approx(deviation_sq(p), rel=1e-12)
     assert deviation_spectral(p) <= np.sqrt(deviation_sq(p)) + 1e-12
 
 
