@@ -3,10 +3,11 @@ pseudoinverses of a matrix pair, plus the classical unsquared norm bounds.
 
 The family is one table, ``ESTIMATORS``: each row names an estimator, what
 it bounds, the hypotheses it needs and its formula.  The hypotheses come
-from a closed set of requirements; a row whose requirement fails reports
-itself as not applicable, with that requirement's reason.  ``full_report``
-evaluates the whole table, forms the tightest envelope from the applicable
-squared estimates, and can check it against the exact deviation.
+from a closed set of requirements, each one function that says why a row
+is skipped; a row with an unmet requirement reports itself as not
+applicable, with the first such reason.  ``full_report`` evaluates the
+whole table, forms the tightest envelope from the applicable squared
+estimates, and can check it against the exact deviation.
 
 The table is evaluated on arrays: for a stack of pairs, each value is an
 array with one entry per pair, from the same arithmetic as one pair's.  A
@@ -66,9 +67,12 @@ class BoundValue:
     kind: str  # "upper" or "lower"; the rendered report adds "exact" and "envelope" rows
     target: str
     norm_used: str
-    applicable: bool
     value: float | np.ndarray | None
     reason: str = ""
+
+    @property
+    def applicable(self):
+        return self.value is not None
 
 
 def _d(t):
@@ -76,80 +80,69 @@ def _d(t):
     return np.maximum(t, 0.0)
 
 
-@dataclass(frozen=True)
-class Requirement:
-    """A hypothesis an estimator needs, on the shape m x n and the ranks ra and rb alone.
-
-    When ``violated(m, n, ra, rb)``, ``reason(m, n, ra, rb)`` says why the row is skipped.
-    """
-
-    violated: Callable[[int, int, int, int], bool]
-    reason: Callable[[int, int, int, int], str]
+# The closed set of hypotheses, each one function of the shape m x n and the ranks ra and rb
+# alone: it says why a row is skipped, or gives "" when the hypothesis is met.  Each row checks
+# its own in the order listed.  A spectral norm and a pseudoinverse norm are 0 exactly at rank
+# 0, so a reason may name either.
 
 
-# the closed set of requirements; each row checks its own in the order listed.  A spectral
-# norm and a pseudoinverse norm are 0 exactly at rank 0, so a reason may name either.
-_EQUAL_RANKS = Requirement(
-    lambda m, n, ra, rb: ra != rb,
-    lambda m, n, ra, rb: f"needs equal ranks, got {ra} and {rb}",
-)
-_PINV_NONZERO = Requirement(
-    lambda m, n, ra, rb: not (ra and rb),
-    lambda m, n, ra, rb: "needs both operands nonzero, a pseudoinverse norm is 0",
-)
-_SPECTRAL_NONZERO = Requirement(
-    lambda m, n, ra, rb: not (ra and rb),
-    lambda m, n, ra, rb: "needs both operands nonzero, a spectral norm is 0",
-)
-_ANY_NONZERO = Requirement(
-    lambda m, n, ra, rb: not (ra or rb),
-    lambda m, n, ra, rb: "needs a nonzero operand, both spectral norms are 0",
-)
-_B_NONZERO = Requirement(
-    lambda m, n, ra, rb: not rb,
-    lambda m, n, ra, rb: "needs b nonzero, its pseudoinverse norm is 0",
-)
-_FULL_COLUMN_RANK_A = Requirement(
-    lambda m, n, ra, rb: ra != n,
-    lambda m, n, ra, rb: f"needs full column rank of a, got rank {ra} of {n}",
-)
-_FULL_COLUMN_RANK_BOTH = Requirement(
-    lambda m, n, ra, rb: ra != n or rb != n,
-    lambda m, n, ra, rb: f"needs both ranks equal to {n}, got {ra} and {rb}",
-)
+def _equal_ranks(m, n, ra, rb):
+    return "" if ra == rb else f"needs equal ranks, got {ra} and {rb}"
+
+
+def _pinv_nonzero(m, n, ra, rb):
+    return "" if ra and rb else "needs both operands nonzero, a pseudoinverse norm is 0"
+
+
+def _spectral_nonzero(m, n, ra, rb):
+    return "" if ra and rb else "needs both operands nonzero, a spectral norm is 0"
+
+
+def _any_nonzero(m, n, ra, rb):
+    return "" if ra or rb else "needs a nonzero operand, both spectral norms are 0"
+
+
+def _b_nonzero(m, n, ra, rb):
+    return "" if rb else "needs b nonzero, its pseudoinverse norm is 0"
+
+
+def _full_column_rank_a(m, n, ra, rb):
+    return "" if ra == n else f"needs full column rank of a, got rank {ra} of {n}"
+
+
+def _full_column_rank_both(m, n, ra, rb):
+    return "" if ra == rb == n else f"needs both ranks equal to {n}, got {ra} and {rb}"
 
 
 def _no_single_norm(constant):
     """Never met: the bound holds with ``constant`` for every unitarily invariant norm."""
-    return Requirement(
-        lambda m, n, ra, rb: True,
-        lambda m, n, ra, rb: f"constant {constant(m, n, ra, rb):g} holds for every unitarily "
-        "invariant norm; no single norm to evaluate",
+    return lambda m, n, ra, rb: (
+        f"constant {constant(m, n, ra, rb):g} holds for every unitarily "
+        "invariant norm; no single norm to evaluate"
     )
 
 
 @dataclass(frozen=True)
 class Estimator:
-    """One row of the family; ``formula(p.norms, p)`` runs only when every requirement holds."""
+    """One row of the family; ``formula(p.norms, p)`` runs only when every hypothesis is met."""
 
     name: str
     kind: str  # "upper" or "lower"
     formula: Callable | None
-    requires: tuple[Requirement, ...] = ()
+    requires: tuple[Callable[[int, int, int, int], str], ...] = ()
     target: str = SQUARED
     norm: str = "frobenius"
 
     def evaluate(self, p):
         facts = (*p.shape, p.rank_a, p.rank_b)
         for req in self.requires:
-            if req.violated(*facts):
-                return BoundValue(
-                    self.name, self.kind, self.target, self.norm, False, None, req.reason(*facts)
-                )
+            reason = req(*facts)
+            if reason:
+                return BoundValue(self.name, self.kind, self.target, self.norm, None, reason)
         value = checked(f"estimator {self.name}", self.formula, p.norms, p)
         if self.kind == "lower":
             value = np.maximum(value, 0.0)
-        return BoundValue(self.name, self.kind, self.target, self.norm, True, value)
+        return BoundValue(self.name, self.kind, self.target, self.norm, value)
 
 
 def _nu(p, norm):
@@ -289,16 +282,16 @@ ESTIMATORS = (
     Estimator(
         "wedin_equal_rank_spectral", "upper",
         lambda nm, p: _nu(p, "spectral") * nm.nai * nm.nbi * nm.es,
-        (_EQUAL_RANKS,), target=NORM, norm="spectral",
+        (_equal_ranks,), target=NORM, norm="spectral",
     ),
     Estimator(
         "wedin_equal_rank_frobenius", "upper",
         lambda nm, p: _nu(p, "frobenius") * nm.nai * nm.nbi * nm.ef,
-        (_EQUAL_RANKS,), target=NORM,
+        (_equal_ranks,), target=NORM,
     ),
     Estimator(
         "wedin_equal_rank_unitarily_invariant", "upper", None,
-        (_EQUAL_RANKS, _no_single_norm(lambda m, n, ra, rb: equal_rank_multiplier(m, n, ra, UI))),
+        (_equal_ranks, _no_single_norm(lambda m, n, ra, rb: equal_rank_multiplier(m, n, ra, UI))),
         target=NORM, norm=UI,
     ),
     Estimator(
@@ -306,31 +299,31 @@ ESTIMATORS = (
     ),
     Estimator(
         "meng_zheng_equal_rank", "upper", lambda nm, p: nm.nai * nm.nbi * nm.ef,
-        (_EQUAL_RANKS,), target=NORM,
+        (_equal_ranks,), target=NORM,
     ),
-    Estimator("li_refined", "upper", _li_refined, (_PINV_NONZERO,)),
+    Estimator("li_refined", "upper", _li_refined, (_pinv_nonzero,)),
     Estimator(
         "li_full_column_rank", "upper", _li_full_column_rank,
-        (_FULL_COLUMN_RANK_A, _B_NONZERO),
+        (_full_column_rank_a, _b_nonzero),
     ),
     Estimator(
         "li_full_rank_pair", "upper",
         _upper(lambda nm: nm.nbi2 * nm.ea),
-        (_FULL_COLUMN_RANK_BOTH,),
+        (_full_column_rank_both,),
     ),
     Estimator("singular_value_upper", "upper", lambda nm, p: _singular_value_bound(p, 1.0)),
     Estimator("alpha_upper", "upper", _upper(_alpha_upper)),
     Estimator("beta_upper", "upper", _upper(_beta_upper)),
-    Estimator("gamma_upper", "upper", _upper(_gamma_upper), (_PINV_NONZERO,)),
-    Estimator("delta_upper", "upper", _upper(_delta_upper), (_PINV_NONZERO,)),
-    Estimator("epsilon_upper", "upper", _upper(_epsilon_upper), (_EQUAL_RANKS, _PINV_NONZERO)),
-    Estimator("averaged_upper", "upper", _averaged_upper, (_PINV_NONZERO,)),
+    Estimator("gamma_upper", "upper", _upper(_gamma_upper), (_pinv_nonzero,)),
+    Estimator("delta_upper", "upper", _upper(_delta_upper), (_pinv_nonzero,)),
+    Estimator("epsilon_upper", "upper", _upper(_epsilon_upper), (_equal_ranks, _pinv_nonzero)),
+    Estimator("averaged_upper", "upper", _averaged_upper, (_pinv_nonzero,)),
     Estimator("singular_value_lower", "lower", lambda nm, p: _singular_value_bound(p, -1.0)),
-    Estimator("alpha_lower", "lower", _lower(_alpha_lower), (_SPECTRAL_NONZERO,)),
-    Estimator("beta_lower", "lower", _lower(_beta_lower), (_SPECTRAL_NONZERO,)),
-    Estimator("gamma_lower", "lower", _lower(_gamma_lower), (_SPECTRAL_NONZERO,)),
-    Estimator("delta_lower", "lower", _lower(_delta_lower), (_ANY_NONZERO,)),
-    Estimator("epsilon_lower", "lower", _lower(_epsilon_lower), (_EQUAL_RANKS, _SPECTRAL_NONZERO)),
+    Estimator("alpha_lower", "lower", _lower(_alpha_lower), (_spectral_nonzero,)),
+    Estimator("beta_lower", "lower", _lower(_beta_lower), (_spectral_nonzero,)),
+    Estimator("gamma_lower", "lower", _lower(_gamma_lower), (_spectral_nonzero,)),
+    Estimator("delta_lower", "lower", _lower(_delta_lower), (_any_nonzero,)),
+    Estimator("epsilon_lower", "lower", _lower(_epsilon_lower), (_equal_ranks, _spectral_nonzero)),
 )
 
 
@@ -353,10 +346,13 @@ class BoundReport:
     """
 
     exact_sq: float | np.ndarray
-    exact_fro: float | np.ndarray
     exact_spectral: float | np.ndarray
     values: tuple[BoundValue, ...]
     envelope: tuple[float | np.ndarray, float | np.ndarray]
+
+    @property
+    def exact_fro(self):
+        return np.sqrt(self.exact_sq)
 
     def by_name(self, name):
         for v in self.values:
@@ -369,11 +365,9 @@ def full_report(p):
     values = evaluate_all(p)
     lows = [v.value for v in values if v.applicable and v.kind == "lower" and v.target == SQUARED]
     ups = [v.value for v in values if v.applicable and v.kind == "upper" and v.target == SQUARED]
-    exact_sq = deviation_sq(p)
     # the singular-value pair is always applicable, so neither list is empty
     return BoundReport(
-        exact_sq=exact_sq,
-        exact_fro=np.sqrt(exact_sq),
+        exact_sq=deviation_sq(p),
         exact_spectral=deviation_spectral(p),
         values=tuple(values),
         envelope=(functools.reduce(np.maximum, lows), functools.reduce(np.minimum, ups)),
@@ -416,17 +410,14 @@ def norm_bounds_ok(report):
 def _report_rows(report):
     """Every rendered row: the exact deviations, the estimators, the envelope."""
 
-    def row(name, kind, target, norm, value):
-        return BoundValue(name, kind, target, norm, True, value)
-
     lo, up = report.envelope
     return (
-        row("exact_squared_frobenius", "exact", SQUARED, "frobenius", report.exact_sq),
-        row("exact_frobenius", "exact", NORM, "frobenius", report.exact_fro),
-        row("exact_spectral", "exact", NORM, "spectral", report.exact_spectral),
+        BoundValue("exact_squared_frobenius", "exact", SQUARED, "frobenius", report.exact_sq),
+        BoundValue("exact_frobenius", "exact", NORM, "frobenius", report.exact_fro),
+        BoundValue("exact_spectral", "exact", NORM, "spectral", report.exact_spectral),
         *report.values,
-        row("envelope_lower", "envelope", SQUARED, "frobenius", lo),
-        row("envelope_upper", "envelope", SQUARED, "frobenius", up),
+        BoundValue("envelope_lower", "envelope", SQUARED, "frobenius", lo),
+        BoundValue("envelope_upper", "envelope", SQUARED, "frobenius", up),
     )
 
 

@@ -201,8 +201,13 @@ class PerturbationPair:
             d = d if d.shape == e.shape else conj_transpose(d)
             return jacobi_svd(np.stack((e, d)), compute_uv=False)[..., 0]
 
-        s = _deviation(self, with_e)
+        s = checked("exact deviation", with_e, self.deviation)
         return s[0][()], s[1][()]
+
+    @cached_property
+    def deviation(self):
+        """The exact deviation b+ - a+, which every norm of it reads."""
+        return checked("exact deviation", np.subtract, self.pinv_b, self.pinv_a)
 
     @cached_property
     def swapped(self):
@@ -309,14 +314,9 @@ def _product_norms(p):
     )
 
 
-def _deviation(p, norm):
-    """``norm(b+ - a+)``; an arithmetic error names the exact deviation."""
-    return checked("exact deviation", lambda: norm(p.pinv_b - p.pinv_a))
-
-
 def deviation_sq(p):
     """Exact squared Frobenius deviation of the pseudoinverses."""
-    return _deviation(p, _fro2)
+    return checked("exact deviation", _fro2, p.deviation)
 
 
 def deviation_spectral(p):

@@ -44,16 +44,21 @@ class EnsembleSpec:
             raise ValueError("condition_cap must be at least 1")
 
 
+def gaussian(rng, shape, field):
+    """Standard normal draws of ``shape``: the real parts, then, if complex, the imaginary parts."""
+    g = rng.standard_normal(shape)
+    if field == "complex":
+        g = g + 1j * rng.standard_normal(shape)
+    return g
+
+
 def haar_frame(m, k, rng, field="real"):
     """m x k matrix with orthonormal columns, uniformly distributed.
 
     The phases of the QR diagonal are absorbed so the frame's distribution
     is exactly invariant under left multiplication by unitaries.
     """
-    g = rng.standard_normal((m, k))
-    if field == "complex":
-        g = g + 1j * rng.standard_normal((m, k))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(gaussian(rng, (m, k), field))
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return (q * (np.conj(d) / np.abs(d))).astype(np.complex128)

@@ -32,7 +32,7 @@ from .geometry import (
     von_neumann_sum,
     aligning_unitaries,
 )
-from .randmat import EnsembleSpec, gen_pair, haar_unitary
+from .randmat import EnsembleSpec, gaussian, gen_pair, haar_unitary
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 500
@@ -311,26 +311,20 @@ def _lstsq_residuals(p, rng):
     a = p.a
     fa = p.fa
     m, n = a.shape
-    cplx = bool(np.any(a.imag != 0.0))
-    b = rng.standard_normal(m)
-    if cplx:
-        b = b + 1j * rng.standard_normal(m)
+    fld = "complex" if np.any(a.imag != 0.0) else "real"
+    b = gaussian(rng, m, fld)
     x0 = p.pinv_a @ b
+    x0n = float(np.linalg.norm(x0))
     r0 = float(np.linalg.norm(a @ x0 - b))
     opt_viol = 0.0
     for _ in range(100):
-        scale_c = (1.0 + np.linalg.norm(x0)) * 10.0 ** rng.uniform(-8.0, 0.0)
-        g = rng.standard_normal(n)
-        if cplx:
-            g = g + 1j * rng.standard_normal(n)
+        scale_c = (1.0 + x0n) * 10.0 ** rng.uniform(-8.0, 0.0)
+        g = gaussian(rng, n, fld)
         rc = float(np.linalg.norm(a @ (x0 + scale_c * g) - b))
         opt_viol = max(opt_viol, (r0 - rc) / (1.0 + r0))
     norm_viol = 0.0
-    x0n = float(np.linalg.norm(x0))
     for _ in range(20):
-        w = rng.standard_normal(n)
-        if cplx:
-            w = w + 1j * rng.standard_normal(n)
+        w = gaussian(rng, n, fld)
         w_null = w - fa.v1 @ (fa.v1.conj().T @ w)
         cand = x0 + w_null
         rc = float(np.linalg.norm(a @ cand - b))
@@ -396,11 +390,7 @@ def trace_residuals(seed, t):
     m = int(rng.integers(1, 7))
     n = int(rng.integers(1, 7))
     fld = "complex" if rng.integers(2) else "real"
-    mm = rng.standard_normal((m, n))
-    nn = rng.standard_normal((m, n))
-    if fld == "complex":
-        mm = mm + 1j * rng.standard_normal((m, n))
-        nn = nn + 1j * rng.standard_normal((m, n))
+    mm, nn = gaussian(rng, (2, m, n), fld)  # the real parts of both, then the imaginary
     vn = von_neumann_sum(mm, nn)
     u = haar_unitary(m, rng, fld)
     v = haar_unitary(n, rng, fld)
