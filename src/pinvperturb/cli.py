@@ -7,7 +7,7 @@ Subcommands:
   suite               randomized property suite
   sweep               closed-form parameter sweep (cases 1 and 2)
 
-Exit codes: 0 success, 2 usage or input error (an unknown
+Exit codes: 0 success, 2 usage, input or file error (an unknown
 ``PINVPERTURB_BACKEND`` included), 3 numerical invariant violation or
 numerical failure (no convergence, overflow, a missing kernel backend).
 All numbers print with 17 significant digits.
@@ -35,11 +35,18 @@ from .sweeps import (
 )
 
 
+class OutputError(OSError):
+    """A result file that could not be written; every other ``OSError`` is a failed read."""
+
+
 def _emit(text, out):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(exc.errno, exc.strerror, out) from exc
 
 
 def cmd_pinv(args):
@@ -117,15 +124,19 @@ def cmd_sweep(args):
     return 0
 
 
-def _trial_count(text):
-    """``--trials``: an integer of at least 1; a suite of no trials checks nothing."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return value
+def _integer_from(low):
+    """An argparse type: an integer of at least ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -161,8 +172,9 @@ def build_parser():
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("suite", help="randomized property suite")
-    p.add_argument("--trials", type=_trial_count, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # a suite of no trials checks nothing, and numpy seeds are non-negative
+    p.add_argument("--trials", type=_integer_from(1), default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=_integer_from(0), default=DEFAULT_SEED)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("sweep", help="closed-form sweep of a worked case")
@@ -181,8 +193,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: cannot read {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        verb = "write" if isinstance(exc, OutputError) else "read"
+        print(f"error: cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a MatrixFormatError and a ShapeError included
         print(f"error: {exc}", file=sys.stderr)

@@ -133,8 +133,8 @@ def dumps(a, field="auto", comments=()):
 
 
 def load(path):
-    """Read a matrix file; returns (matrix, field)."""
-    return loads(Path(path).read_text(encoding="utf-8"))
+    """Read a matrix file, skipping a leading UTF-8 byte-order mark; returns (matrix, field)."""
+    return loads(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def dump(a, path, field="auto", comments=()):

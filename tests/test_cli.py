@@ -309,6 +309,15 @@ def test_suite_trials_below_one_usage_error(trials, capsys, monkeypatch):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_suite_negative_seed_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_property_suite", lambda trials, seed: pytest.fail("suite ran"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["suite", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected an integer of at least 0, got '-1'" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["suite", "--seed", "0"]).seed == 0
+
+
 def test_verify_identities_ok(pair_files, capsys):
     a, b = pair_files
     assert cli.main(["verify-identities", a, b]) == 0
@@ -396,6 +405,47 @@ def test_sweep_bad_range_exit2(capsys):
 def test_missing_file_exit2(capsys):
     assert cli.main(["pinv", "/no/such/file.mat"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, verb, culprit",
+    [
+        (["pinv", "{dir}"], "read", "dir"),
+        (["bounds", "{a}", "{dir}"], "read", "dir"),
+        (["pinv", "{a}", "--out", "{dir}"], "write", "dir"),
+        (["pinv", "{a}", "--out", "{nodir}"], "write", "nodir"),
+        (["bounds", "{a}", "{a}", "--out", "{dir}"], "write", "dir"),
+        (["sweep", "--example", "1", "--out", "{dir}"], "write", "dir"),
+        (["sweep", "--example", "2", "--out", "{nodir}"], "write", "nodir"),
+    ],
+    ids=["pinv-in", "bounds-in", "pinv-out", "pinv-out-nodir", "bounds-out", "sweep-out",
+         "sweep-out-nodir"],
+)
+def test_file_errors_exit2_naming_the_path_and_the_direction(tmp_path, capsys, argv, verb, culprit):
+    # a directory, or a file in a directory that does not exist, in place of a file
+    paths = {
+        "a": _write(tmp_path, "a.mat", np.diag([1.0, 0.0])),
+        "dir": str(tmp_path),
+        "nodir": str(tmp_path / "nodir" / "x.mat"),
+    }
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot {verb} {paths[culprit]}: ")
+
+
+@pytest.mark.parametrize("command", ["pinv", "bounds"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, command):
+    plain = _write(tmp_path, "a.mat", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    marked = tmp_path / "bom.mat"
+    marked.write_text("\ufeff" + Path(plain).read_text(encoding="utf-8"), encoding="utf-8")
+    outputs = []
+    for path in (plain, str(marked)):
+        assert cli.main([command, path] + [plain] * (command == "bounds")) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0].err == outputs[1].err == ""
+    assert outputs[0].out == outputs[1].out
 
 
 def test_parse_error_reports_line_number(tmp_path, capsys):
