@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from pinvperturb import bounds
 from pinvperturb.bounds import (
+    ESTIMATORS,
     MU,
     BoundReport,
     Estimator,
@@ -278,10 +281,37 @@ SPECTRAL_ZERO = "needs both operands nonzero, a spectral norm is 0"
     ids=["zero", "rank_one_vs_identity", "b_zero", "nu1_square", "nu2_rectangular", "nu3_deficient"],
 )
 def test_inapplicable_reasons_exact(a, b, reasons):
-    values = evaluate_all(make_pair(a, b))
-    assert {v.name: v.reason for v in values if not v.applicable} == reasons
-    assert all(v.value is None for v in values if not v.applicable)
-    assert all(v.reason == "" for v in values if v.applicable)
+    rep = full_report(make_pair(a, b))
+    assert {v.name: v.reason for v in rep.values if not v.applicable} == reasons
+    assert all(v.reason == "" for v in rep.values if v.applicable)
+    assert all(v.applicable == (v.value is not None) for v in bounds._report_rows(rep))
+
+
+# each hypothesis as a predicate on the shape m x n and the ranks ra and rb
+HYPOTHESES = {
+    bounds._equal_ranks: lambda m, n, ra, rb: ra == rb,
+    bounds._pinv_nonzero: lambda m, n, ra, rb: ra > 0 and rb > 0,
+    bounds._spectral_nonzero: lambda m, n, ra, rb: ra > 0 and rb > 0,
+    bounds._any_nonzero: lambda m, n, ra, rb: ra > 0 or rb > 0,
+    bounds._b_nonzero: lambda m, n, ra, rb: rb > 0,
+    bounds._full_column_rank_a: lambda m, n, ra, rb: ra == n,
+    bounds._full_column_rank_both: lambda m, n, ra, rb: ra == n and rb == n,
+}
+
+
+def test_requirements_give_no_reason_exactly_when_met():
+    facts = [
+        (m, n, ra, rb)
+        for m, n in itertools.product(range(1, 5), repeat=2)
+        for ra, rb in itertools.product(range(min(m, n) + 1), repeat=2)
+    ]
+    used = {req for row in ESTIMATORS for req in row.requires}
+    assert set(HYPOTHESES) <= used
+    for req in used:
+        holds = HYPOTHESES.get(req, lambda m, n, ra, rb: False)  # _no_single_norm is never met
+        for f in facts:
+            reason = req(*f)
+            assert isinstance(reason, str) and (reason == "") == holds(*f), (req.__name__, f)
 
 
 def test_zero_pair_degenerates_cleanly():

@@ -335,6 +335,37 @@ def test_identity_checks_form_each_leak_block_once(monkeypatch):
         assert p.swapped.spectral_norms is p.spectral_norms
 
 
+class _CountedSubtractions(np.ndarray):
+    """An array that counts the subtractions it takes part in, in ``counts``."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.subtract:
+            self.counts.append(1)
+        plain = [np.asarray(x) if isinstance(x, _CountedSubtractions) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "m, n, ra, rb, stacked",
+    [(4, 4, 3, 4, False), (6, 3, 3, 2, False), (3, 6, 2, 2, False), (5, 4, 3, 2, True)],
+    ids=["square", "tall", "wide", "stacked"],
+)
+def test_deviation_is_formed_once_per_pair(m, n, ra, rb, stacked):
+    rng = np.random.default_rng(53)
+    a, b = (np.array([lowrank(rng, m, n, r, True) for _ in range(3)]) for r in (ra, rb))
+    p = make_pair(a, b) if stacked else make_pair(a[0], b[0])
+    want = p.pinv_b - p.pinv_a
+    assert p.deviation.shape == want.shape and p.deviation.tobytes() == want.tobytes()
+    # a report plus the identity checks subtract the pseudoinverses once
+    counts = []
+    pa, pb = (x.view(_CountedSubtractions) for x in (p.pinv_a, p.pinv_b))
+    pa.counts = pb.counts = counts
+    q = PerturbationPair(p.a, p.b, p.e, p.fa, p.fb, pa, pb)
+    full_report(q)
+    identity_checks(q)
+    assert len(counts) == 1
+
+
 IDENTITY_HELPERS = (
     identity_terms,
     cross_term_blocks,

@@ -13,6 +13,7 @@ from pinvperturb.randmat import (
     MAX_SIDE,
     EnsembleSpec,
     gen_fixed_rank,
+    gaussian,
     gen_pair,
     haar_frame,
     haar_unitary,
@@ -73,6 +74,24 @@ def test_haar_frame_orthonormal(field):
     u = haar_unitary(5, rng, field)
     assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
     assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (2, 3, 4)], ids=str)
+def test_gaussian_is_the_per_call_stream(shape, field):
+    # the draws the library made one matrix at a time: every real part in
+    # turn, then every imaginary part; a (2, m, n) draw stands for two m x n ones
+    mine, ref = np.random.default_rng(5), np.random.default_rng(5)
+    g = gaussian(mine, shape, field)
+    mats = [shape[1:]] * shape[0] if len(shape) == 3 else [shape]
+    parts = [
+        np.array([ref.standard_normal(s) for s in mats]).reshape(shape)
+        for _ in range(1 + (field == "complex"))
+    ]
+    want = parts[0] if field == "real" else parts[0] + 1j * parts[1]
+    assert g.dtype == want.dtype and g.shape == shape
+    assert g.tobytes() == want.tobytes()
+    assert mine.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
 
 
 def test_haar_frame_deterministic():
