@@ -409,7 +409,6 @@ def norm_bounds_ok(report):
 
 def _report_rows(report):
     """Every rendered row: the exact deviations, the estimators, the envelope."""
-
     lo, up = report.envelope
     return (
         BoundValue("exact_squared_frobenius", "exact", SQUARED, "frobenius", report.exact_sq),

@@ -36,17 +36,17 @@ from .sweeps import (
 
 
 class OutputError(OSError):
-    """A result file that could not be written; every other ``OSError`` is a failed read."""
+    """Output that could not be written, to a file or to stdout; any other ``OSError`` is a read."""
 
 
 def _emit(text, out):
-    if not out:
-        sys.stdout.write(text)
-        return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        if out:
+            Path(out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except OSError as exc:
-        raise OutputError(exc.errno, exc.strerror, out) from exc
+        raise OutputError(exc.errno, exc.strerror, out or sys.stdout.name) from exc
 
 
 def cmd_pinv(args):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import os
 import subprocess
 import sys
@@ -418,8 +420,10 @@ def test_missing_file_exit2(capsys):
         (["sweep", "--example", "1", "--out", "{dir}"], "write", "dir"),
         (["sweep", "--example", "2", "--out", "{nodir}"], "write", "nodir"),
     ],
-    ids=["pinv-in", "bounds-in", "pinv-out", "pinv-out-nodir", "bounds-out", "sweep-out",
-         "sweep-out-nodir"],
+    ids=[
+        "pinv-in", "bounds-in", "pinv-out", "pinv-out-nodir", "bounds-out", "sweep-out",
+        "sweep-out-nodir",
+    ],
 )
 def test_file_errors_exit2_naming_the_path_and_the_direction(tmp_path, capsys, argv, verb, culprit):
     # a directory, or a file in a directory that does not exist, in place of a file
@@ -435,6 +439,18 @@ def test_file_errors_exit2_naming_the_path_and_the_direction(tmp_path, capsys, a
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot {verb} {paths[culprit]}: ")
 
 
+def test_stdout_write_error_exit2(capsys, monkeypatch):
+    class FullStdout(io.StringIO):
+        name = "<stdout>"
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert cli.main(["sweep", "--example", "1"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
 @pytest.mark.parametrize("command", ["pinv", "bounds"])
 def test_byte_order_mark_is_skipped(tmp_path, capsys, command):
     plain = _write(tmp_path, "a.mat", np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -442,7 +458,8 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys, command):
     marked.write_text("\ufeff" + Path(plain).read_text(encoding="utf-8"), encoding="utf-8")
     outputs = []
     for path in (plain, str(marked)):
-        assert cli.main([command, path] + [plain] * (command == "bounds")) == 0
+        argv = [command, path, plain] if command == "bounds" else [command, path]
+        assert cli.main(argv) == 0
         outputs.append(capsys.readouterr())
     assert outputs[0].err == outputs[1].err == ""
     assert outputs[0].out == outputs[1].out
