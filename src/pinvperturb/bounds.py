@@ -136,8 +136,7 @@ class Estimator:
     def evaluate(self, p):
         facts = (*p.shape, p.rank_a, p.rank_b)
         for req in self.requires:
-            reason = req(*facts)
-            if reason:
+            if reason := req(*facts):
                 return BoundValue(self.name, self.kind, self.target, self.norm, None, reason)
         value = checked(f"estimator {self.name}", self.formula, p.norms, p)
         if self.kind == "lower":

@@ -36,17 +36,17 @@ from .sweeps import (
 
 
 class OutputError(OSError):
-    """Output that could not be written, to a file or to stdout; any other ``OSError`` is a read."""
+    """A result file that could not be written."""
 
 
 def _emit(text, out):
+    if not out:
+        sys.stdout.write(text)
+        return
     try:
-        if out:
-            Path(out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise OutputError(exc.errno, exc.strerror, out or sys.stdout.name) from exc
+        raise OutputError(exc.errno, exc.strerror, out) from exc
 
 
 def cmd_pinv(args):
@@ -194,8 +194,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except OSError as exc:
-        verb = "write" if isinstance(exc, OutputError) else "read"
-        print(f"error: cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # a failed read names its file; a failed write is an OutputError, or names none (stdout)
+        verb = "read" if exc.filename is not None and not isinstance(exc, OutputError) else "write"
+        path = sys.stdout.name if exc.filename is None else exc.filename
+        print(f"error: cannot {verb} {path}: {exc.strerror}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a MatrixFormatError and a ShapeError included
         print(f"error: {exc}", file=sys.stderr)

@@ -439,7 +439,11 @@ def test_file_errors_exit2_naming_the_path_and_the_direction(tmp_path, capsys, a
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot {verb} {paths[culprit]}: ")
 
 
-def test_stdout_write_error_exit2(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["sweep", "verify-identities"])
+def test_stdout_write_error_exit2(pair_files, capsys, monkeypatch, command):
+    # sweep writes its table in one piece, verify-identities prints line by line
+    argv = [command, "--example", "1"] if command == "sweep" else [command, *pair_files]
+
     class FullStdout(io.StringIO):
         name = "<stdout>"
 
@@ -447,7 +451,7 @@ def test_stdout_write_error_exit2(capsys, monkeypatch):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(sys, "stdout", FullStdout())
-    assert cli.main(["sweep", "--example", "1"]) == 2
+    assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
 
 
