@@ -195,7 +195,7 @@ def main(argv=None):
         return args.func(args)
     except OSError as exc:
         # a failed read names its file; a failed write is an OutputError, or names none (stdout)
-        verb = "read" if exc.filename is not None and not isinstance(exc, OutputError) else "write"
+        verb = "write" if exc.filename is None or isinstance(exc, OutputError) else "read"
         path = sys.stdout.name if exc.filename is None else exc.filename
         print(f"error: cannot {verb} {path}: {exc.strerror}", file=sys.stderr)
         return 2
