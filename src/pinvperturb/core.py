@@ -3,8 +3,9 @@
 Thin singular value decompositions come from a one-sided Jacobi kernel,
 the one ``backends.get_kernel()`` picks for the whole process (the C kernel
 when built, else numpy; chosen only through ``PINVPERTURB_BACKEND``).  Its
-threshold and pass limit are ``JACOBI_EPS`` and ``JACOBI_MAX_SWEEPS`` here,
-and nowhere else.  On top of that sit the Moore-Penrose inverse,
+threshold, ``jacobi_threshold(n)`` = sqrt(n) ``JACOBI_EPS`` for columns of
+length n, and its pass limit ``JACOBI_MAX_SWEEPS`` are set here and nowhere
+else.  On top of that sit the Moore-Penrose inverse,
 minimum-norm least squares and the residuals of the Penrose equations.
 Everything works internally in complex128 and accepts any real or complex
 2-d array-like with finite entries.  ``svd_factors`` and ``pinv`` also
@@ -140,9 +141,20 @@ class SvdFactors:
         return checked("pseudoinverse", np.divide, 1.0, self.sigma1[..., -1])
 
 
-# the kernel's convergence threshold (relative to the column norms) and pass limit
+# the unit of the kernel's convergence threshold, and its pass limit
 JACOBI_EPS = float(np.finfo(np.float64).eps)
 JACOBI_MAX_SWEEPS = 60
+
+
+def jacobi_threshold(n):
+    """The kernel's threshold on |w_p* w_q| / (|w_p| |w_q|) for columns of length n: sqrt(n) eps.
+
+    As in LAPACK xGESVJ.  A pair's cosine is only known to about sqrt(n) eps,
+    so a pair below that is left alone: with plain eps, a pair of columns that
+    start orthogonal up to roundoff can sit above the threshold while its
+    rotation changes no bit, and every sweep repeats it.
+    """
+    return JACOBI_EPS * np.sqrt(n)
 
 
 def _stack_index(shape):
@@ -174,8 +186,13 @@ def jacobi_svd(a, compute_uv=True):
     stay in range at any scale of input (power-of-two scaling is exact, and
     sigma is scaled back); its columns are sorted by decreasing norm and its
     rows by decreasing largest modulus, pr w pc = q r; and the kernel runs
-    on the n x n r*.  With r* v_j = u_w diag(sigma), the factors are
-    u = pr^T q v_j and v = pc u_w.  The values alone need neither q nor v_j.
+    on the n x n r*.  For n > 2 it starts from r* v0, where v0 holds the
+    eigenvectors of the Gram matrix r r* by decreasing eigenvalue: r* v0 has
+    orthogonal columns up to roundoff, so few sweeps remain.  With two
+    columns, the kernel's one rotation already solves the problem.  With
+    r* v_j = u_w diag(sigma), where v_j is v0 times the kernel's rotations,
+    the factors are u = pr^T q v_j and v = pc u_w.  The values alone need
+    neither q nor v_j.
     """
     a = _as_complex(a, range(2, 65), "a matrix or a stack of them")  # numpy allows 64 axes
     shape = a.shape[-2:]
@@ -197,16 +214,24 @@ def jacobi_svd(a, compute_uv=True):
     # the peak memory (twice as large for the joint stack of a pair)
     del w, parts
     # the kernel rotates rows: those of r.conj() are the columns of r*, and
-    # those of vt, an identity or empty, the columns of V_J
+    # those of vt, which starts as V0^T (the identity for n <= 2) or empty,
+    # the columns of V_J
     rt = np.conjugate(r, out=r)
     nv = n if compute_uv else 0
-    vt = np.empty(rt.shape[:-1] + (nv,), dtype=np.complex128)
-    vt[...] = np.eye(n, nv)
+    if n > 2:
+        # V0^T: the eigenvectors of the Gram matrix of r*'s columns, by
+        # decreasing eigenvalue, as rows; r* V0 has orthogonal columns up to roundoff
+        v0t = np.linalg.eigh(rt.conj() @ rt.swapaxes(-1, -2))[1][..., ::-1].swapaxes(-1, -2)
+        rt = v0t @ rt
+        vt = np.array(v0t[..., :nv], order="C")
+    else:
+        vt = np.empty(rt.shape[:-1] + (nv,), dtype=np.complex128)
+        vt[...] = np.eye(n, nv)
     kernel = backends.get_kernel()
     # every matrix in one call, as one stack (views, rotated in place)
     count = rt.size // (n * n)
     sweeps = kernel.orthogonalize_columns(
-        rt.reshape(count, n, n), vt.reshape(count, n, nv), JACOBI_EPS, JACOBI_MAX_SWEEPS
+        rt.reshape(count, n, n), vt.reshape(count, n, nv), jacobi_threshold(n), JACOBI_MAX_SWEEPS
     )
     if sweeps < 0:
         raise RuntimeError(

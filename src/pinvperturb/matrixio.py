@@ -12,6 +12,7 @@ Every number the package writes goes through ``format_float`` or
 
 from __future__ import annotations
 
+import codecs
 import math
 from pathlib import Path
 
@@ -21,11 +22,13 @@ from .core import as_matrix
 
 
 class MatrixFormatError(ValueError):
-    """Parse failure with the 1-based physical line number."""
+    """Parse failure with the 1-based physical line number, and the file when read from one."""
 
-    def __init__(self, lineno, message):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno, message, path=None):
+        where = f"line {lineno}" if path is None else f"{path}: line {lineno}"
+        super().__init__(f"{where}: {message}")
         self.lineno = lineno
+        self.reason = message
 
 
 def loads(text):
@@ -133,8 +136,22 @@ def dumps(a, field="auto", comments=()):
 
 
 def load(path):
-    """Read a matrix file, skipping a leading UTF-8 byte-order mark; returns (matrix, field)."""
-    return loads(Path(path).read_text(encoding="utf-8-sig"))
+    """Read a matrix file, skipping a leading UTF-8 byte-order mark; returns (matrix, field).
+
+    A parse error, or a byte that is not UTF-8, names the file and the line.
+    """
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; its last line, even an empty one, holds the byte
+        lineno = len((raw[: exc.start].decode("utf-8") + ".").splitlines())
+        reason = f"not UTF-8 text (byte 0x{raw[exc.start]:02x})"
+        raise MatrixFormatError(lineno, reason, path) from None
+    try:
+        return loads(text)
+    except MatrixFormatError as exc:
+        raise MatrixFormatError(exc.lineno, exc.reason, path) from None
 
 
 def dump(a, path, field="auto", comments=()):

@@ -478,6 +478,19 @@ def test_parse_error_reports_line_number(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("command", ["pinv", "bounds"])
+def test_file_that_is_not_utf8_names_the_file_and_the_line(tmp_path, capsys, command):
+    # a Latin-1 comment: 0xe9 is not UTF-8 after "caf"
+    latin = tmp_path / "latin.mat"
+    latin.write_bytes(b"2 2 real\n# caf\xe9\n1 0\n0 1\n")
+    plain = _write(tmp_path, "a.mat", np.eye(2))
+    argv = [command, plain, str(latin)] if command == "bounds" else [command, str(latin)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {latin}: line 2: not UTF-8 text (byte 0xe9)\n"
+
+
 def test_usage_errors_raise_systemexit():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

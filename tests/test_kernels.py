@@ -19,7 +19,9 @@ from pinvperturb.bounds import full_report
 from pinvperturb.core import (
     JACOBI_EPS,
     JACOBI_MAX_SWEEPS,
+    factor_pair,
     jacobi_svd,
+    jacobi_threshold,
     lstsq_min_norm,
     pinv,
     svd_factors,
@@ -420,19 +422,97 @@ def test_kernel_alone_converges_on_a_constant_matrix(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_columns_orthogonal_up_to_roundoff_converge(backend):
+    # the second matrix of trace trial 79 of suite seed 9: after the QR and
+    # the Gram eigenvectors, its columns are orthogonal to about 1e-16, and at
+    # a threshold of plain eps the pair (0, 2), at |cos| = 2.65e-16, rotated
+    # without changing a bit in every sweep until the pass limit
+    a = np.array(
+        [
+            [0.19221004408895878, 0.5331937353000584, 1.3791513780413978,
+             -0.32822900297066443, 1.8694221027034048, 0.23467896931047477],
+            [0.1480859143730628, -0.3007802589344709, -0.319167532061398,
+             -0.3136455019868257, 0.7244902704332881, -0.5564010811490064],
+            [1.7523484733873558, 0.05641588142819445, 0.01692243380352709,
+             -1.0623669058509557, 1.4558281516929288, 0.6381831358661744],
+            [0.9878461741150448, 0.43505034345188703, 1.1507144881061937,
+             1.8801747500869963, 0.02590639618118781, 0.7057107759653597],
+        ]
+    )
+    ref = np.linalg.svd(a, compute_uv=False)
+    assert_allclose(jacobi_svd(a)[1], ref, rtol=0, atol=1e-14 * ref[0])
+    assert_allclose(jacobi_svd(a, compute_uv=False), ref, rtol=0, atol=1e-14 * ref[0])
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_kernel_stops_at_once_on_orthogonal_columns(backend, field):
+    # columns orthogonal up to roundoff, as the Gram eigenvectors leave them:
+    # at the threshold of core, at most one sweep rotates (plain eps took 3 or 4)
+    rng = np.random.default_rng(73)
+    kern = get_kernel(backend)
+    for n in (3, 4, 5, 8, 12, 16, 20):
+        for _ in range(10):
+            x = rng.standard_normal((n, n))
+            if field == "complex":
+                x = x + 1j * rng.standard_normal((n, n))
+            q = np.linalg.qr(x)[0] * np.linspace(2.0, 1.0, n)
+            w = np.array(q.T, dtype=np.complex128, order="C")
+            v = np.eye(n, dtype=np.complex128)
+            assert 0 < kern.orthogonalize_columns(w, v, jacobi_threshold(n), JACOBI_MAX_SWEEPS) <= 2
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_joint_factors_take_one_eigh_and_equal_separate_factors(backend, monkeypatch):
+    # factor_pair starts the kernel from the Gram eigenvectors of both sides
+    # in one stacked eigh, and each side is still its svd_factors bit for bit
+    eigh = np.linalg.eigh
+    stacks = []
+
+    def counting(g):
+        stacks.append(g.shape[:-2])
+        return eigh(g)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    rng = np.random.default_rng(79)
+    for m, n, ra, rb in [(12, 12, 12, 9), (20, 20, 10, 20), (256, 16, 16, 8), (16, 20, 16, 16)]:
+        for cplx in (False, True):
+            for lead in ((), (3,)):
+                count, shape = int(np.prod(lead)), lead + (m, n)
+                a = np.array([lowrank(rng, m, n, ra, cplx) for _ in range(count)]).reshape(shape)
+                b = np.array([lowrank(rng, m, n, rb, cplx) for _ in range(count)]).reshape(shape)
+                del stacks[:]
+                joint = factor_pair(a, b)
+                assert stacks == [(2,) + lead]
+                for f, x in zip(joint, (a, b)):
+                    g = svd_factors(x)
+                    assert f.rank == g.rank
+                    for field in ("u1", "sigma", "v1", "tol"):
+                        mine, alone = np.asarray(getattr(f, field)), np.asarray(getattr(g, field))
+                        assert mine.tobytes() == alone.tobytes(), (m, n, cplx, lead, field)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_graded_columns_keep_relative_accuracy(backend, field):
     # one-sided Jacobi gets each singular value of a * diag(2^j) to a few
     # ulps relative (Demmel & Veselic 1992), where LAPACK's bidiagonal SVD
-    # loses the small ones entirely; the reference takes 60 digits
+    # loses the small ones entirely; the reference takes 60 digits.  The
+    # error grows with the condition number of a with unit columns, up to
+    # about kappa / 2 ulps, so the benchmark's shapes take its singular
+    # values, in [0.1, 1]: Gaussian 12 x 12 and 20 x 20 draws read up to 500
+    # ulps at kappa 1.4e4
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 60
     svd = mpmath.svd_c if field == "complex" else mpmath.svd_r
     rng = np.random.default_rng(53)
-    for m, n in [(6, 4), (5, 5), (8, 3), (4, 6)]:
+    for m, n in [(6, 4), (5, 5), (8, 3), (4, 6), (12, 12), (20, 20), (256, 16)]:
         a = rng.standard_normal((m, n))
         if field == "complex":
             a = a + 1j * rng.standard_normal((m, n))
+        if min(m, n) > 8:
+            u, _, vh = np.linalg.svd(a, full_matrices=False)
+            a = (u * np.exp(rng.uniform(np.log(0.1), 0.0, min(m, n)))) @ vh
         a = a * np.ldexp(1.0, rng.integers(-40, 41, n))
         ref = svd(mpmath.matrix(a.tolist()), compute_uv=False)
         ref = np.sort([float(x) for x in ref])[::-1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,20 @@ def test_parse_errors_carry_line_numbers(text, lineno):
         loads(text)
     assert err.value.lineno == lineno
     assert f"line {lineno}:" in str(err.value)
+
+
+def test_load_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.mat"
+    path.write_text("# pad\n1 2 real\n1 oops\n", encoding="utf-8")
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(str(path))}: line 3: bad number 'oops'$") as err:
+        load(path)
+    assert err.value.lineno == 3
+    # a byte that is not UTF-8 is counted on its own line, after a byte-order mark too
+    for data, lineno in [(b"\xe9", 1), (b"\xef\xbb\xbf1 1 real\r\n\xe9\n", 2), (b"1 1 real\n\n\xff", 3)]:
+        path.write_bytes(data)
+        with pytest.raises(MatrixFormatError, match=f": line {lineno}: not UTF-8 text") as err:
+            load(path)
+        assert err.value.lineno == lineno
 
 
 def test_file_roundtrip(tmp_path):
