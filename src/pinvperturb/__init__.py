@@ -30,6 +30,7 @@ from .core import (
     lstsq_min_norm,
     penrose_residuals,
     pinv,
+    spectral_norm,
     svd_factors,
 )
 from .geometry import (
@@ -84,6 +85,7 @@ __all__ = [
     "report_csv",
     "report_table",
     "run_property_suite",
+    "spectral_norm",
     "svd_factors",
     "sweep_csv",
     "sweep_example",

@@ -2,6 +2,8 @@
 
 One kernel serves every SVD in a process, so the two factorizations of a
 pair and every norm read from them come from the same arithmetic.  The
+spectral norms of e and b+ - a+ (``core.spectral_norm``) take no kernel,
+so their bits do not depend on it.  The
 compiled kernel, ``_jacobi.c`` built at install into ``_jacobi<EXT_SUFFIX>``
 next to this module and opened with ctypes, is preferred when present;
 nothing is compiled at import.  Both kernels take the same stack layout and

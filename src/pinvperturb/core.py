@@ -7,15 +7,18 @@ threshold, ``jacobi_threshold(n)`` = sqrt(n) ``JACOBI_EPS`` for columns of
 length n, and its pass limit ``JACOBI_MAX_SWEEPS`` are set here and nowhere
 else.  On top of that sit the Moore-Penrose inverse,
 minimum-norm least squares and the residuals of the Penrose equations.
-Everything works internally in complex128 and accepts any real or complex
-2-d array-like with finite entries.  ``svd_factors`` and ``pinv`` also
-take a stack ``(B, m, n)`` of same-shape matrices, ``jacobi_svd`` a
-stack of any leading shape, and each factors it in one kernel call; a
-matrix is the one-element case.  A stack's thin factors keep as many
-vectors as its largest count of nonzero singular values, with zero ``v``
-(wide: ``u``) columns past each matrix's own count.  Only the rank is
-shared, so ``factor_pair`` factors a and b as one stack, each at its own.
-``penrose_residuals`` takes a stack too, with one residual per matrix.
+``spectral_norm`` gives the largest singular value alone, from the largest
+eigenvalue of a Gram matrix, with no kernel call.  Everything works
+internally in complex128 and accepts any real or complex 2-d array-like
+with finite entries.  ``svd_factors`` and ``pinv`` also take a stack
+``(B, m, n)`` of same-shape matrices, ``jacobi_svd`` and ``spectral_norm``
+a stack of any leading shape, and each factorization takes one kernel call
+for the whole stack; a matrix is the one-element case.  A stack's thin
+factors keep as many vectors as its largest count of nonzero singular
+values, with zero ``v`` (wide: ``u``) columns past each matrix's own count.
+Only the rank is shared, so ``factor_pair`` factors a and b as one stack,
+each at its own.  ``penrose_residuals`` takes a stack too, with one
+residual per matrix.
 """
 
 from __future__ import annotations
@@ -166,6 +169,49 @@ def _stack_index(shape):
     return tuple(i[..., None] for i in np.indices(shape, sparse=True))
 
 
+def _any_stack(a):
+    return _as_complex(a, range(2, 65), "a matrix or a stack of them")  # numpy allows 64 axes
+
+
+def _scaled(a):
+    """``(w, k)``: each matrix of ``a``, or its conjugate transpose when wide, times 2^-k.
+
+    ``w`` is a fresh C-ordered copy with m >= n; k, the exponent of the
+    matrix's largest real or imaginary part, has two trailing unit axes.
+    """
+    w = np.array(conj_transpose(a) if a.shape[-2] < a.shape[-1] else a, order="C")
+    parts = w.view(np.float64)
+    k = np.frexp(np.abs(parts).reshape(parts.shape[:-2] + (1, -1)).max(axis=-1, keepdims=True))[1]
+    np.ldexp(parts, -k, out=parts)
+    return w, k
+
+
+def _scaled_back(s, k, shape):
+    """``s`` times 2^k; a value beyond the double range is a RuntimeError naming ``shape``."""
+    with np.errstate(over="ignore"):
+        s = np.ldexp(s, k)
+    if not np.all(np.isfinite(s)):
+        raise RuntimeError(f"non-finite singular values (overflow) for shape {shape}")
+    return s
+
+
+def spectral_norm(x):
+    """Largest singular value of a matrix, or of each matrix of a stack of any leading shape.
+
+    Each matrix w, taken as ``jacobi_svd`` takes it (the conjugate transpose
+    of a wide input, scaled by 2^-k), gives the Gram matrix w* w of its
+    smaller side, whose largest eigenvalue (``eigvalsh``) is sigma_1^2
+    2^-2k.  No kernel runs.  Power-of-two scaling is exact, a wide matrix
+    gives the bits of its conjugate transpose and a stack those of its
+    matrices, and the zero matrix gives +0.0.
+    """
+    a = _any_stack(x)
+    w, k = _scaled(a)
+    top = np.linalg.eigvalsh(conj_transpose(w) @ w)[..., -1]
+    # a zero or roundoff-negative top eigenvalue gives +0.0, never -0.0
+    return _scaled_back(np.sqrt(np.where(top > 0.0, top, 0.0)), k[..., 0, 0], a.shape[-2:])
+
+
 def jacobi_svd(a, compute_uv=True):
     """Thin SVD via one-sided Jacobi: returns (u, sigma, v), or sigma alone without ``compute_uv``.
 
@@ -194,13 +240,10 @@ def jacobi_svd(a, compute_uv=True):
     the factors are u = pr^T q v_j and v = pc u_w.  The values alone need
     neither q nor v_j.
     """
-    a = _as_complex(a, range(2, 65), "a matrix or a stack of them")  # numpy allows 64 axes
+    a = _any_stack(a)
     shape = a.shape[-2:]
     wide = shape[0] < shape[1]
-    w = np.array(conj_transpose(a) if wide else a, order="C")  # a fresh copy, scaled in place
-    parts = w.view(np.float64)
-    k = np.frexp(np.abs(parts).reshape(parts.shape[:-2] + (1, -1)).max(axis=-1, keepdims=True))[1]
-    np.ldexp(parts, -k, out=parts)
+    w, k = _scaled(a)
     m, n = w.shape[-2:]
     pc = np.argsort(-np.vecdot(w, w, axis=-2).real, axis=-1, kind="stable")
     pr = np.argsort(-np.abs(w).max(axis=-1), axis=-1, kind="stable")
@@ -212,7 +255,7 @@ def jacobi_svd(a, compute_uv=True):
         r = np.linalg.qr(w, mode="r")
     # the preconditioned copies go before the kernel, whose temporaries set
     # the peak memory (twice as large for the joint stack of a pair)
-    del w, parts
+    del w
     # the kernel rotates rows: those of r.conj() are the columns of r*, and
     # those of vt, which starts as V0^T (the identity for n <= 2) or empty,
     # the columns of V_J
@@ -240,10 +283,7 @@ def jacobi_svd(a, compute_uv=True):
     scaled = np.linalg.norm(rt, axis=-1)
     order = np.argsort(-scaled, axis=-1, kind="stable")
     scaled = scaled[stack + (order,)]
-    with np.errstate(over="ignore"):
-        sig = np.ldexp(scaled, k[..., 0])
-    if not np.all(np.isfinite(sig)):
-        raise RuntimeError(f"non-finite singular values (overflow) for shape {shape}")
+    sig = _scaled_back(scaled, k[..., 0], shape)
     if not compute_uv:
         return sig
     # the stack's largest count; past its own, a matrix's v columns are zero

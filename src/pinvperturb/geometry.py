@@ -39,6 +39,7 @@ from .core import (
     factor_pair,
     jacobi_svd,
     pinv,
+    spectral_norm,
 )
 
 def _fro2(x):
@@ -187,19 +188,19 @@ class PerturbationPair:
 
     @cached_property
     def spectral_norms(self):
-        """``(|e|_2, |b+ - a+|_2)`` from one values-only SVD, whichever of the two is asked for first.
+        """``(|e|_2, |b+ - a+|_2)`` from one ``spectral_norm`` call, whichever is asked for first.
 
         ``b+ - a+`` is stacked with ``e`` as it is when the pair is square and
-        as its conjugate transpose otherwise: ``jacobi_svd`` factors a wide
-        matrix through its conjugate transpose, so the kernel sees the very
-        matrices that two separate calls would give it, and the values are the
-        same bits.  An arithmetic error names the exact deviation.
+        as its conjugate transpose otherwise: ``spectral_norm`` gives a wide
+        matrix the bits of its conjugate transpose and a stack those of its
+        matrices, so the values are those of two separate calls.  No kernel
+        runs.  An arithmetic error names the exact deviation.
         """
         e = self.e
 
         def with_e(d):
             d = d if d.shape == e.shape else conj_transpose(d)
-            return jacobi_svd(np.stack((e, d)), compute_uv=False)[..., 0]
+            return spectral_norm(np.stack((e, d)))
 
         s = checked("exact deviation", with_e, self.deviation)
         return s[0][()], s[1][()]
@@ -235,7 +236,8 @@ def make_pair(a, b, tol=None):
     stack share one rank; the counts of nonzero singular values may differ.
     An explicit ``tol`` makes the pair that of the kept parts ``fa.kept``
     and ``fb.kept``, so that e and every norm describe the matrices whose
-    pseudoinverses are compared.
+    pseudoinverses are compared.  An e beyond the double range is an
+    ArithmeticError that names the perturbation.
     """
     a = as_stack(a)
     b = as_stack(b)
@@ -244,9 +246,8 @@ def make_pair(a, b, tol=None):
     fa, fb = factor_pair(a, b, tol)
     if tol is not None:
         a, b = fa.kept, fb.kept
-    return PerturbationPair(
-        a=a, b=b, e=b - a, fa=fa, fb=fb, pinv_a=pinv(fa), pinv_b=pinv(fb)
-    )
+    e = checked("perturbation", np.subtract, b, a)
+    return PerturbationPair(a=a, b=b, e=e, fa=fa, fb=fb, pinv_a=pinv(fa), pinv_b=pinv(fb))
 
 
 def _weighted(sq, s):

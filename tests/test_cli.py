@@ -238,6 +238,19 @@ def test_derived_norm_overflow_names_its_reader(tmp_path, capsys, command, what)
     assert len(lines) == 1 and lines[0].startswith(f"error: {what} failed: overflow")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["bounds", "verify-identities"])
+def test_overflowing_perturbation_exit3_naming_it(tmp_path, capsys, command):
+    # a = 1e308 I and b = -a are finite but e = b - a is not: this printed a
+    # numpy warning and its source line, then blamed the product norms
+    a = _write(tmp_path, "a.mat", 1e308 * np.eye(3))
+    b = _write(tmp_path, "b.mat", -1e308 * np.eye(3))
+    assert cli.main([command, a, b]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: perturbation failed: overflow encountered in subtract\n"
+
+
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_near_equal_pair_bounds_exit0(tmp_path, capsys, backend):
     # singular_value_lower once subtracted twice the aligned sum from the two

@@ -74,6 +74,18 @@ def test_make_pair_shape_check():
         make_pair(np.eye(2), np.eye(3))
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_perturbation_names_it():
+    # finite a and b whose difference is not: this was a numpy warning, and
+    # the product norms failed on the inf in e
+    big = 1e308 * np.eye(3)
+    for tol in (None, 0.0):
+        with pytest.raises(ArithmeticError, match=r"^perturbation failed: overflow"):
+            make_pair(big, -big, tol=tol)
+    with pytest.raises(ArithmeticError, match=r"^perturbation failed: overflow"):
+        make_pair(np.array([np.eye(3), big]), np.array([np.eye(3), -big]))
+
+
 def _long_pairs(rng):
     """Strongly tall and wide pairs, full rank and rank-deficient, real and complex."""
     for m, n in [(48, 4), (4, 48)]:
@@ -292,9 +304,9 @@ def test_report_and_solve_complete_no_basis(monkeypatch):
     b = lowrank(rng, 7, 4, 3, True)
     full_report(make_pair(a, b))
     lstsq_min_norm(a, rng.standard_normal(7))
-    # a and b factored in one stacked call, both spectral norms in another,
-    # and one solve, all preconditioned
-    assert len(widths) == 3
+    # a and b factored in one stacked call and one solve, both
+    # preconditioned; the spectral norms take no QR
+    assert len(widths) == 2
     assert all(q <= k for q, k in widths)
     del widths[:]
     aligning_unitaries(a, b)

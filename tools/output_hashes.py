@@ -17,6 +17,8 @@ stacks, so a column swap or sign error that u and v share, which no report
 sees, still moves a digest.  ``identities`` holds one ``name residual``
 line (``%.17g``) per ``identity_checks`` row of the same pairs, every bit
 of the exact identities that the suite shows only to three digits.
+``spectral_e`` holds |e|_2 (``norms.es``, ``%.17g``) of every reported
+pair, one line each; no kernel computes it, so it is the same on both.
 ``--suite`` adds the stdout of
 ``pinvperturb suite --trials 500 --seed 1729`` followed by its exit code.
 """
@@ -69,6 +71,10 @@ def _identity_lines(pairs):
     )
 
 
+def _spectral_e_lines(pairs):
+    return "".join(f"{p.norms.es:.17g}\n" for p in pairs)
+
+
 def _digest(data):
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
@@ -88,6 +94,7 @@ def output_texts(suite=False):
         ("sweep_csv_2", sweep_csv(sweep_example(SweepSpec(example=2)))),
         ("factors", _factor_bytes(pairs + special_pairs + [_sweep_pair(1), _sweep_pair(2)])),
         ("identities", _identity_lines(pairs + special_pairs)),
+        ("spectral_e", _spectral_e_lines(pairs + special_pairs)),
     ]
     if suite:
         out = io.StringIO()
