@@ -272,7 +272,6 @@ def test_spectral_norm_agrees_with_60_digits(field):
 def test_spectral_norm_of_zero_is_positive_zero():
     # its bytes, so that no report prints -0
     for x in (np.zeros((3, 2)), np.zeros((2, 3), dtype=complex), np.zeros((2, 4, 4))):
-        assert not np.signbit(spectral_norm(x)).any()
         assert np.asarray(spectral_norm(x)).tobytes() == np.zeros(x.shape[:-2]).tobytes()
 
 
