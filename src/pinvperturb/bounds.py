@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import checked
+from .core import ShapeError, checked
 from .geometry import deviation_spectral, deviation_sq
 from .matrixio import format_float
 
@@ -407,8 +407,10 @@ def norm_bounds_ok(report):
 
 
 def _report_rows(report):
-    """Every rendered row: the exact deviations, the estimators, the envelope."""
+    """Every rendered row of a pair's report: the exact deviations, the estimators, the envelope."""
     lo, up = report.envelope
+    if np.ndim(lo):
+        raise ShapeError(f"only the report of a pair renders, got a stack of shape {np.shape(lo)}")
     return (
         BoundValue("exact_squared_frobenius", "exact", SQUARED, "frobenius", report.exact_sq),
         BoundValue("exact_frobenius", "exact", NORM, "frobenius", report.exact_fro),

@@ -8,11 +8,12 @@ length n, and its pass limit ``JACOBI_MAX_SWEEPS`` are set here and nowhere
 else.  On top of that sit the Moore-Penrose inverse,
 minimum-norm least squares and the residuals of the Penrose equations.
 ``spectral_norm`` gives the largest singular value alone, from the largest
-eigenvalue of a Gram matrix, with no kernel call.  Everything works
-internally in complex128 and accepts any real or complex 2-d array-like
-with finite entries.  ``svd_factors`` and ``pinv`` also take a stack
-``(B, m, n)`` of same-shape matrices, ``jacobi_svd`` and ``spectral_norm``
-a stack of any leading shape, and each factorization takes one kernel call
+eigenvalue of a Gram matrix, with no kernel call; every other route to
+singular values is a full ``jacobi_svd``.  Everything works internally in
+complex128 and accepts any real or complex 2-d array-like with finite
+entries.  Every SVD entry point (``jacobi_svd``, ``spectral_norm``,
+``svd_factors``, ``pinv``) also takes a stack of same-shape matrices of any
+leading shape (``as_stack``), and each factorization takes one kernel call
 for the whole stack; a matrix is the one-element case.  A stack's thin
 factors keep as many vectors as its largest count of nonzero singular
 values, with zero ``v`` (wide: ``u``) columns past each matrix's own count.
@@ -68,8 +69,8 @@ def as_matrix(x):
 
 
 def as_stack(x):
-    """``as_matrix``, or the same for a 3-d stack of same-shape matrices."""
-    return _as_complex(x, (2, 3), "a 2-d matrix or a 3-d stack of them")
+    """``as_matrix``, or the same for a stack of same-shape matrices of any leading shape."""
+    return _as_complex(x, range(2, 65), "a matrix or a stack of them")  # numpy allows 64 axes
 
 
 def _one_per_stack(values, what):
@@ -169,10 +170,6 @@ def _stack_index(shape):
     return tuple(i[..., None] for i in np.indices(shape, sparse=True))
 
 
-def _any_stack(a):
-    return _as_complex(a, range(2, 65), "a matrix or a stack of them")  # numpy allows 64 axes
-
-
 def _scaled(a):
     """``(w, k)``: each matrix of ``a``, or its conjugate transpose when wide, times 2^-k.
 
@@ -205,15 +202,15 @@ def spectral_norm(x):
     gives the bits of its conjugate transpose and a stack those of its
     matrices, and the zero matrix gives +0.0.
     """
-    a = _any_stack(x)
+    a = as_stack(x)
     w, k = _scaled(a)
     top = np.linalg.eigvalsh(conj_transpose(w) @ w)[..., -1]
     # a zero or roundoff-negative top eigenvalue gives +0.0, never -0.0
     return _scaled_back(np.sqrt(np.where(top > 0.0, top, 0.0)), k[..., 0, 0], a.shape[-2:])
 
 
-def jacobi_svd(a, compute_uv=True):
-    """Thin SVD via one-sided Jacobi: returns (u, sigma, v), or sigma alone without ``compute_uv``.
+def jacobi_svd(a):
+    """Thin SVD via one-sided Jacobi: returns (u, sigma, v).
 
     ``sigma`` holds all min(m, n) singular values sorted decreasing; ``u``
     (m x k) and ``v`` (n x k) hold the singular vectors of its k nonzero
@@ -237,10 +234,10 @@ def jacobi_svd(a, compute_uv=True):
     orthogonal columns up to roundoff, so few sweeps remain.  With two
     columns, the kernel's one rotation already solves the problem.  With
     r* v_j = u_w diag(sigma), where v_j is v0 times the kernel's rotations,
-    the factors are u = pr^T q v_j and v = pc u_w.  The values alone need
-    neither q nor v_j.
+    the factors are u = pr^T q v_j and v = pc u_w.  ``spectral_norm`` is
+    the one route to a singular value without the vectors.
     """
-    a = _any_stack(a)
+    a = as_stack(a)
     shape = a.shape[-2:]
     wide = shape[0] < shape[1]
     w, k = _scaled(a)
@@ -249,32 +246,28 @@ def jacobi_svd(a, compute_uv=True):
     pr = np.argsort(-np.abs(w).max(axis=-1), axis=-1, kind="stable")
     stack = _stack_index(w.shape[:-2])
     w = w[stack + (pr,)].swapaxes(-1, -2)[stack + (pc,)].swapaxes(-1, -2)
-    if compute_uv:
-        q, r = np.linalg.qr(w)
-    else:
-        r = np.linalg.qr(w, mode="r")
+    q, r = np.linalg.qr(w)
     # the preconditioned copies go before the kernel, whose temporaries set
     # the peak memory (twice as large for the joint stack of a pair)
     del w
     # the kernel rotates rows: those of r.conj() are the columns of r*, and
-    # those of vt, which starts as V0^T (the identity for n <= 2) or empty,
-    # the columns of V_J
+    # those of vt, which starts as V0^T (the identity for n <= 2), the
+    # columns of V_J
     rt = np.conjugate(r, out=r)
-    nv = n if compute_uv else 0
     if n > 2:
         # V0^T: the eigenvectors of the Gram matrix of r*'s columns, by
         # decreasing eigenvalue, as rows; r* V0 has orthogonal columns up to roundoff
         v0t = np.linalg.eigh(rt.conj() @ rt.swapaxes(-1, -2))[1][..., ::-1].swapaxes(-1, -2)
         rt = v0t @ rt
-        vt = np.array(v0t[..., :nv], order="C")
+        vt = np.array(v0t, order="C")
     else:
-        vt = np.empty(rt.shape[:-1] + (nv,), dtype=np.complex128)
-        vt[...] = np.eye(n, nv)
+        vt = np.empty(rt.shape, dtype=np.complex128)
+        vt[...] = np.eye(n)
     kernel = backends.get_kernel()
     # every matrix in one call, as one stack (views, rotated in place)
     count = rt.size // (n * n)
     sweeps = kernel.orthogonalize_columns(
-        rt.reshape(count, n, n), vt.reshape(count, n, nv), jacobi_threshold(n), JACOBI_MAX_SWEEPS
+        rt.reshape(count, n, n), vt.reshape(count, n, n), jacobi_threshold(n), JACOBI_MAX_SWEEPS
     )
     if sweeps < 0:
         raise RuntimeError(
@@ -284,8 +277,6 @@ def jacobi_svd(a, compute_uv=True):
     order = np.argsort(-scaled, axis=-1, kind="stable")
     scaled = scaled[stack + (order,)]
     sig = _scaled_back(scaled, k[..., 0], shape)
-    if not compute_uv:
-        return sig
     # the stack's largest count; past its own, a matrix's v columns are zero
     nonzero = int((sig > 0.0).sum(axis=-1).max())
     keep = stack + (order[..., :nonzero],)

@@ -228,7 +228,7 @@ class PerturbationPair:
 
 
 def make_pair(a, b, tol=None):
-    """The pair (a, b), or the stack of pairs (a[i], b[i]).
+    """The pair (a, b), or the stack of pairs (a[i], b[i]) of any leading shape.
 
     Both sides are factored in one kernel call (``core.factor_pair``), and
     each keeps its own rank: ``fa`` and ``fb`` equal ``svd_factors(a, tol)``
@@ -434,9 +434,9 @@ def von_neumann_sum(m_, n_):
     """Sum of pairwise products of the decreasing singular value lists.
 
     This is the sharp upper bound for |Re tr(u m v n*)| over unitary u, v.
+    Both lists come from one kernel call on the stack (m, n).
     """
-    m_, n_ = _trace_pairing(m_, n_)
-    sm, sn = jacobi_svd(np.stack((m_, n_)), compute_uv=False)
+    sm, sn = jacobi_svd(np.stack(_trace_pairing(m_, n_)))[1]
     return float(np.dot(sm, sn))
 
 
@@ -454,8 +454,9 @@ def aligning_unitaries(m_, n_):
 
     Only the leading min(nonzero counts) singular vectors pair up nonzero
     values, so any completion of the thin factors to full bases attains it.
+    m and n are factored as one stack, each cut at its own count of them.
     """
-    um, _, vm = jacobi_svd(m_)
-    un, _, vn = jacobi_svd(n_)
-    um, vm, un, vn = map(_complete, (um, vm, un, vn))
+    u, sig, v = jacobi_svd(np.stack(_trace_pairing(m_, n_)))
+    counts = (sig > 0.0).sum(axis=-1)
+    um, un, vm, vn = (_complete(x[i][:, : counts[i]]) for x in (u, v) for i in (0, 1))
     return un @ um.conj().T, vm @ vn.conj().T

@@ -40,8 +40,8 @@ class EnsembleSpec:
             raise ValueError(f"ranks must be in 0..{k}, got {self.rank_a} and {self.rank_b}")
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not self.condition_cap >= 1.0:  # false for nan too
-            raise ValueError("condition_cap must be at least 1")
+        if not 1.0 <= self.condition_cap < np.inf:  # false for nan too
+            raise ValueError(f"condition_cap must be at least 1 and finite: {self.condition_cap}")
 
 
 def gaussian(rng, shape, field):
@@ -79,6 +79,8 @@ def _sigma_profile(rank, cap, rng):
 def gen_fixed_rank(spec, rank=None, rng=None):
     """One matrix of the requested rank from the ensemble ``spec`` describes."""
     rank = spec.rank_a if rank is None else rank
+    if not 0 <= rank <= min(spec.m, spec.n):
+        raise ValueError(f"rank must be in 0..{min(spec.m, spec.n)}, got {rank}")
     rng = np.random.default_rng(spec.seed) if rng is None else rng
     if rank == 0:
         return np.zeros((spec.m, spec.n), dtype=np.complex128)

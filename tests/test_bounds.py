@@ -24,7 +24,7 @@ from pinvperturb.bounds import (
     report_csv,
     report_table,
 )
-from pinvperturb.core import svd_factors
+from pinvperturb.core import ShapeError, svd_factors
 from pinvperturb.geometry import make_pair
 from pinvperturb.suite import default_specs, trial_pair
 
@@ -424,6 +424,13 @@ def test_report_table_layout():
 def test_report_is_deterministic():
     a = _rank_drop_pair(0.3)
     assert report_csv(full_report(a)) == report_csv(full_report(a))
+
+
+@pytest.mark.parametrize("render", [report_csv, report_table])
+def test_stack_report_does_not_render(render):
+    rep = full_report(make_pair(np.stack([np.eye(2)] * 2), np.stack([2 * np.eye(2)] * 2)))
+    with pytest.raises(ShapeError, match=r"stack of shape \(2,\)"):
+        render(rep)
 
 
 def test_bound_report_type():

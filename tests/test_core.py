@@ -81,7 +81,7 @@ def test_pinv_involution():
     rng = np.random.default_rng(5)
     a = lowrank(rng, 5, 4, 3, True)
     back = pinv(pinv(a))
-    assert_allclose(back, a, atol=1e-10 * (1.0 + jacobi_svd(a, compute_uv=False)[..., 0]))
+    assert_allclose(back, a, atol=1e-10 * (1.0 + jacobi_svd(a)[1][0]))
 
 
 def test_pinv_matches_reference():
@@ -111,7 +111,7 @@ def test_spectral_norm_of_pinv_is_reciprocal():
     rng = np.random.default_rng(13)
     a = lowrank(rng, 6, 4, 2, False)
     f = svd_factors(a)
-    assert abs(jacobi_svd(pinv(a), compute_uv=False)[..., 0] * f.sigma1[-1] - 1.0) <= 1e-9
+    assert abs(jacobi_svd(pinv(a))[1][0] * f.sigma1[-1] - 1.0) <= 1e-9
 
 
 def test_lstsq_known_value():
@@ -219,7 +219,6 @@ def test_stack_with_mixed_nonzero_counts_equals_its_matrices(backend):
             zero, unitary = (u[i], v[i]) if shape[0] < shape[1] else (v[i], u[i])
             assert not zero[:, k:].any()
             assert_allclose(unitary.conj().T @ unitary, np.eye(3), atol=1e-15)
-        assert jacobi_svd(stack, compute_uv=False).tobytes() == sigma.tobytes()
     with pytest.raises(ShapeError):
         jacobi_svd(np.zeros(3))
 

@@ -288,7 +288,7 @@ def test_von_neumann_bound_and_attainment():
 
 def test_report_and_solve_complete_no_basis(monkeypatch):
     # thin factors serve every report and solve: the preconditioning QR of
-    # jacobi_svd is reduced or values-only, and only aligning_unitaries
+    # jacobi_svd is reduced, and only aligning_unitaries
     # completes a basis, with a Q wider than min(m, n)
     widths = []  # (columns of Q, or 0 without a Q, and min(m, n)) per QR call
     qr = np.linalg.qr
@@ -311,6 +311,37 @@ def test_report_and_solve_complete_no_basis(monkeypatch):
     del widths[:]
     aligning_unitaries(a, b)
     assert any(q > k for q, k in widths)
+
+
+def _aligning_unitaries_one_call_each(m_, n_):
+    """The aligning unitaries from a factorization of each matrix alone."""
+    um, _, vm = jacobi_svd(m_)
+    un, _, vn = jacobi_svd(n_)
+    um, vm, un, vn = map(geometry._complete, (um, vm, un, vn))
+    return un @ um.conj().T, vm @ vn.conj().T
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_stacked_aligning_unitaries_equal_those_of_each_matrix_alone(backend):
+    # the stack (m, n) cuts each matrix at its own count of nonzero singular
+    # values: rank-deficient against full rank, tall and wide, real and
+    # complex, and a zero matrix
+    rng = np.random.default_rng(83)
+    for (m, n), ranks in [((4, 3), (1, 3)), ((3, 5), (3, 2)), ((4, 4), (0, 4)), ((2, 6), (2, 0))]:
+        for cplx in (False, True):
+            mm, nn = (lowrank(rng, m, n, r, cplx) for r in ranks)
+            for x, y in ((mm, nn), (nn, mm)):
+                u, v = aligning_unitaries(x, y)
+                ref_u, ref_v = _aligning_unitaries_one_call_each(x, y)
+                assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
+                vn = von_neumann_sum(x, y)
+                assert trace_real(u @ x @ v, y) == pytest.approx(vn, abs=1e-12 * (1 + vn))
+
+
+def test_trace_helpers_reject_mismatched_shapes():
+    for helper in (von_neumann_sum, aligning_unitaries):
+        with pytest.raises(ShapeError, match=r"equal shapes, got \(3, 2\) and \(3, 4\)"):
+            helper(np.ones((3, 2)), np.ones((3, 4)))
 
 
 def test_von_neumann_diagonal_case():

@@ -50,6 +50,7 @@ SUITE_PROPERTY_COUNT = 24
         dict(m=2, n=2, rank_a=0, rank_b=-1),
         dict(m=2, n=2, rank_a=1, rank_b=1, field="quaternion"),
         dict(m=2, n=2, rank_a=1, rank_b=1, condition_cap=0.5),
+        dict(m=2, n=2, rank_a=1, rank_b=1, condition_cap=float("inf")),
     ],
 )
 def test_spec_validation(kwargs):
@@ -61,6 +62,13 @@ def test_nan_condition_cap_rejected():
     # nan passed a `cap < 1` check and failed later inside rng.uniform
     with pytest.raises(ValueError, match="condition_cap must be at least 1"):
         EnsembleSpec(m=3, n=3, rank_a=2, rank_b=2, condition_cap=float("nan"), seed=1)
+
+
+def test_gen_fixed_rank_rejects_rank_outside_the_shape():
+    spec = EnsembleSpec(m=3, n=3, rank_a=2, rank_b=2)
+    for rank in (5, -1):
+        with pytest.raises(ValueError, match=rf"rank must be in 0\.\.3, got {rank}"):
+            gen_fixed_rank(spec, rank=rank)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -23,12 +23,13 @@ from pinvperturb.core import (
     jacobi_svd,
     jacobi_threshold,
     lstsq_min_norm,
+    penrose_residuals,
     pinv,
     spectral_norm,
     svd_factors,
 )
-from pinvperturb.geometry import deviation_spectral, make_pair
-from pinvperturb.suite import trial_pair
+from pinvperturb.geometry import aligning_unitaries, deviation_spectral, make_pair, von_neumann_sum
+from pinvperturb.suite import identity_checks, trace_residuals, trial_pair
 from pinvperturb.sweeps import CLOSED_FORMS, SweepSpec, case_matrices, sweep_example
 
 from helpers import BACKENDS, NO_COMPILED, lowrank
@@ -369,15 +370,44 @@ def test_stack_mixing_nonzero_counts_at_one_rank(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_values_alone_equal_the_full_factorization(backend):
-    rng = np.random.default_rng(59)
-    for shape in [(5, 3), (3, 5), (4, 4), (3, 6, 2), (256, 16)]:
-        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert_array_equal(jacobi_svd(a, compute_uv=False), jacobi_svd(a)[1])
-    # a stack that mixes nonzero counts
+def test_stack_mixing_nonzero_counts_gives_each_its_values(backend):
     mixed = np.array([np.diag([1.0, 0.0]), np.eye(2)])
-    assert_array_equal(jacobi_svd(mixed, compute_uv=False), [[1.0, 0.0], [1.0, 1.0]])
-    assert_array_equal(jacobi_svd(mixed, compute_uv=False)[..., 0], [1.0, 1.0])
+    assert_array_equal(jacobi_svd(mixed)[1], [[1.0, 0.0], [1.0, 1.0]])
+    assert_array_equal(spectral_norm(mixed), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_four_dimensional_stack_equals_its_matrices(backend):
+    # every SVD entry point takes a stack of any leading shape, as jacobi_svd does
+    rng = np.random.default_rng(61)
+    for m, n, ra, rb, cplx in [(5, 4, 3, 4, True), (3, 6, 2, 3, True), (4, 4, 2, 2, False)]:
+        a, b = (
+            np.array([lowrank(rng, m, n, r, cplx) for _ in range(6)]).reshape(2, 3, m, n)
+            for r in (ra, rb)
+        )
+        f = svd_factors(a)
+        x = pinv(a)
+        resid = penrose_residuals(a, x)
+        p = make_pair(a, b)
+        rep = full_report(p)
+        checks = identity_checks(p)
+        for i in np.ndindex(2, 3):
+            alone = svd_factors(a[i])
+            for field in ("u1", "sigma", "v1"):
+                assert getattr(f, field)[i].tobytes() == getattr(alone, field).tobytes(), field
+            assert x[i].tobytes() == pinv(a[i]).tobytes()
+            assert [r[i] for r in resid] == list(penrose_residuals(a[i], x[i]))
+            q = make_pair(a[i], b[i])
+            assert p.fb.sigma[i].tobytes() == q.fb.sigma.tobytes()
+            one = full_report(q)
+            for field in ("exact_sq", "exact_fro", "exact_spectral"):
+                assert getattr(rep, field)[i] == getattr(one, field), field
+            assert [side[i] for side in rep.envelope] == list(one.envelope)
+            for v, w in zip(rep.values, one.values):
+                assert v.applicable == w.applicable, v.name
+                if v.applicable:
+                    assert v.value[i] == w.value, v.name
+            assert [(name, r[i]) for name, r in checks] == identity_checks(q)
 
 
 def _rank_one_inputs():
@@ -443,7 +473,6 @@ def test_columns_orthogonal_up_to_roundoff_converge(backend):
     )
     ref = np.linalg.svd(a, compute_uv=False)
     assert_allclose(jacobi_svd(a)[1], ref, rtol=0, atol=1e-14 * ref[0])
-    assert_allclose(jacobi_svd(a, compute_uv=False), ref, rtol=0, atol=1e-14 * ref[0])
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
@@ -518,7 +547,7 @@ def test_graded_columns_keep_relative_accuracy(backend, field):
         a = a * np.ldexp(1.0, rng.integers(-40, 41, n))
         ref = svd(mpmath.matrix(a.tolist()), compute_uv=False)
         ref = np.sort([float(x) for x in ref])[::-1]
-        err = np.abs(jacobi_svd(a, compute_uv=False) - ref) / (ref * np.finfo(np.float64).eps)
+        err = np.abs(jacobi_svd(a)[1] - ref) / (ref * np.finfo(np.float64).eps)
         assert err.max() <= 8.0, (m, n, err)
 
 
@@ -568,17 +597,23 @@ def test_joint_factors_equal_separate_factors_bit_for_bit(backend):
                 assert mine.shape == alone.shape and mine.tobytes() == alone.tobytes(), field
 
 
-@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-def test_a_report_makes_one_kernel_call(backend, monkeypatch):
+def _kernel_calls(monkeypatch):
+    """The number of matrices in each later call of the process's kernel, as a growing list."""
     kern = get_kernel()
     inner = kern.orthogonalize_columns
-    stacks = []  # the number of matrices in each call
+    stacks = []
 
     def counting(w, v, *args, **kwargs):
         stacks.append(int(np.prod(w.shape[:-2])))
         return inner(w, v, *args, **kwargs)
 
     monkeypatch.setattr(kern, "orthogonalize_columns", counting)
+    return stacks
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_a_report_makes_one_kernel_call(backend, monkeypatch):
+    stacks = _kernel_calls(monkeypatch)
     rng = np.random.default_rng(67)
     for shape in [(4, 3), (3, 4), (4, 4), (5, 4, 3)]:
         a = rng.standard_normal(shape)
@@ -587,6 +622,23 @@ def test_a_report_makes_one_kernel_call(backend, monkeypatch):
         full_report(make_pair(a, b))
         # a and b as one stack; the spectral norms of e and b+ - a+ take none
         assert stacks == [2 * int(np.prod(shape[:-2]))]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_a_trace_helper_makes_one_kernel_call(backend, monkeypatch):
+    stacks = _kernel_calls(monkeypatch)
+    rng = np.random.default_rng(71)
+    for shape in [(4, 3), (3, 4), (4, 4), (1, 5)]:
+        mm, nn = rng.standard_normal((2,) + shape)
+        for helper in (von_neumann_sum, aligning_unitaries):
+            del stacks[:]
+            helper(mm, nn)
+            # m and n as one stack
+            assert stacks == [2], helper.__name__
+    # so a trace trial of the suite makes two
+    del stacks[:]
+    list(trace_residuals(1729, 0))
+    assert stacks == [2, 2]
 
 
 def test_spectral_norm_of_e_is_the_same_on_both_kernels(kernels, monkeypatch):

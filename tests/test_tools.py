@@ -18,7 +18,7 @@ def test_output_hashes_covers_the_suite_trial_pairs():
     texts = dict(script.output_texts())
     assert list(texts) == [
         "report_csv", "report_table", "special_csv", "special_table", "sweep_csv_1", "sweep_csv_2",
-        "factors", "identities", "spectral_e",
+        "factors", "identities", "spectral_e", "trace",
     ]
     # the hashed reports are those of the suite's first trials, one per spec
     pairs = [trial_pair(DEFAULT_SEED, t)[1] for t in range(len(default_specs(DEFAULT_SEED)))]

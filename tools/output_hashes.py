@@ -19,6 +19,10 @@ line (``%.17g``) per ``identity_checks`` row of the same pairs, every bit
 of the exact identities that the suite shows only to three digits.
 ``spectral_e`` holds |e|_2 (``norms.es``, ``%.17g``) of every reported
 pair, one line each; no kernel computes it, so it is the same on both.
+``trace`` holds, for the same pairs, the ``%.17g`` of
+``von_neumann_sum(a, b)`` and of the real and imaginary parts of every
+entry of both ``aligning_unitaries(a, b)``, one line per pair: every bit of
+the trace helpers, which the suite shows only to three digits.
 ``--suite`` adds the stdout of
 ``pinvperturb suite --trials 500 --seed 1729`` followed by its exit code.
 """
@@ -36,7 +40,7 @@ import numpy as np
 from pinvperturb import cli
 from pinvperturb.backends import default_backend
 from pinvperturb.bounds import full_report, report_csv, report_table
-from pinvperturb.geometry import make_pair
+from pinvperturb.geometry import aligning_unitaries, make_pair, von_neumann_sum
 from pinvperturb.suite import DEFAULT_SEED, default_specs, identity_checks, trial_pair
 from pinvperturb.sweeps import SweepSpec, case_matrices, sweep_csv, sweep_example
 
@@ -75,6 +79,15 @@ def _spectral_e_lines(pairs):
     return "".join(f"{p.norms.es:.17g}\n" for p in pairs)
 
 
+def _trace_lines(pairs):
+    lines = []
+    for p in pairs:
+        parts = [np.array([von_neumann_sum(p.a, p.b)])]
+        parts += [x.view(np.float64).ravel() for x in aligning_unitaries(p.a, p.b)]
+        lines.append(" ".join(f"{x:.17g}" for x in np.concatenate(parts)) + "\n")
+    return "".join(lines)
+
+
 def _digest(data):
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
@@ -95,6 +108,7 @@ def output_texts(suite=False):
         ("factors", _factor_bytes(pairs + special_pairs + [_sweep_pair(1), _sweep_pair(2)])),
         ("identities", _identity_lines(pairs + special_pairs)),
         ("spectral_e", _spectral_e_lines(pairs + special_pairs)),
+        ("trace", _trace_lines(pairs + special_pairs)),
     ]
     if suite:
         out = io.StringIO()
