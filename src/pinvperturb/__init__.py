@@ -41,7 +41,7 @@ from .geometry import (
     make_pair,
     von_neumann_sum,
 )
-from .matrixio import MatrixFormatError, dump, dumps, load, loads
+from .matrixio import MatrixFormatError, dumps, load, loads
 from .randmat import EnsembleSpec, gen_fixed_rank, gen_pair, haar_frame, haar_unitary
 from .suite import run_property_suite
 from .sweeps import SweepSpec, sweep_csv, sweep_example
@@ -65,7 +65,6 @@ __all__ = [
     "default_cutoff",
     "deviation_spectral",
     "deviation_sq",
-    "dump",
     "dumps",
     "envelope_ok",
     "evaluate_all",

@@ -48,13 +48,6 @@ def _fro2(x):
     return np.vecdot(f, f).real
 
 
-def _fro(x):
-    """Frobenius norm, summed as ``np.linalg.norm`` sums one matrix: real parts, then imaginary."""
-    f = x.reshape(x.shape[:-2] + (-1,))
-    re, im = f.real, f.imag
-    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
-
-
 def _outside(q, p):
     """q* (I - p p*) = q* - (q* p) p*; with p = u1, any row scaling of it has the norm of q* u2."""
     qh = conj_transpose(q)
@@ -381,7 +374,7 @@ def energy_terms(p):
 
 def subspace_angles(p):
     """``(|u1b* u2a|_F, |v2b* v1a|_F)``; on ``p.swapped``, ``(|u2b* u1a|_F, |v1b* v2a|_F)``."""
-    return tuple(_fro(block) for block in p.leaks)
+    return tuple(np.sqrt(_fro2(block)) for block in p.leaks)
 
 
 def equal_rank_angle_gap(p):
@@ -400,12 +393,12 @@ def angle_bounds(p):
     """Principal-angle sandwich ``(lower, upper)`` of the squared deviation.
 
     ``upper`` dominates the deviation and ``lower`` is dominated by it; the
-    mirror sandwich is ``angle_bounds(p.swapped)``.  An overflow, such as
-    that of a pseudoinverse norm's square, names the angle bounds.
+    mirror sandwich is ``angle_bounds(p.swapped)``.  The squared angle
+    masses are ``_fro2`` of ``p.leaks``, the bits that ``proof_identity_u``
+    and ``proof_identity_v`` give.  An overflow, such as that of a
+    pseudoinverse norm's square, names the angle bounds.
     """
-    u12, v21 = subspace_angles(p)
-    # squares as products, as in ``ProductNorms``
-    return checked("angle bounds", _sandwich, u12 * u12, v21 * v21, p.norms)
+    return checked("angle bounds", _sandwich, *map(_fro2, p.leaks), p.norms)
 
 
 def _sandwich(u2, v2, n):

@@ -114,23 +114,20 @@ def format_floats(x):
     return np.array(text, dtype=object)[inverse.reshape(x.shape)].tolist()
 
 
-def dumps(a, field="auto", comments=()):
-    """Render a matrix; ``field='auto'`` picks complex only when needed.
+def dumps(a, comments=()):
+    """Render a matrix, with field ``complex`` only when an imaginary part is nonzero.
 
     ``comments`` are emitted first, one ``#`` line each, so the output is
     still a valid matrix file.
     """
     a = as_matrix(a)
     m, n = a.shape
-    has_imag = bool(np.any(a.imag != 0.0))
-    if field == "auto":
-        field = "complex" if has_imag else "real"
-    elif field == "real" and has_imag:
-        raise ValueError("matrix has nonzero imaginary parts, cannot write field 'real'")
-    elif field not in ("real", "complex"):
-        raise ValueError(f"field must be 'real', 'complex' or 'auto', got {field!r}")
-    # a complex row interleaves re/im pairs
-    parts = a.real if field == "real" else np.stack([a.real, a.imag], axis=-1).reshape(m, 2 * n)
+    if np.any(a.imag != 0.0):
+        field = "complex"
+        # a complex row interleaves re/im pairs
+        parts = np.stack([a.real, a.imag], axis=-1).reshape(m, 2 * n)
+    else:
+        field, parts = "real", a.real
     rows = list(map(" ".join, format_floats(parts)))
     return "\n".join([*(f"# {c}" for c in comments), f"{m} {n} {field}", *rows, ""])
 
@@ -153,6 +150,3 @@ def load(path):
     except MatrixFormatError as exc:
         raise MatrixFormatError(exc.lineno, exc.reason, path) from None
 
-
-def dump(a, path, field="auto", comments=()):
-    Path(path).write_text(dumps(a, field=field, comments=comments), encoding="utf-8")

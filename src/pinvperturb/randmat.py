@@ -8,6 +8,7 @@ by ``numpy.random.default_rng`` seeds for bitwise reproducibility.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,14 @@ class EnsembleSpec:
     condition_cap: float = 1e6
 
     def __post_init__(self):
+        # numpy integers are integers too; a bool is not a side, rank or cap
+        for name in ("m", "n", "rank_a", "rank_b"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        cap = self.condition_cap
+        if not isinstance(cap, numbers.Real) or isinstance(cap, bool):
+            raise ValueError(f"condition_cap must be a real number, got {cap!r}")
         if not (1 <= self.m <= MAX_SIDE and 1 <= self.n <= MAX_SIDE):
             raise ValueError(f"sides must be in 1..{MAX_SIDE}, got {self.m} x {self.n}")
         k = min(self.m, self.n)

@@ -6,6 +6,9 @@ over randomized ensembles.  Every trial derives its generator state from
 (spec seed, trial index), so failures are reproducible from the reported
 seed alone.  One property is a deliberately corrupted estimator that must be
 caught; it passes only when violations are observed.
+
+Residuals reduce with ``np.maximum``, which keeps a nan that Python's ``max``
+may drop, so a nan fails its property; only the sentinel drops one.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ def ordering_violation(rep, p):
     for low, high in ORDERINGS:
         lo, hi = side(low), side(high)
         if lo is not None and hi is not None:
-            viol = max(viol, (lo - hi) / (1.0 + abs(hi)))
+            viol = np.maximum(viol, (lo - hi) / (1.0 + abs(hi)))
     return viol
 
 
@@ -300,9 +303,9 @@ def scale_covariance_residual(p, rep, c):
         if not v.applicable:
             continue
         if v.target == SQUARED:
-            resid = max(resid, abs(vc.value * c * c - v.value) / big)
+            resid = np.maximum(resid, abs(vc.value * c * c - v.value) / big)
         else:
-            resid = max(resid, abs(vc.value * c - v.value) / (1.0 + abs(v.value)))
+            resid = np.maximum(resid, abs(vc.value * c - v.value) / (1.0 + abs(v.value)))
     return resid
 
 
@@ -316,24 +319,24 @@ def _lstsq_residuals(p, rng):
     x0 = p.pinv_a @ b
     x0n = float(np.linalg.norm(x0))
     r0 = float(np.linalg.norm(a @ x0 - b))
-    opt_viol = 0.0
+    opt_viol = [0.0]
     for _ in range(100):
         scale_c = (1.0 + x0n) * 10.0 ** rng.uniform(-8.0, 0.0)
         g = gaussian(rng, n, fld)
         rc = float(np.linalg.norm(a @ (x0 + scale_c * g) - b))
-        opt_viol = max(opt_viol, (r0 - rc) / (1.0 + r0))
-    norm_viol = 0.0
+        opt_viol.append((r0 - rc) / (1.0 + r0))
+    norm_viol = [0.0]
     for _ in range(20):
         w = gaussian(rng, n, fld)
         w_null = w - fa.v1 @ (fa.v1.conj().T @ w)
         cand = x0 + w_null
         rc = float(np.linalg.norm(a @ cand - b))
         # candidates stay least-squares optimal, so the minimum-norm clause binds
-        norm_viol = max(norm_viol, abs(rc - r0) / (1.0 + r0))
-        norm_viol = max(norm_viol, (x0n - float(np.linalg.norm(cand))) / (1.0 + x0n))
+        norm_viol.append(abs(rc - r0) / (1.0 + r0))
+        norm_viol.append((x0n - float(np.linalg.norm(cand))) / (1.0 + x0n))
     return [
-        ("lstsq_residual_optimal", max(opt_viol, 0.0)),
-        ("lstsq_min_norm", max(norm_viol, 0.0)),
+        ("lstsq_residual_optimal", np.maximum.reduce(opt_viol)),
+        ("lstsq_min_norm", np.maximum.reduce(norm_viol)),
     ]
 
 
@@ -353,7 +356,7 @@ def trial_residuals(pair, aux):
     """Each per-pair residual, as (name, residual); ``aux`` feeds the solves, then the scale."""
     for q in (pair, pair.swapped):  # a's side, then b's
         yield from _factor_contract_residuals(q.fa, q.a)
-        pr = max(penrose_residuals(q.a, q.pinv_a))
+        pr = np.maximum.reduce(penrose_residuals(q.a, q.pinv_a))
         yield "penrose", pr / (1.0 + q.fa.norm2 * q.fa.pinv_norm2)
 
     # independent route: factor the explicit pseudoinverse matrix, once for both checks
@@ -375,7 +378,7 @@ def trial_residuals(pair, aux):
     if pair.rank_b > pair.rank_a:
         sv = rep.by_name("singular_value_lower").value
         wit = rank_jump_witness(pair)
-        yield "rank_jump_witness", max(0.0, wit - sv) / (1.0 + wit)
+        yield "rank_jump_witness", np.maximum(0.0, wit - sv) / (1.0 + wit)
 
     # a trial where the corruption leaves alpha_upper unchanged cannot catch it
     corrupted = corrupted_alpha_upper(pair)
@@ -394,7 +397,7 @@ def trace_residuals(seed, t):
     vn = von_neumann_sum(mm, nn)
     u = haar_unitary(m, rng, fld)
     v = haar_unitary(n, rng, fld)
-    yield "von_neumann_upper", max(0.0, trace_real(u @ mm @ v, nn) - vn) / (1.0 + vn)
+    yield "von_neumann_upper", np.maximum(0.0, trace_real(u @ mm @ v, nn) - vn) / (1.0 + vn)
     au, av = aligning_unitaries(mm, nn)
     yield "von_neumann_attainment", abs(trace_real(au @ mm @ av, nn) - vn) / (1.0 + vn)
 

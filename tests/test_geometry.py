@@ -452,3 +452,18 @@ def test_identity_helpers_take_a_stack(backend):
                     assert len(got) == len(want)
                     for g, w in zip(got, want):
                         assert g[i].tobytes() == w.tobytes(), (m, n, ra, rb, cplx, helper)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_angle_sandwich_reads_the_proof_identity_masses(backend):
+    # the sandwich's squared angle masses are the proof identities' left sides, bit for bit
+    rng = np.random.default_rng(59)
+    for m, n, ra, rb, cplx in [(6, 3, 3, 2, True), (3, 6, 2, 3, False), (4, 4, 0, 2, True),
+                               (5, 5, 3, 3, True), (5, 4, 4, 4, False)]:
+        a = np.array([lowrank(rng, m, n, ra, cplx) for _ in range(3)])
+        b = np.array([lowrank(rng, m, n, rb, cplx) for _ in range(3)])
+        for p in (make_pair(a, b), make_pair(a[0], b[0])):
+            for q in (p, p.swapped):
+                want = geometry._sandwich(proof_identity_u(q)[0], proof_identity_v(q)[0], q.norms)
+                for g, w in zip(angle_bounds(q), want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (m, n, ra, rb)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pinvperturb.bounds import full_report
+from pinvperturb import suite
+from pinvperturb.bounds import SQUARED, full_report
 from pinvperturb.core import svd_factors
-from pinvperturb.geometry import make_pair
+from pinvperturb.geometry import PerturbationPair, make_pair
 from pinvperturb.randmat import (
     MAX_SIDE,
     EnsembleSpec,
@@ -21,6 +25,7 @@ from pinvperturb.randmat import (
 from pinvperturb.bounds import TOL_BOUND
 from pinvperturb.suite import (
     PropertyResult,
+    _lstsq_residuals,
     _trial_seed,
     corrupted_alpha_upper,
     default_specs,
@@ -28,7 +33,9 @@ from pinvperturb.suite import (
     rank_jump_witness,
     run_property_suite,
     scale_covariance_residual,
+    trace_residuals,
     trial_pair,
+    trial_residuals,
 )
 from pinvperturb.sweeps import (
     SweepResult,
@@ -51,11 +58,32 @@ SUITE_PROPERTY_COUNT = 24
         dict(m=2, n=2, rank_a=1, rank_b=1, field="quaternion"),
         dict(m=2, n=2, rank_a=1, rank_b=1, condition_cap=0.5),
         dict(m=2, n=2, rank_a=1, rank_b=1, condition_cap=float("inf")),
+        dict(m=2.5, n=2, rank_a=1, rank_b=1),
+        dict(m=2, n=2, rank_a=1.5, rank_b=1),
+        dict(m=True, n=2, rank_a=1, rank_b=1),
+        dict(m=2, n=2, rank_a=1, rank_b=1, condition_cap="x"),
     ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         EnsembleSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("m", 2.5), ("n", 3.0), ("rank_a", 1.5), ("rank_b", "1"), ("m", True),
+     ("rank_a", np.float64(1.0)), ("condition_cap", "x"), ("condition_cap", True)],
+)
+def test_spec_error_names_a_value_of_the_wrong_type(name, value):
+    # these passed the range checks, or failed them with a TypeError, and gen_pair raised TypeError
+    kwargs = dict(m=3, n=3, rank_a=1, rank_b=1) | {name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
+        EnsembleSpec(**kwargs)
+
+
+def test_spec_takes_numpy_integers():
+    spec = EnsembleSpec(*np.array([4, 3, 2, 3]), condition_cap=np.float64(1e4))
+    assert gen_pair(spec).rank_a == 2
 
 
 def test_nan_condition_cap_rejected():
@@ -333,3 +361,44 @@ def test_nan_residual_fails_and_stays_the_worst():
     r.record(1.0, 8)
     assert (r.trials, r.failures, r.worst_seed) == (3, 2, 7)
     assert np.isnan(r.worst) and not r.passed
+
+
+def _with_nan(rep, name):
+    """``rep`` with row ``name`` reading nan."""
+    values = tuple(replace(v, value=np.float64("nan")) if v.name == name else v for v in rep.values)
+    return replace(rep, values=values)
+
+
+# Python's max(0.0, nan) is 0.0, so each residual below read a nan as no violation
+
+
+def test_ordering_violation_keeps_a_nan():
+    _, p = trial_pair(1729, 0)
+    assert np.isnan(ordering_violation(_with_nan(full_report(p), "beta_upper"), p))
+
+
+def test_scale_covariance_keeps_a_nan():
+    _, p = trial_pair(1729, 0)
+    rep = full_report(p)
+    squared = next(v.name for v in rep.values if v.applicable and v.target == SQUARED)
+    norm = next(v.name for v in rep.values if v.applicable and v.target != SQUARED)
+    for name in (squared, norm):
+        assert np.isnan(scale_covariance_residual(p, _with_nan(rep, name), 3.0)), name
+
+
+def test_lstsq_residuals_keep_a_nan():
+    _, p = trial_pair(1729, 0)
+    q = PerturbationPair(p.a, p.b, p.e, p.fa, p.fb, np.full_like(p.pinv_a, np.nan), p.pinv_b)
+    for name, resid in _lstsq_residuals(q, np.random.default_rng(0)):
+        assert np.isnan(resid), name
+
+
+def test_trial_and_trace_residuals_keep_a_nan(monkeypatch):
+    monkeypatch.setattr(suite, "penrose_residuals", lambda a, x: (0.0, np.nan, 0.0, 0.0))
+    monkeypatch.setattr(suite, "rank_jump_witness", lambda p: np.nan)
+    p = make_pair(*case_matrices(1, 0.2))  # b's rank is a's plus one
+    got = dict(trial_residuals(p, np.random.default_rng(0)))
+    assert np.isnan(got["penrose"]) and np.isnan(got["rank_jump_witness"])
+    monkeypatch.setattr(suite, "trace_real", lambda m, n: np.nan)
+    got = dict(trace_residuals(1729, 0))
+    assert np.isnan(got["von_neumann_upper"]) and np.isnan(got["von_neumann_attainment"])

@@ -5,17 +5,29 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from pinvperturb.bounds import full_report, report_csv
 from pinvperturb.suite import DEFAULT_SEED, default_specs, trial_pair
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def test_output_hashes_covers_the_suite_trial_pairs():
+def _output_hashes():
     spec = importlib.util.spec_from_file_location("output_hashes", TOOLS / "output_hashes.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    texts = dict(script.output_texts())
+    return script
+
+
+def test_output_hashes_names_the_environment():
+    lines = _output_hashes().environment_lines()
+    assert [line.partition("=")[0] for line in lines] == ["# backend", "# numpy", "# simd", "# blas"]
+    assert lines[1] == f"# numpy={np.__version__}"
+
+
+def test_output_hashes_covers_the_suite_trial_pairs():
+    texts = dict(_output_hashes().output_texts())
     assert list(texts) == [
         "report_csv", "report_table", "special_csv", "special_table", "sweep_csv_1", "sweep_csv_2",
         "factors", "identities", "spectral_e", "trace",

@@ -8,7 +8,11 @@ after it:
 
 Each line is ``<sha256>  <name>``.  The digests depend on the kernel, whose
 rotation order and arithmetic set the last bits, so the backend is named on
-stderr as ``# backend=<name>``.  The reports cover the pairs of the
+stderr as ``# backend=<name>``.  They depend on numpy too: its version, the
+SIMD targets its dispatch enabled on this CPU (``NPY_DISABLE_CPU_FEATURES``
+lowers them) and its BLAS each move last bits, so stderr names those as
+``# numpy=``, ``# simd=`` and ``# blas=`` lines.  Digests compare only
+between runs whose four lines agree.  The reports cover the pairs of the
 suite's first trials, one per ``default_specs()`` entry (``trial_pair``),
 and four special pairs; the sweeps are both closed-form examples at their
 default 401 steps.  ``factors`` hashes the bytes of ``u1``, ``sigma`` and
@@ -36,6 +40,7 @@ import io
 import sys
 
 import numpy as np
+from numpy._core import _multiarray_umath
 
 from pinvperturb import cli
 from pinvperturb.backends import default_backend
@@ -118,11 +123,23 @@ def output_texts(suite=False):
     return texts
 
 
+def environment_lines():
+    """The ``# key=value`` stderr lines that name what sets the last bits besides the sources."""
+    simd = [t for t in _multiarray_umath.__cpu_dispatch__ if _multiarray_umath.__cpu_features__.get(t)]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [
+        f"# backend={default_backend()}",
+        f"# numpy={np.__version__}",
+        f"# simd={' '.join(simd) or 'none'}",
+        f"# blas={blas['name']} {blas['version']}",
+    ]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--suite", action="store_true", help="also hash the 500-trial suite run")
     args = parser.parse_args(argv)
-    print(f"# backend={default_backend()}", file=sys.stderr)
+    print(*environment_lines(), sep="\n", file=sys.stderr)
     for name, text in output_texts(args.suite):
         print(f"{_digest(text)}  {name}")
 
