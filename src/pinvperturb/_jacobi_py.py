@@ -14,6 +14,10 @@ so this kernel tests and rotates a whole round in one numpy step, for
 every matrix of a stack at once, where ``_jacobi.c`` loops over the same
 pairs one by one.  Both take each matrix stored by columns, its columns
 being the rows of a C-ordered array, and a whole stack in one call.
+
+The dot products of this kernel are ``np.vecdot``, one BLAS ``zdotc`` per
+pair of columns, so their last bits, and with them this kernel's output,
+depend on the CPU kernel that numpy's BLAS picks as well as on numpy.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ def round_robin(n):
     ``(r - k) % (size - 1)`` for ``0 < k < size / 2``; for odd n the pair
     holding the padding column n is dropped.  Each pair is ordered
     ``p[i] < q[i]``, and every pair of columns appears in exactly one round.
-    ``rows`` is ``p, q, p, q, q``, so that one gather brings the pairs and
-    its first three blocks against its last three give alpha, beta, gamma.
+    ``rows`` is ``p, q``, so that one gather brings both columns of every pair.
     """
     if n < 2:
         return ()
@@ -43,10 +46,24 @@ def round_robin(n):
         ends = [(r, size - 1)]
         ends += [((r + k) % (size - 1), (r - k) % (size - 1)) for k in range(1, size // 2)]
         p, q = np.array([sorted(e) for e in ends if max(e) < n], dtype=np.intp).T
-        rows = np.concatenate((p, q, p, q, q))
+        rows = np.concatenate((p, q))
         rows.flags.writeable = False
-        rounds.append((rows[: p.size], rows[p.size : 2 * p.size], rows))
+        rounds.append((rows[: p.size], rows[p.size :], rows))
     return tuple(rounds)
+
+
+@functools.lru_cache(maxsize=64)
+def round_of_pair(n):
+    """An n x n table whose entry ``[p, q]``, p < q, is the round of ``round_robin(n)`` pairing p and q.
+
+    Every other entry is the number of rounds, past the last one.
+    """
+    rounds = round_robin(n)
+    table = np.full((n, n), len(rounds), dtype=np.intp)
+    for r, (p, q, _) in enumerate(rounds):
+        table[p, q] = r
+    table.flags.writeable = False
+    return table
 
 
 def _stacked_rounds(n, count):
@@ -54,16 +71,16 @@ def _stacked_rounds(n, count):
 
     Matrix i holds rows ``i * n`` to ``i * n + n - 1``; each round's ``p``
     and ``q`` list the pairs of every matrix, matrix by matrix, and ``rows``
-    is again ``p, q, p, q, q``.
+    is again ``p, q``.
     """
-    if count == 1:
-        return round_robin(n)
-    offsets = np.arange(0, count * n, n)[:, None]
-    rounds = []
-    for p, q, _ in round_robin(n):
-        p, q = (offsets + p).ravel(), (offsets + q).ravel()
-        rounds.append((p, q, np.concatenate((p, q, p, q, q))))
-    return rounds
+    rounds = round_robin(n)
+    if count == 1 or not rounds:
+        return rounds
+    # (round, p or q, matrix, pair): every round of every matrix in one sum
+    ends = np.array([rows for _, _, rows in rounds]).reshape(len(rounds), 2, 1, -1)
+    table = (ends + np.arange(0, count * n, n)[:, None]).reshape(len(rounds), -1)
+    half = table.shape[1] // 2
+    return [(rows[:half], rows[half:], rows) for rows in table]
 
 
 def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
@@ -85,6 +102,14 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     rotation: applied, it would only rescale column q by a phase, in every
     sweep.
 
+    Each sweep first tests every pair of every matrix at once, with the
+    ``zdotc`` bits its round computes.  A round before the first round that
+    holds a failing pair reads only columns that no rotation has changed
+    yet, so it would find nothing to rotate, and the sweep starts after it.
+    A sweep in which no pair fails the test runs no round at all.  The test
+    costs one ``(B, n, n)`` Gram matrix; gathering every pair at once would
+    cost O(n^2 m).
+
     Returns the number of sweeps used, or -1 if the pass limit was reached
     before a sweep completed with no rotations; for a stack, the largest
     count, or -1 if any matrix reached the limit.  ``counts``, an int array
@@ -96,23 +121,32 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     wv = np.concatenate((w, v), axis=-1).reshape(-1, n, m + v.shape[-1])
     sweeps = np.full(len(wv), -1)
     rows_of = wv.reshape(-1, wv.shape[-1])  # a view: each matrix's rows in turn
+    cols = wv[..., :m]  # a view: the columns of each w
     rounds = _stacked_rounds(n, len(wv))
+    round_of = round_of_pair(n)
     # a matrix that cannot converge may overflow tau * tau; it reports -1, quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(max_sweeps):
+            # entry [i, p, q] holds the bits of the test of pair (p, q) of
+            # matrix i that its round computes while no rotation precedes it
+            gram = np.vecdot(cols[:, :, None, :], cols[:, None, :, :])
+            root = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
+            fails = abs(gram) > eps * root[:, :, None] * root[:, None, :]
+            first = round_of[fails.any(axis=0)].min(initial=len(rounds))
             acts = []  # which pairs rotated, per round that rotated any
-            for p, q, rows in rounds:
+            for p, q, rows in rounds[first:]:
                 k = p.size
                 g = rows_of.take(rows, axis=0)
-                dots = np.add.reduce(g[: 3 * k, :m].conj() * g[2 * k :, :m], axis=1)
-                root = np.sqrt(dots[: 2 * k].real)
-                gamma = dots[2 * k :]
+                x, y, gw = g[:k], g[k:], g[:, :m]
+                norms = np.vecdot(gw, gw).real
+                root = np.sqrt(norms)
+                gamma = np.vecdot(gw[:k], gw[k:])
                 mag = abs(gamma)
                 act = mag > eps * root[:k] * root[k:]
                 i = act.nonzero()[0]  # the pairs to rotate
                 if not i.size:
                     continue
-                alpha, beta, x, y = dots[:k].real, dots[k : 2 * k].real, g[:k], g[k : 2 * k]
+                alpha, beta = norms[:k], norms[k:]
                 if i.size < k:
                     p, q, x, y = p.take(i), q.take(i), x.take(i, axis=0), y.take(i, axis=0)
                     alpha, beta = alpha.take(i), beta.take(i)

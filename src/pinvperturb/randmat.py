@@ -34,11 +34,14 @@ class EnsembleSpec:
     condition_cap: float = 1e6
 
     def __post_init__(self):
-        # numpy integers are integers too; a bool is not a side, rank or cap
-        for name in ("m", "n", "rank_a", "rank_b"):
+        # numpy integers are integers too; a bool is not a side, rank, seed or
+        # cap, and a seed of None would draw from OS entropy, never to repeat
+        for name in ("m", "n", "rank_a", "rank_b", "seed"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         cap = self.condition_cap
         if not isinstance(cap, numbers.Real) or isinstance(cap, bool):
             raise ValueError(f"condition_cap must be a real number, got {cap!r}")

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pinvperturb import suite
 from pinvperturb.bounds import SQUARED, full_report
@@ -72,18 +72,21 @@ def test_spec_validation(kwargs):
 @pytest.mark.parametrize(
     "name,value",
     [("m", 2.5), ("n", 3.0), ("rank_a", 1.5), ("rank_b", "1"), ("m", True),
-     ("rank_a", np.float64(1.0)), ("condition_cap", "x"), ("condition_cap", True)],
+     ("rank_a", np.float64(1.0)), ("condition_cap", "x"), ("condition_cap", True),
+     ("seed", 2.5), ("seed", "x"), ("seed", -1), ("seed", True), ("seed", None)],
 )
 def test_spec_error_names_a_value_of_the_wrong_type(name, value):
-    # these passed the range checks, or failed them with a TypeError, and gen_pair raised TypeError
+    # these passed the range checks, or failed them with a TypeError, and gen_pair raised TypeError;
+    # a bad seed failed only in gen_pair, without naming the field, or (True, None) was taken
     kwargs = dict(m=3, n=3, rank_a=1, rank_b=1) | {name: value}
     with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
         EnsembleSpec(**kwargs)
 
 
 def test_spec_takes_numpy_integers():
-    spec = EnsembleSpec(*np.array([4, 3, 2, 3]), condition_cap=np.float64(1e4))
+    spec = EnsembleSpec(*np.array([4, 3, 2, 3]), seed=np.uint32(7), condition_cap=np.float64(1e4))
     assert gen_pair(spec).rank_a == 2
+    assert_array_equal(gen_pair(spec).a, gen_pair(EnsembleSpec(4, 3, 2, 3, seed=7, condition_cap=1e4)).a)
 
 
 def test_nan_condition_cap_rejected():

@@ -164,14 +164,17 @@ def test_round_robin_schedule_covers_each_pair_once(n):
     rounds = _jacobi_py.round_robin(n)
     assert len(rounds) == (0 if n == 1 else n - 1 + n % 2)
     seen = []
-    for p, q, rows in rounds:
+    table = np.full((n, n), len(rounds))
+    for r, (p, q, rows) in enumerate(rounds):
         assert p.size == q.size == n // 2
         assert np.all(p < q)
         # disjoint: a round touches each of its columns once
         assert np.unique(np.concatenate((p, q))).size == 2 * p.size
-        assert_array_equal(rows, np.concatenate((p, q, p, q, q)))
+        assert_array_equal(rows, np.concatenate((p, q)))
         seen += zip(p.tolist(), q.tolist())
+        table[p, q] = r
     assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert_array_equal(_jacobi_py.round_of_pair(n), table)
 
 
 def test_kernels_rotate_pairs_in_the_same_order(kernels):
@@ -287,14 +290,16 @@ def _by_columns(mats):
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_stacked_kernel_equals_a_loop_over_its_matrices(backend):
-    # different sweep counts in one stack, and 0.3 * ones, which alone takes
-    # 11 sweeps, so it does not converge within the limit of 6
+    # different sweep counts in one stack, and 0.45 * ones, which alone takes
+    # 11 sweeps on both kernels, so it does not converge within the limit of
+    # 6; 0.3 * ones took 11 too, but the numpy kernel's dot products are
+    # BLAS's, and on some of its CPU kernels it converges in 3
     limit = 6
     rng = np.random.default_rng(41)
     mats = [
         rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
         np.diag([3.0, 2.0, 1.0]),
-        0.3 * np.ones((3, 3)),
+        0.45 * np.ones((3, 3)),
         rng.standard_normal((3, 3)),
         np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1e-3, 2.0]]),
     ]
@@ -319,6 +324,79 @@ def test_stacked_kernel_equals_a_loop_over_its_matrices(backend):
     w = _by_columns([mats[i] for i in keep])
     v = _by_columns([np.eye(3)] * len(keep))
     assert kern.orthogonalize_columns(w, v, JACOBI_EPS, limit) == max(counts[keep])
+
+
+def _every_round(w, v, eps, max_sweeps):
+    """The numpy kernel's arithmetic without its per-sweep test: each matrix alone, every round of every sweep.
+
+    Rotates ``w`` and ``v`` in place and returns the sweep count of each matrix.
+    """
+    n = w.shape[-2]
+    counts = np.full(w.shape[:-2], -1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in np.ndindex(counts.shape):
+            wi, vi = w[i], v[i]
+            for sweep in range(max_sweeps):
+                rotated = False
+                for p, q, _ in _jacobi_py.round_robin(n):
+                    x, y = wi[p], wi[q]
+                    alpha, beta = np.vecdot(x, x).real, np.vecdot(y, y).real
+                    gamma = np.vecdot(x, y)
+                    mag = abs(gamma)
+                    tau = (beta - alpha) / (2.0 * mag)
+                    t = np.copysign(1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau)), tau)
+                    act = (mag > eps * np.sqrt(alpha) * np.sqrt(beta)) & (t != 0.0)
+                    if not act.any():
+                        continue
+                    rotated = True
+                    p, q, gamma, mag, t = p[act], q[act], gamma[act], mag[act], t[act]
+                    parts = gamma.view(np.float64).reshape(-1, 2)
+                    phase = (parts / mag[:, None]).view(np.complex128).conj()
+                    c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+                    s = t[:, None] * c
+                    for z in (wi, vi):
+                        x, y = z[p], z[q]
+                        z[p] = c * x - (s * phase) * y
+                        z[q] = s * x + (c * phase) * y
+                if not rotated:
+                    counts[i] = sweep + 1
+                    break
+    return counts
+
+
+def _mixed_stack(rng, n, m, field):
+    """Kernel inputs of n columns of length m that take from one sweep to many."""
+    def draw(shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if field == "complex" else g
+
+    orthogonal = np.linalg.qr(draw((m, n)))[0] * np.linspace(2.0, 1.0, n)  # one or two sweeps
+    graded = draw((m, n)) * 2.0 ** -np.arange(0, 4 * n, 4)
+    return _by_columns([draw((m, n)), orthogonal, graded, draw((m, n)) @ draw((n, n))])
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_per_sweep_test_changes_no_rotation(field):
+    # a round skipped by the per-sweep test would have read columns that no
+    # rotation had changed, so the kernel equals a run of every round bit for bit
+    rng = np.random.default_rng(83)
+    for n in [*range(1, 10), *range(12, 21)]:
+        for m in (n, n + 7):
+            stack = _mixed_stack(rng, n, m, field)
+            for limit in (1, 2, 60):
+                for w in (stack, stack[:1], stack[0]):
+                    v = np.broadcast_to(np.eye(n, dtype=np.complex128), w.shape[:-1] + (n,)).copy()
+                    w_ref, v_ref = w.copy(), v.copy()
+                    w = w.copy()
+                    expect = _every_round(w_ref, v_ref, jacobi_threshold(m), limit)
+                    counts = np.zeros(w.shape[:-2], dtype=int)
+                    got = _jacobi_py.orthogonalize_columns(w, v, jacobi_threshold(m), limit, counts=counts)
+                    assert_array_equal(counts, expect)
+                    assert got == (-1 if (expect < 0).any() else expect.max())
+                    assert_array_equal(w, w_ref)
+                    assert_array_equal(v, v_ref)
+                    if limit == 60 and w.ndim == 3 and len(w) > 1 and n > 2:
+                        assert len(set(counts.tolist())) >= 2, (n, m, counts)
 
 
 def _check_stack_report_equals_pair_reports(a, b):

@@ -20,10 +20,15 @@ def _output_hashes():
     return script
 
 
-def test_output_hashes_names_the_environment():
+def test_output_hashes_names_the_environment(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
     lines = _output_hashes().environment_lines()
-    assert [line.partition("=")[0] for line in lines] == ["# backend", "# numpy", "# simd", "# blas"]
+    keys = ["# backend", "# numpy", "# simd", "# blas", "# openblas_coretype"]
+    assert [line.partition("=")[0] for line in lines] == keys
     assert lines[1] == f"# numpy={np.__version__}"
+    assert lines[-1] == "# openblas_coretype=auto"
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")
+    assert _output_hashes().environment_lines()[-1] == "# openblas_coretype=Prescott"
 
 
 def test_output_hashes_covers_the_suite_trial_pairs():

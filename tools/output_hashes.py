@@ -11,8 +11,11 @@ rotation order and arithmetic set the last bits, so the backend is named on
 stderr as ``# backend=<name>``.  They depend on numpy too: its version, the
 SIMD targets its dispatch enabled on this CPU (``NPY_DISABLE_CPU_FEATURES``
 lowers them) and its BLAS each move last bits, so stderr names those as
-``# numpy=``, ``# simd=`` and ``# blas=`` lines.  Digests compare only
-between runs whose four lines agree.  The reports cover the pairs of the
+``# numpy=``, ``# simd=`` and ``# blas=`` lines.  The numpy kernel's dot
+products are BLAS calls, whose bits also depend on the CPU kernel OpenBLAS
+picks (``OPENBLAS_CORETYPE`` forces one), named as
+``# openblas_coretype=<value or auto>``.  Digests compare only between runs
+whose five lines agree.  The reports cover the pairs of the
 suite's first trials, one per ``default_specs()`` entry (``trial_pair``),
 and four special pairs; the sweeps are both closed-form examples at their
 default 401 steps.  ``factors`` hashes the bytes of ``u1``, ``sigma`` and
@@ -37,6 +40,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 
 import numpy as np
@@ -132,6 +136,7 @@ def environment_lines():
         f"# numpy={np.__version__}",
         f"# simd={' '.join(simd) or 'none'}",
         f"# blas={blas['name']} {blas['version']}",
+        f"# openblas_coretype={os.environ.get('OPENBLAS_CORETYPE') or 'auto'}",
     ]
 
 
