@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,8 +52,7 @@ def equal_rank_multiplier(m, n, r, norm):
     return MU[norm]
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """One evaluated estimator.
 
     ``target`` is ``squared_frobenius`` for the squared-deviation estimates
@@ -122,8 +120,7 @@ def _no_single_norm(constant):
     )
 
 
-@dataclass(frozen=True)
-class Estimator:
+class Estimator(NamedTuple):
     """One row of the family; ``formula(p.norms, p)`` runs only when every hypothesis is met."""
 
     name: str
@@ -336,8 +333,7 @@ def evaluate_all(p):
     return [row.evaluate(p) for row in ESTIMATORS]
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Exact deviation plus every estimator and the squared envelope.
 
     The report of a stack holds an array over its pairs wherever that of a

@@ -24,7 +24,8 @@ residual per matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,19 @@ def checked(what, fn, *args):
         # an overflow's own message is only "(34, 'Numerical result out of range')"
         detail = exc.args[-1] if exc.args else type(exc).__name__
         raise type(exc)(f"{what} failed: {detail}") from exc
+
+
+# a spec's fields: numpy integers and reals count, a bool counts as neither
+def check_integer(name, value):
+    """A ValueError naming ``name`` unless ``value`` is an integer."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name, value):
+    """A ValueError naming ``name`` unless ``value`` is a real number."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _finite(a):
@@ -97,8 +111,7 @@ def default_cutoff(shape, sigma_max):
     return max(shape[-2:]) * np.spacing(sigma_max)
 
 
-@dataclass(frozen=True)
-class SvdFactors:
+class SvdFactors(NamedTuple):
     """Rank-split factors: a = u1 @ diag(sigma1) @ v1* up to values <= tol.
 
     ``u1`` (m x rank) and ``v1`` (n x rank) have orthonormal columns,

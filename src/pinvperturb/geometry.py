@@ -23,9 +23,9 @@ derives the squares, fourth powers and |e|_F from them on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,45 +54,18 @@ def _outside(q, p):
     return qh - (qh @ p) @ conj_transpose(p)
 
 
+def _read_only(record, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a record that caches in its ``__dict__``."""
+    raise AttributeError(f"{type(record).__name__} is read-only, cannot change {name!r}")
+
+
 def _square(name):
     """A derived ``ProductNorms`` value: the square of ``name``, as a product."""
     return cached_property(lambda nm: getattr(nm, name) * getattr(nm, name))
 
 
-@dataclass(frozen=True)
-class ProductNorms:
-    """Ingredients shared by the deviation estimators, one value per pair.
-
-    The 32 fields are what needs the factors or a product; the rest is
-    derived from them on first use and cached.  ``na``/``nb``/``nai``/``nbi``
-    are the spectral norms of a, b and their pseudoinverses; their squares
-    ``na2`` and so on and fourth powers ``na4`` and so on are derived, as
-    products: a power of a numpy scalar goes through the C library's pow(),
-    which would give a pair other bits than its stack.  ``e2`` is |e|_F^2,
-    ``es`` |e|_2, and the derived ``ef`` the square root of ``e2``.  The
-    other fields are the squared Frobenius norms of the projected perturbation
-    products named beside them.  With a = ua Sa va* and b = ub Sb vb* at
-    their ranks, those through (a, e) are read from three thin blocks,
-    F = ua* e, G = e vb and C = ua* e vb (``_oriented``); their mirrors
-    from the same blocks with a and b exchanged.  A ``_c`` field is a
-    Pythagorean complement, taken as the norm of a projected block, such
-    as Sa^-1 (F - C vb*) for ``aebb_c``, rather than as the equal
-    difference noted beside it, which cancels.  A ``_r`` or ``_1`` field
-    is such a difference too, taken as a sum of non-negative terms.  With
-    c_i the columns of Sa^-1 C and s_1 >= ... >= s_r the singular values of
-    b, ``aebb`` = sum_i |c_i|^2 and ``y`` = sum_i |c_i|^2 / s_i^2, so
-    ``aebb_r`` = sum_i (1 - (s_r/s_i)^2) |c_i|^2 and ``aebb_1`` =
-    sum_i ((s_1/s_i)^2 - 1) |c_i|^2; ``aaeb_r`` and ``aaeb_1`` weigh the
-    rows of C Sb^-1 by the singular values of a in the same way.  Since
-    ae = aebb_c + aebb, ae - y / nbi2 = aebb_c + aebb_r and
-    ae - nb2 y = aebb_c - aebb_1, and the same holds for eb with the
-    ``aaeb`` fields.  So ``gamma_upper`` adds the non-negative ``aebb_r``
-    and ``aaeb_r`` to the complements that ``alpha_upper`` scales, and
-    ``gamma_lower`` subtracts the non-negative ``aebb_1`` and ``aaeb_1``
-    from those that ``alpha_lower`` scales.  Rounding is monotone, so
-    gamma_upper >= alpha_upper and gamma_lower <= alpha_lower hold by
-    construction, whatever the rounding of the blocks.
-    """
+class _ProductNormFields(NamedTuple):
+    """The 32 fields of ``ProductNorms``, the norms that need the factors or a product."""
 
     na: float
     nb: float
@@ -127,6 +100,41 @@ class ProductNorms:
     beaa_1: float  # na2 x - beaa
     bbea_1: float  # nb2 x - bbea
 
+
+class ProductNorms(_ProductNormFields):
+    """Ingredients shared by the deviation estimators, one value per pair.
+
+    The 32 fields are what needs the factors or a product; the rest is
+    derived from them on first use and cached.  ``na``/``nb``/``nai``/``nbi``
+    are the spectral norms of a, b and their pseudoinverses; their squares
+    ``na2`` and so on and fourth powers ``na4`` and so on are derived, as
+    products: a power of a numpy scalar goes through the C library's pow(),
+    which would give a pair other bits than its stack.  ``e2`` is |e|_F^2,
+    ``es`` |e|_2, and the derived ``ef`` the square root of ``e2``.  The
+    other fields are the squared Frobenius norms of the projected perturbation
+    products named beside them.  With a = ua Sa va* and b = ub Sb vb* at
+    their ranks, those through (a, e) are read from three thin blocks,
+    F = ua* e, G = e vb and C = ua* e vb (``_oriented``); their mirrors
+    from the same blocks with a and b exchanged.  A ``_c`` field is a
+    Pythagorean complement, taken as the norm of a projected block, such
+    as Sa^-1 (F - C vb*) for ``aebb_c``, rather than as the equal
+    difference noted beside it, which cancels.  A ``_r`` or ``_1`` field
+    is such a difference too, taken as a sum of non-negative terms.  With
+    c_i the columns of Sa^-1 C and s_1 >= ... >= s_r the singular values of
+    b, ``aebb`` = sum_i |c_i|^2 and ``y`` = sum_i |c_i|^2 / s_i^2, so
+    ``aebb_r`` = sum_i (1 - (s_r/s_i)^2) |c_i|^2 and ``aebb_1`` =
+    sum_i ((s_1/s_i)^2 - 1) |c_i|^2; ``aaeb_r`` and ``aaeb_1`` weigh the
+    rows of C Sb^-1 by the singular values of a in the same way.  Since
+    ae = aebb_c + aebb, ae - y / nbi2 = aebb_c + aebb_r and
+    ae - nb2 y = aebb_c - aebb_1, and the same holds for eb with the
+    ``aaeb`` fields.  So ``gamma_upper`` adds the non-negative ``aebb_r``
+    and ``aaeb_r`` to the complements that ``alpha_upper`` scales, and
+    ``gamma_lower`` subtracts the non-negative ``aebb_1`` and ``aaeb_1``
+    from those that ``alpha_lower`` scales.  Rounding is monotone, so
+    gamma_upper >= alpha_upper and gamma_lower <= alpha_lower hold by
+    construction, whatever the rounding of the blocks.
+    """
+
     na2 = _square("na")
     nb2 = _square("nb")
     nai2 = _square("nai")
@@ -136,6 +144,8 @@ class ProductNorms:
     nai4 = _square("nai2")
     nbi4 = _square("nbi2")
     ef = cached_property(lambda nm: np.sqrt(nm.e2))
+
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def swapped(self):
@@ -147,20 +157,20 @@ class ProductNorms:
 # e2 and es are their own, and the derived values follow their fields
 _SWAP_AB = str.maketrans("abxy", "bayx")
 # the mirror's field values in ProductNorms' positional order
-_mirrored_fields = attrgetter(*(f.name.translate(_SWAP_AB) for f in fields(ProductNorms)))
+_mirrored_fields = attrgetter(*(name.translate(_SWAP_AB) for name in ProductNorms._fields))
 
 
-@dataclass(frozen=True)
 class PerturbationPair:
-    """A same-shape pair, or a stack of them, with both factorizations and pseudoinverses."""
+    """A same-shape pair, or a stack of them, with both factorizations and pseudoinverses.
 
-    a: np.ndarray
-    b: np.ndarray
-    e: np.ndarray
-    fa: SvdFactors
-    fb: SvdFactors
-    pinv_a: np.ndarray
-    pinv_b: np.ndarray
+    A plain class, not a tuple: its cached properties live in its
+    ``__dict__``, and it can be weakly referenced.
+    """
+
+    def __init__(self, a, b, e, fa, fb, pinv_a, pinv_b):
+        vars(self).update(a=a, b=b, e=e, fa=fa, fb=fb, pinv_a=pinv_a, pinv_b=pinv_b)
+
+    __setattr__ = __delattr__ = _read_only
 
     @property
     def shape(self):

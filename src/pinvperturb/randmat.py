@@ -8,12 +8,11 @@ by ``numpy.random.default_rng`` seeds for bitwise reproducibility.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import default_cutoff
+from .core import check_integer, check_real, default_cutoff
 from .geometry import make_pair
 
 MAX_SIDE = 16
@@ -21,10 +20,7 @@ MAX_SIDE = 16
 SEPARATION = 1e3
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Shape, ranks and sampling parameters for a random pair."""
-
+class _EnsembleFields(NamedTuple):
     m: int
     n: int
     rank_a: int
@@ -33,27 +29,36 @@ class EnsembleSpec:
     seed: int = 0
     condition_cap: float = 1e6
 
-    def __post_init__(self):
-        # numpy integers are integers too; a bool is not a side, rank, seed or
-        # cap, and a seed of None would draw from OS entropy, never to repeat
+
+class EnsembleSpec(_EnsembleFields):
+    """Shape, ranks and sampling parameters for a random pair, checked on every construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        # a bool is not a side, rank, seed or cap, and a seed of None would
+        # draw from OS entropy, never to repeat
         for name in ("m", "n", "rank_a", "rank_b", "seed"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        cap = self.condition_cap
-        if not isinstance(cap, numbers.Real) or isinstance(cap, bool):
-            raise ValueError(f"condition_cap must be a real number, got {cap!r}")
-        if not (1 <= self.m <= MAX_SIDE and 1 <= self.n <= MAX_SIDE):
-            raise ValueError(f"sides must be in 1..{MAX_SIDE}, got {self.m} x {self.n}")
-        k = min(self.m, self.n)
-        if not (0 <= self.rank_a <= k and 0 <= self.rank_b <= k):
-            raise ValueError(f"ranks must be in 0..{k}, got {self.rank_a} and {self.rank_b}")
-        if self.field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if not 1.0 <= self.condition_cap < np.inf:  # false for nan too
-            raise ValueError(f"condition_cap must be at least 1 and finite: {self.condition_cap}")
+            check_integer(name, getattr(spec, name))
+        if spec.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {spec.seed!r}")
+        check_real("condition_cap", spec.condition_cap)
+        if not (1 <= spec.m <= MAX_SIDE and 1 <= spec.n <= MAX_SIDE):
+            raise ValueError(f"sides must be in 1..{MAX_SIDE}, got {spec.m} x {spec.n}")
+        k = min(spec.m, spec.n)
+        if not (0 <= spec.rank_a <= k and 0 <= spec.rank_b <= k):
+            raise ValueError(f"ranks must be in 0..{k}, got {spec.rank_a} and {spec.rank_b}")
+        if spec.field not in ("real", "complex"):
+            raise ValueError(f"field must be 'real' or 'complex', got {spec.field!r}")
+        if not 1.0 <= spec.condition_cap < np.inf:  # false for nan too
+            raise ValueError(f"condition_cap must be at least 1 and finite: {spec.condition_cap}")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
 
 
 def gaussian(rng, shape, field):

@@ -14,7 +14,6 @@ may drop, so a nan fails its property; only the sentinel drops one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -85,17 +84,17 @@ PROPERTIES = {
 }
 
 
-@dataclass
 class PropertyResult:
     """Aggregate of one property across all trials."""
 
-    name: str
-    tol: float
-    expect_violation: bool = False
-    trials: int = 0
-    failures: int = 0
-    worst: float = 0.0
-    worst_seed: int | None = None
+    def __init__(self, name, tol, expect_violation=False):
+        self.name = name
+        self.tol = tol
+        self.expect_violation = expect_violation
+        self.trials = 0
+        self.failures = 0
+        self.worst = 0.0
+        self.worst_seed = None
 
     def record(self, resid, seed):
         """Count one trial; a nan residual fails it and, from then on, is the worst value."""
@@ -113,9 +112,11 @@ class PropertyResult:
         return self.failures == 0
 
 
-@dataclass
 class SuiteResult:
-    results: list[PropertyResult] = field(default_factory=list)
+    """Every property's ``PropertyResult``, in report order."""
+
+    def __init__(self, results):
+        self.results = results
 
     @property
     def passed(self):
@@ -348,7 +349,7 @@ def trial_pair(seed, t):
     """Trial ``t`` of a run at ``seed``: its spec, holding the reported trial seed, and its pair."""
     specs = default_specs(seed)
     sp = specs[t % len(specs)]
-    spec = replace(sp, seed=_trial_seed(sp.seed, t))
+    spec = sp._replace(seed=_trial_seed(sp.seed, t))
     return spec, gen_pair(spec)
 
 

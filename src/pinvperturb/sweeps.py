@@ -10,11 +10,12 @@ of pairs, one per grid point, and one report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import full_report
+from .core import check_integer, check_real
 from .geometry import make_pair
 from .matrixio import format_floats
 
@@ -25,23 +26,39 @@ DEFAULT_TAU_MAX = 0.49
 DEFAULT_STEPS = 401
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class _SweepFields(NamedTuple):
     example: int
     tau_min: float = DEFAULT_TAU_MIN
     tau_max: float = DEFAULT_TAU_MAX
     steps: int = DEFAULT_STEPS
 
-    def __post_init__(self):
-        if self.example not in (1, 2):
-            raise ValueError(f"example must be 1 or 2, got {self.example}")
-        if not (TAU_OPEN_MIN < self.tau_min <= self.tau_max < TAU_OPEN_MAX):
+
+class SweepSpec(_SweepFields):
+    """One case's grid of ``steps`` parameters, checked on every construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        check_integer("example", spec.example)
+        if spec.example not in (1, 2):
+            raise ValueError(f"example must be 1 or 2, got {spec.example}")
+        check_real("tau_min", spec.tau_min)
+        check_real("tau_max", spec.tau_max)
+        if not (TAU_OPEN_MIN < spec.tau_min <= spec.tau_max < TAU_OPEN_MAX):
             raise ValueError(
                 f"need {TAU_OPEN_MIN} < tau_min <= tau_max < {TAU_OPEN_MAX}, "
-                f"got [{self.tau_min}, {self.tau_max}]"
+                f"got [{spec.tau_min}, {spec.tau_max}]"
             )
-        if self.steps < 1:
-            raise ValueError(f"steps must be positive, got {self.steps}")
+        check_integer("steps", spec.steps)
+        if spec.steps < 1:
+            raise ValueError(f"steps must be positive, got {spec.steps}")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, bypasses __new__
+        return cls(*iterable)
 
 
 def _diag(d0, d1):
@@ -101,8 +118,7 @@ CLOSED_FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     spec: SweepSpec
     taus: np.ndarray
     columns: dict  # name -> array, insertion-ordered

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -497,10 +496,10 @@ def test_stack_applicability_is_that_of_each_pair(shape, cplx):
 def _report_with(value, exact=1.0):
     rep = full_report(make_pair(np.eye(2), 2.0 * np.eye(2)))
     values = tuple(
-        dataclasses.replace(v, value=value) if v.name == "wedin_frobenius" else v
+        v._replace(value=value) if v.name == "wedin_frobenius" else v
         for v in rep.values
     )
-    return dataclasses.replace(rep, values=values, exact_sq=exact)
+    return rep._replace(values=values, exact_sq=exact)
 
 
 def test_residuals_keep_a_nan():
@@ -509,7 +508,7 @@ def test_residuals_keep_a_nan():
     rep = _report_with(10.0, exact=float("nan"))
     assert np.isnan(envelope_residual(rep))
     assert not envelope_ok(rep)
-    nan_envelope = dataclasses.replace(rep, exact_sq=1.0, envelope=(float("nan"), 2.0))
+    nan_envelope = rep._replace(exact_sq=1.0, envelope=(float("nan"), 2.0))
     assert np.isnan(envelope_residual(nan_envelope))
 
 

@@ -399,17 +399,34 @@ def test_sweep_stdout(capsys):
     assert len(lines) == 4
 
 
-def test_python_m_runs_uninstalled_checkout(capsys):
-    args = ["sweep", "--example", "1", "--steps", "3"]
+def _fresh_python(*argv):
+    """A new interpreter on ``argv``, importing the package from this checkout's ``src``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pinvperturb", *args],
-        env=env, capture_output=True, text=True, timeout=60, check=False,
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60, check=False
     )
+
+
+def test_python_m_runs_uninstalled_checkout(capsys):
+    args = ["sweep", "--example", "1", "--steps", "3"]
+    proc = _fresh_python("-m", "pinvperturb", *args)
     assert proc.returncode == 0, proc.stderr
     assert cli.main(args) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_bounds_process_never_imports_dataclasses(pair_files):
+    # building a dataclass compiles its methods at import: 17 ms of each process
+    script = (
+        "import sys\n"
+        "from pinvperturb.cli import main\n"
+        "status = main(['bounds', *sys.argv[1:]])\n"
+        "print(status, 'dataclasses' in sys.modules)\n"
+    )
+    proc = _fresh_python("-c", script, *pair_files)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_sweep_bad_range_exit2(capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
-from dataclasses import fields
+import weakref
 
 import numpy as np
 import pytest
@@ -123,7 +123,7 @@ def test_product_norms_match_their_definitions():
         b = np.array([lowrank(rng, m, n, rb, True) for _ in range(4)])
         stacked = make_pair(a, b).norms
         for i, alone in enumerate(make_pair(x, y).norms for x, y in zip(a, b)):
-            for name in [f.name for f in fields(ProductNorms)] + list(DERIVED_NORMS):
+            for name in ProductNorms._fields + tuple(DERIVED_NORMS):
                 want = getattr(alone, name)
                 got = getattr(stacked, name)[i]
                 assert got == pytest.approx(want, rel=4 * np.finfo(float).eps), name
@@ -140,6 +140,13 @@ def test_product_norms_form_no_whole_size_product():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_pair_takes_a_weak_reference():
+    # a benchmark's tracer keeps every pair it sees in a WeakValueDictionary
+    p = make_pair(np.eye(2), 2.0 * np.eye(2))
+    assert weakref.ref(p)() is p
+    assert weakref.ref(p.swapped)() is p.swapped
 
 
 def test_swapped_norms_equal_fresh_swapped_pair():

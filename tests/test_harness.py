@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pinvperturb import suite
-from pinvperturb.bounds import SQUARED, full_report
+from pinvperturb.bounds import ESTIMATORS, SQUARED, full_report
 from pinvperturb.core import svd_factors
 from pinvperturb.geometry import PerturbationPair, make_pair
 from pinvperturb.randmat import (
@@ -67,6 +66,9 @@ SUITE_PROPERTY_COUNT = 24
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         EnsembleSpec(**kwargs)
+    # namedtuple's _replace builds through _make, which bypassed the checks
+    with pytest.raises(ValueError):
+        EnsembleSpec(m=2, n=2, rank_a=1, rank_b=1)._replace(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -79,8 +81,11 @@ def test_spec_error_names_a_value_of_the_wrong_type(name, value):
     # these passed the range checks, or failed them with a TypeError, and gen_pair raised TypeError;
     # a bad seed failed only in gen_pair, without naming the field, or (True, None) was taken
     kwargs = dict(m=3, n=3, rank_a=1, rank_b=1) | {name: value}
-    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {re.escape(repr(value))}$"):
+    message = rf"^{name} must be .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
         EnsembleSpec(**kwargs)
+    with pytest.raises(ValueError, match=message):
+        EnsembleSpec(m=3, n=3, rank_a=1, rank_b=1)._replace(**{name: value})
 
 
 def test_spec_takes_numpy_integers():
@@ -280,11 +285,63 @@ def test_scale_covariance_small_on_random_pair():
         dict(example=1, tau_max=0.5),
         dict(example=1, tau_min=0.4, tau_max=0.2),
         dict(example=2, steps=0),
+        # these ran sweep 1, a 1-point sweep, or failed later with a TypeError
+        dict(example=True),
+        dict(example=1.0),
+        dict(example=1, steps=True),
+        dict(example=1, steps=2.5),
+        dict(example=1, tau_min="0.2"),
     ],
 )
 def test_sweep_spec_validation(kwargs):
     with pytest.raises(ValueError):
         SweepSpec(**kwargs)
+    # namedtuple's _replace builds through _make, which bypassed the checks
+    with pytest.raises(ValueError):
+        SweepSpec(example=2)._replace(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("example", True), ("example", 1.0), ("steps", True), ("steps", 2.5),
+     ("tau_min", "0.2"), ("tau_max", None)],
+)
+def test_sweep_spec_error_names_a_value_of_the_wrong_type(name, value):
+    message = rf"^{name} must be .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(**{"example": 1, name: value})
+    with pytest.raises(ValueError, match=message):
+        SweepSpec(example=1)._replace(**{name: value})
+
+
+def test_sweep_spec_takes_numpy_numbers():
+    spec = SweepSpec(np.int64(1), np.float64(0.2), np.float64(0.3), steps=np.uint8(5))
+    assert sweep_csv(sweep_example(spec)) == sweep_csv(sweep_example(SweepSpec(1, 0.2, 0.3, 5)))
+
+
+def _records():
+    """One instance of each read-only record, with its fields and cached values."""
+    p = make_pair(np.eye(2), np.diag([2.0, 0.0]))
+    rep = full_report(p)
+    named = (
+        p.fa, rep, rep.values[0], ESTIMATORS[0],
+        EnsembleSpec(m=2, n=2, rank_a=1, rank_b=1), SweepSpec(example=1),
+        sweep_example(SweepSpec(example=1, steps=3)),
+    )
+    yield from ((r, r._fields) for r in named)
+    yield p.norms, p.norms._fields + ("na2", "ef", "swapped")
+    yield p, ("a", "b", "e", "fa", "fb", "pinv_a", "pinv_b", "norms", "swapped")
+
+
+def test_records_are_read_only():
+    for record, fields in _records():
+        for name in fields:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is value, (type(record).__name__, name)
 
 
 def test_case_matrices_values():
@@ -368,8 +425,8 @@ def test_nan_residual_fails_and_stays_the_worst():
 
 def _with_nan(rep, name):
     """``rep`` with row ``name`` reading nan."""
-    values = tuple(replace(v, value=np.float64("nan")) if v.name == name else v for v in rep.values)
-    return replace(rep, values=values)
+    values = tuple(v._replace(value=np.float64("nan")) if v.name == name else v for v in rep.values)
+    return rep._replace(values=values)
 
 
 # Python's max(0.0, nan) is 0.0, so each residual below read a nan as no violation
