@@ -1,15 +1,13 @@
 /* Compiled one-sided Jacobi kernel, the twin of _jacobi_py.orthogonalize_columns.
    Each matrix is stored by columns: its n columns of length m are the rows of
    a C-ordered n x m complex128 block w, and every rotation is mirrored into
-   the rows of its n x nv block v.  Both kernels visit the column pairs in the
-   same round-robin order (Brent & Luk 1985, the circle method of
-   _jacobi_py.round_robin): with size = n + n % 2, round r pairs column r with
-   column size - 1 and (r + k) % (size - 1) with (r - k) % (size - 1),
-   0 < k < size / 2, skipping the padding column n of odd n.  The pairs of a
-   round share no column, so this loop over them rotates exactly what the
-   numpy kernel rotates in one step.  orthogonalize_stack, opened through
-   ctypes by backends.load_compiled, runs a whole stack of such blocks in one
-   call. */
+   the rows of its n x nv block v.  Both kernels run the round-robin schedule
+   that _jacobi_py.round_robin builds (Brent & Luk 1985), a C-ordered
+   rounds x 2 x pairs index array: round r pairs column schedule[r][0][h]
+   with column schedule[r][1][h].  The pairs of a round share no column, so
+   this loop over them rotates exactly what the numpy kernel rotates in one
+   step.  orthogonalize_rounds, opened through ctypes by
+   backends.load_compiled, runs a whole stack of such blocks in one call. */
 
 #include <complex.h>
 #include <math.h>
@@ -28,18 +26,15 @@ static void rotate(double complex *x, double complex *y, ptrdiff_t len, double c
 /* Sweeps one matrix; returns the sweeps used, or -1 if max_sweeps passed
    without a rotation-free sweep. */
 static int orthogonalize_columns(double complex *w, double complex *v, ptrdiff_t m,
-                                 ptrdiff_t n, ptrdiff_t nv, double eps, int max_sweeps)
+                                 ptrdiff_t nv, ptrdiff_t rounds, ptrdiff_t pairs,
+                                 const ptrdiff_t *schedule, double eps, int max_sweeps)
 {
-    ptrdiff_t size = n + n % 2;
     for (int sweep = 0; sweep < max_sweeps; sweep++) {
         int rotated = 0;
-        for (ptrdiff_t r = 0; r < size - 1; r++) {
-            for (ptrdiff_t h = 0; h < size / 2; h++) {
-                ptrdiff_t a = h ? (r + h) % (size - 1) : r;
-                ptrdiff_t b = h ? (r - h + size - 1) % (size - 1) : size - 1;
-                ptrdiff_t i = a < b ? a : b, j = a < b ? b : a;
-                if (j >= n)
-                    continue;
+        for (ptrdiff_t r = 0; r < rounds; r++) {
+            const ptrdiff_t *p = schedule + 2 * r * pairs, *q = p + pairs;
+            for (ptrdiff_t h = 0; h < pairs; h++) {
+                ptrdiff_t i = p[h], j = q[h];
                 double complex *wi = w + i * m, *wj = w + j * m;
                 double complex gamma = 0.0;
                 double alpha = 0.0, beta = 0.0;
@@ -75,11 +70,13 @@ static int orthogonalize_columns(double complex *w, double complex *v, ptrdiff_t
     return -1;
 }
 
-/* Sweeps each of the count matrices stored one after another in w and v,
-   writing its sweep count, or -1, to sweeps. */
-void orthogonalize_stack(double complex *w, double complex *v, ptrdiff_t count, ptrdiff_t m,
-                         ptrdiff_t n, ptrdiff_t nv, double eps, int max_sweeps, int *sweeps)
+/* Sweeps each of the count matrices stored one after another in w and v by
+   the rounds of schedule, writing its sweep count, or -1, to sweeps. */
+void orthogonalize_rounds(double complex *w, double complex *v, ptrdiff_t count, ptrdiff_t m,
+                          ptrdiff_t n, ptrdiff_t nv, ptrdiff_t rounds, ptrdiff_t pairs,
+                          const ptrdiff_t *schedule, double eps, int max_sweeps, int *sweeps)
 {
     for (ptrdiff_t i = 0; i < count; i++)
-        sweeps[i] = orthogonalize_columns(w + i * n * m, v + i * n * nv, m, n, nv, eps, max_sweeps);
+        sweeps[i] = orthogonalize_columns(w + i * n * m, v + i * n * nv, m, nv, rounds, pairs,
+                                          schedule, eps, max_sweeps);
 }

@@ -6,9 +6,10 @@ are applied to column pairs of ``w`` until all columns are pairwise
 orthogonal, and every rotation is mirrored into ``v`` so that
 ``w_in @ v == w_out`` throughout.
 
-Both kernels visit the pairs in the same round-robin order (Brent & Luk,
-SIAM J. Sci. Stat. Comput. 1985), given by ``round_robin``: a sweep is
-n - 1 rounds of n/2 pairs (n rounds for odd n, each leaving one column
+Both kernels run the round-robin schedule (Brent & Luk, SIAM J. Sci.
+Stat. Comput. 1985) that ``round_robin`` builds, the one place that orders
+the pairs; ``backends.load_compiled`` hands the same array to C.  A sweep
+is n - 1 rounds of n/2 pairs (n rounds for odd n, each leaving one column
 idle), and the pairs of a round share no column.  Their rotations commute,
 so this kernel tests and rotates a whole round in one numpy step, for
 every matrix of a stack at once, where ``_jacobi.c`` loops over the same
@@ -29,58 +30,44 @@ import numpy as np
 
 @functools.lru_cache(maxsize=64)
 def round_robin(n):
-    """The rounds of one sweep over n columns, as read-only ``(p, q, rows)`` index arrays.
+    """The schedule of one sweep over n columns: a read-only ``(rounds, 2, pairs)`` intp array.
 
+    Round r pairs column ``[r, 0, i]`` with column ``[r, 1, i]``, p < q, for
+    each i; both kernels run this array, and nothing else orders the pairs.
     Circle method: with ``size = n + n % 2``, round r pairs column r with
     column ``size - 1`` and ``(r + k) % (size - 1)`` with
     ``(r - k) % (size - 1)`` for ``0 < k < size / 2``; for odd n the pair
-    holding the padding column n is dropped.  Each pair is ordered
-    ``p[i] < q[i]``, and every pair of columns appears in exactly one round.
-    ``rows`` is ``p, q``, so that one gather brings both columns of every pair.
+    holding the padding column n is dropped.  Every pair of columns appears
+    in exactly one round.
     """
-    if n < 2:
-        return ()
-    rounds = []
     size = n + n % 2
-    for r in range(size - 1):
-        ends = [(r, size - 1)]
-        ends += [((r + k) % (size - 1), (r - k) % (size - 1)) for k in range(1, size // 2)]
-        p, q = np.array([sorted(e) for e in ends if max(e) < n], dtype=np.intp).T
-        rows = np.concatenate((p, q))
-        rows.flags.writeable = False
-        rounds.append((rows[: p.size], rows[p.size :], rows))
-    return tuple(rounds)
+    r = np.arange(size - 1 if n > 1 else 0, dtype=np.intp)[:, None]
+    k = np.arange(n % 2, size // 2, dtype=np.intp)  # odd n: no pair (r, n)
+    a = np.where(k > 0, (r + k) % (size - 1), r)
+    b = np.where(k > 0, (r - k) % (size - 1), size - 1)
+    schedule = np.stack((np.minimum(a, b), np.maximum(a, b)), axis=1)
+    schedule.flags.writeable = False
+    return schedule
 
 
 @functools.lru_cache(maxsize=64)
-def round_of_pair(n):
-    """An n x n table whose entry ``[p, q]``, p < q, is the round of ``round_robin(n)`` pairing p and q.
-
-    Every other entry is the number of rounds, past the last one.
-    """
-    rounds = round_robin(n)
-    table = np.full((n, n), len(rounds), dtype=np.intp)
-    for r, (p, q, _) in enumerate(rounds):
-        table[p, q] = r
-    table.flags.writeable = False
-    return table
-
-
 def _stacked_rounds(n, count):
-    """``round_robin(n)`` for ``count`` matrices whose columns are the rows of one array.
+    """``round_robin(n)`` for ``count`` matrices whose columns are the rows of one array, per round.
 
-    Matrix i holds rows ``i * n`` to ``i * n + n - 1``; each round's ``p``
-    and ``q`` list the pairs of every matrix, matrix by matrix, and ``rows``
-    is again ``p, q``.
+    Matrix i holds rows ``i * n`` to ``i * n + n - 1``.  Each round is
+    ``(p, q, rows)``: ``p`` and ``q`` list the pairs of every matrix, matrix
+    by matrix, and ``rows`` is ``p, q``, so that one gather brings both
+    columns of every pair.  All three are read-only views of one table,
+    built once per ``(n, count)``.
     """
-    rounds = round_robin(n)
-    if count == 1 or not rounds:
-        return rounds
+    schedule = round_robin(n)
+    rounds, _, pairs = schedule.shape
     # (round, p or q, matrix, pair): every round of every matrix in one sum
-    ends = np.array([rows for _, _, rows in rounds]).reshape(len(rounds), 2, 1, -1)
-    table = (ends + np.arange(0, count * n, n)[:, None]).reshape(len(rounds), -1)
+    table = schedule[:, :, None, :] + n * np.arange(count, dtype=np.intp)[:, None]
+    table = table.reshape(rounds, 2 * count * pairs)
+    table.flags.writeable = False
     half = table.shape[1] // 2
-    return [(rows[:half], rows[half:], rows) for rows in table]
+    return tuple((rows[:half], rows[half:], rows) for rows in table)
 
 
 def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
@@ -122,8 +109,11 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     sweeps = np.full(len(wv), -1)
     rows_of = wv.reshape(-1, wv.shape[-1])  # a view: each matrix's rows in turn
     cols = wv[..., :m]  # a view: the columns of each w
+    schedule = round_robin(n)
+    pairs = schedule.shape[2]
+    # where each pair (p, q) of the schedule sits in a raveled n x n table, round by round
+    entries = (schedule[:, 0] * n + schedule[:, 1]).ravel()
     rounds = _stacked_rounds(n, len(wv))
-    round_of = round_of_pair(n)
     # a matrix that cannot converge may overflow tau * tau; it reports -1, quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(max_sweeps):
@@ -132,7 +122,9 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
             gram = np.vecdot(cols[:, :, None, :], cols[:, None, :, :])
             root = np.sqrt(np.diagonal(gram, axis1=1, axis2=2).real)
             fails = abs(gram) > eps * root[:, :, None] * root[:, None, :]
-            first = round_of[fails.any(axis=0)].min(initial=len(rounds))
+            # the first round holding a pair that fails in any matrix, else none
+            hits = fails.any(axis=0).ravel().take(entries)
+            first = hits.argmax() // pairs if hits.any() else len(rounds)
             acts = []  # which pairs rotated, per round that rotated any
             for p, q, rows in rounds[first:]:
                 k = p.size

@@ -30,13 +30,14 @@ from . import _jacobi_py
 
 def load_compiled(path):
     """Open a built ``_jacobi.c`` as a kernel module with ``orthogonalize_columns``."""
-    fn = ctypes.CDLL(str(path)).orthogonalize_stack
+    fn = ctypes.CDLL(str(path)).orthogonalize_rounds
     # a float64, non-C-contiguous or read-only array is rejected before the C
     # call; a matrix and a stack pass alike, so nothing is reshaped into a
     # copy that would take the rotations in place of the caller's array
     stack = np.ctypeslib.ndpointer(np.complex128, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    indices = np.ctypeslib.ndpointer(np.intp, ndim=3, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.intc, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    fn.argtypes = [stack, stack] + [ctypes.c_ssize_t] * 4 + [ctypes.c_double, ctypes.c_int, ints]
+    fn.argtypes = [stack, stack] + [ctypes.c_ssize_t] * 6 + [indices, ctypes.c_double, ctypes.c_int, ints]
     fn.restype = None
 
     def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
@@ -44,8 +45,10 @@ def load_compiled(path):
         if np.shape(v)[:-1] != np.shape(w)[:-1]:
             raise ValueError(f"rotation accumulator of shape {np.shape(v)} does not fit {np.shape(w)}")
         n, m = w.shape[-2:]
+        schedule = _jacobi_py.round_robin(n)
+        rounds, _, pairs = schedule.shape
         sweeps = np.empty(w.shape[:-2], dtype=np.intc)
-        fn(w, v, sweeps.size, m, n, v.shape[-1], eps, max_sweeps, sweeps)
+        fn(w, v, sweeps.size, m, n, v.shape[-1], rounds, pairs, schedule, eps, max_sweeps, sweeps)
         return _jacobi_py.sweep_summary(sweeps, counts)
 
     kernel = types.ModuleType(f"{__package__}._jacobi")
@@ -58,7 +61,7 @@ def load_compiled(path):
 _LIBRARY = Path(__file__).with_name("_jacobi" + importlib.machinery.EXTENSION_SUFFIXES[0])
 try:
     _jacobi = load_compiled(_LIBRARY)
-except (OSError, AttributeError) as exc:  # not built, or without orthogonalize_stack
+except (OSError, AttributeError) as exc:  # not built, or without orthogonalize_rounds
     _jacobi = None
     # kept so that a missing or broken build can say why it is unavailable
     compiled_load_error = exc

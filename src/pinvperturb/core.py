@@ -306,8 +306,10 @@ def jacobi_svd(a):
 
 
 def _checked_cutoff(tol):
-    if tol is not None and not 0.0 <= float(tol) < np.inf:
-        raise ValueError(f"rank cutoff must be finite and non-negative, got {tol}")
+    if tol is not None:
+        check_real("tol", tol)
+        if not 0.0 <= tol < np.inf:
+            raise ValueError(f"rank cutoff must be finite and non-negative, got {tol}")
 
 
 def _at_rank(svd, tol):
@@ -386,7 +388,7 @@ def penrose_residuals(a, x):
     a = as_stack(a)
     x = as_stack(x)
     if x.shape != conj_transpose(a).shape:
-        raise ShapeError(f"candidate shape {x.shape} does not match {a.shape}")
+        raise ShapeError(f"candidate shape {x.shape} does not match {conj_transpose(a).shape}")
     ax = a @ x
     xa = x @ a
     return tuple(

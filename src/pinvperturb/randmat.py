@@ -75,6 +75,8 @@ def haar_frame(m, k, rng, field="real"):
     The phases of the QR diagonal are absorbed so the frame's distribution
     is exactly invariant under left multiplication by unitaries.
     """
+    if k > m:
+        raise ValueError(f"orthonormal columns need k <= m, got m={m}, k={k}")
     q, r = np.linalg.qr(gaussian(rng, (m, k), field))
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
@@ -96,6 +98,7 @@ def _sigma_profile(rank, cap, rng):
 def gen_fixed_rank(spec, rank=None, rng=None):
     """One matrix of the requested rank from the ensemble ``spec`` describes."""
     rank = spec.rank_a if rank is None else rank
+    check_integer("rank", rank)
     if not 0 <= rank <= min(spec.m, spec.n):
         raise ValueError(f"rank must be in 0..{min(spec.m, spec.n)}, got {rank}")
     rng = np.random.default_rng(spec.seed) if rng is None else rng

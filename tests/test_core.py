@@ -107,6 +107,25 @@ def test_rank_cutoff_policy():
     assert cut == 7 * np.spacing(3.0)
 
 
+def test_rank_cutoff_of_the_wrong_type_names_it():
+    # True was the cutoff 1.0, a string failed in float() and an array with a TypeError
+    a = np.diag([1.0, 1e-9])
+    for tol in (True, "x", np.array([0.1, 0.2])):
+        with pytest.raises(ValueError, match=r"^tol must be a real number"):
+            svd_factors(a, tol=tol)
+    for tol in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=r"^rank cutoff must be finite and non-negative"):
+            svd_factors(a, tol=tol)
+    assert svd_factors(a, tol=np.float32(1e-6)).rank == 1
+    assert svd_factors(a, tol=0).rank == 2
+
+
+def test_penrose_residuals_name_the_expected_shape():
+    a = np.ones((2, 3))
+    with pytest.raises(ShapeError, match=r"candidate shape \(2, 3\) does not match \(3, 2\)"):
+        penrose_residuals(a, a)
+
+
 def test_spectral_norm_of_pinv_is_reciprocal():
     rng = np.random.default_rng(13)
     a = lowrank(rng, 6, 4, 2, False)

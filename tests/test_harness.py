@@ -105,6 +105,11 @@ def test_gen_fixed_rank_rejects_rank_outside_the_shape():
     for rank in (5, -1):
         with pytest.raises(ValueError, match=rf"rank must be in 0\.\.3, got {rank}"):
             gen_fixed_rank(spec, rank=rank)
+    # 1.5 failed in numpy with a TypeError, True ran as rank 1 into rng.uniform
+    for rank in (1.5, True, "2"):
+        with pytest.raises(ValueError, match=rf"rank must be an integer, got {rank!r}"):
+            gen_fixed_rank(spec, rank=rank)
+    assert_array_equal(gen_fixed_rank(spec, rank=np.int64(1)), gen_fixed_rank(spec, rank=1))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -118,6 +123,9 @@ def test_haar_frame_orthonormal(field):
     u = haar_unitary(5, rng, field)
     assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
     assert_allclose(u @ u.conj().T, np.eye(5), atol=1e-12)
+    # past m columns, QR returned an m x m frame
+    with pytest.raises(ValueError, match=r"m=3, k=4"):
+        haar_frame(3, 4, rng, field)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

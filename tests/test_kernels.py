@@ -79,17 +79,19 @@ def test_compiled_kernel_rejects_misfit_arrays(compiled_kernel):
 
 
 def test_a_build_of_older_source_is_not_loaded(tmp_path):
-    # a library that exports only the per-matrix symbol of earlier builds
-    # would take the stack arguments in another order; it fails to load,
-    # and the numpy kernel serves in its place
+    # a library that exports only the entry point of earlier builds, the
+    # per-matrix one or the stack one that computed its own pair order,
+    # would take other arguments; it fails to load, and the numpy kernel
+    # serves in its place
     if shutil.which("cc") is None:
         pytest.skip("no cc to compile a stand-in for an older build")
-    src = tmp_path / "old.c"
-    src.write_text("int orthogonalize_columns(void) { return 1; }\n")
-    lib = tmp_path / "old.so"
-    subprocess.run(["cc", "-shared", "-fPIC", "-o", str(lib), str(src)], check=True)
-    with pytest.raises(AttributeError, match="orthogonalize_stack"):
-        backends.load_compiled(lib)
+    for name in ("orthogonalize_columns", "orthogonalize_stack"):
+        src = tmp_path / f"{name}.c"
+        src.write_text(f"int {name}(void) {{ return 1; }}\n")
+        lib = tmp_path / f"{name}.so"
+        subprocess.run(["cc", "-shared", "-fPIC", "-o", str(lib), str(src)], check=True)
+        with pytest.raises(AttributeError, match="orthogonalize_rounds"):
+            backends.load_compiled(lib)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
@@ -161,20 +163,17 @@ def test_extreme_scales_still_rotate(backend, shape):
 
 @pytest.mark.parametrize("n", range(1, 18))
 def test_round_robin_schedule_covers_each_pair_once(n):
-    rounds = _jacobi_py.round_robin(n)
-    assert len(rounds) == (0 if n == 1 else n - 1 + n % 2)
-    seen = []
-    table = np.full((n, n), len(rounds))
-    for r, (p, q, rows) in enumerate(rounds):
-        assert p.size == q.size == n // 2
-        assert np.all(p < q)
-        # disjoint: a round touches each of its columns once
-        assert np.unique(np.concatenate((p, q))).size == 2 * p.size
-        assert_array_equal(rows, np.concatenate((p, q)))
-        seen += zip(p.tolist(), q.tolist())
-        table[p, q] = r
-    assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
-    assert_array_equal(_jacobi_py.round_of_pair(n), table)
+    schedule = _jacobi_py.round_robin(n)
+    assert schedule.dtype == np.intp
+    assert schedule.shape == (0 if n == 1 else n - 1 + n % 2, 2, n // 2)
+    assert not schedule.flags.writeable
+    p, q = schedule[:, 0], schedule[:, 1]
+    assert np.all(p < q)
+    # disjoint: a round touches each of its columns once
+    for ends in schedule:
+        assert np.unique(ends).size == ends.size
+    seen = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+    assert seen == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def test_kernels_rotate_pairs_in_the_same_order(kernels):
@@ -194,6 +193,40 @@ def test_kernels_rotate_pairs_in_the_same_order(kernels):
         atol = 1e-13 * (1.0 + np.linalg.norm(a, 2))
         assert_allclose(w_c, w_p, rtol=0, atol=atol)
         assert_allclose(v_c, v_p, rtol=0, atol=atol)
+
+
+def test_kernels_run_the_schedule_of_round_robin(kernels, monkeypatch):
+    # with the rounds reversed, one sweep of each kernel moves to another
+    # result, the same on both: the C kernel runs the array too
+    if len(kernels) < 2:
+        pytest.skip(NO_COMPILED)
+    rng = np.random.default_rng(41)
+    n = 9
+    a = rng.standard_normal((n + 3, n)) + 1j * rng.standard_normal((n + 3, n))
+
+    def one_sweep(name):
+        w = a.T.copy()
+        v = np.eye(n, dtype=np.complex128)
+        get_kernel(name).orthogonalize_columns(w, v, 2.220446049250313e-16, 1)
+        return w, v
+
+    def reversed_rounds(k, round_robin=_jacobi_py.round_robin):
+        schedule = np.ascontiguousarray(round_robin(k)[::-1])
+        schedule.flags.writeable = False
+        return schedule
+
+    forward = {name: one_sweep(name) for name in ("compiled", "python")}
+    monkeypatch.setattr(_jacobi_py, "round_robin", reversed_rounds)
+    _jacobi_py._stacked_rounds.cache_clear()
+    try:
+        backward = {name: one_sweep(name) for name in ("compiled", "python")}
+    finally:
+        _jacobi_py._stacked_rounds.cache_clear()
+    atol = 1e-13 * (1.0 + np.linalg.norm(a, 2))
+    for x, y in zip(backward["compiled"], backward["python"]):
+        assert_allclose(x, y, rtol=0, atol=atol)
+    for name in ("compiled", "python"):
+        assert np.abs(backward[name][0] - forward[name][0]).max() > 1e3 * atol
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
@@ -338,7 +371,7 @@ def _every_round(w, v, eps, max_sweeps):
             wi, vi = w[i], v[i]
             for sweep in range(max_sweeps):
                 rotated = False
-                for p, q, _ in _jacobi_py.round_robin(n):
+                for p, q in _jacobi_py.round_robin(n):
                     x, y = wi[p], wi[q]
                     alpha, beta = np.vecdot(x, x).real, np.vecdot(y, y).real
                     gamma = np.vecdot(x, y)
