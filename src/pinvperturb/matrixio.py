@@ -117,8 +117,8 @@ def format_floats(x):
 def dumps(a, comments=()):
     """Render a matrix, with field ``complex`` only when an imaginary part is nonzero.
 
-    ``comments`` are emitted first, one ``#`` line each, so the output is
-    still a valid matrix file.
+    ``comments`` are emitted first, one ``#`` line per line of each, split as
+    ``loads`` splits the text, so the output is still a valid matrix file.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -129,7 +129,8 @@ def dumps(a, comments=()):
     else:
         field, parts = "real", a.real
     rows = list(map(" ".join, format_floats(parts)))
-    return "\n".join([*(f"# {c}" for c in comments), f"{m} {n} {field}", *rows, ""])
+    notes = [f"# {line}" for c in comments for line in c.splitlines() or [""]]
+    return "\n".join([*notes, f"{m} {n} {field}", *rows, ""])
 
 
 def load(path):

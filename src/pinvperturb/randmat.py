@@ -75,8 +75,10 @@ def haar_frame(m, k, rng, field="real"):
     The phases of the QR diagonal are absorbed so the frame's distribution
     is exactly invariant under left multiplication by unitaries.
     """
-    if k > m:
-        raise ValueError(f"orthonormal columns need k <= m, got m={m}, k={k}")
+    check_integer("m", m)
+    check_integer("k", k)
+    if not 0 <= k <= m:
+        raise ValueError(f"orthonormal columns need 0 <= k <= m, got m={m}, k={k}")
     q, r = np.linalg.qr(gaussian(rng, (m, k), field))
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0

@@ -21,6 +21,7 @@ import numpy as np
 from .bounds import SQUARED, TOL_BOUND, envelope_residual, full_report, norm_residual
 from .core import conj_transpose, penrose_residuals, pinv, svd_factors
 from .geometry import (
+    _ratio,
     angle_bounds,
     cross_term_blocks,
     deviation_sq,
@@ -311,33 +312,25 @@ def scale_covariance_residual(p, rep, c):
 
 
 def _lstsq_residuals(p, rng):
-    """Optimality and minimum-norm violations for a random right-hand side."""
-    a = p.a
-    fa = p.fa
-    m, n = a.shape
+    """The two conditions that make x0 = a+ b the minimum-norm least-squares solution.
+
+    For one right-hand side b drawn from ``rng``: x0 is least-squares optimal
+    exactly when a*(a x0 - b) = 0, the normal equations, and has minimum norm
+    among the optima exactly when x0 lies in range(a*) = range(v1).  Each
+    residual is divided by the size of its own terms, so a pair and 2^k times
+    it read the same; 0/0 reads 0.
+    """
+    a, v1 = p.a, p.fa.v1
     fld = "complex" if np.any(a.imag != 0.0) else "real"
-    b = gaussian(rng, m, fld)
+    b = gaussian(rng, a.shape[0], fld)
     x0 = p.pinv_a @ b
-    x0n = float(np.linalg.norm(x0))
-    r0 = float(np.linalg.norm(a @ x0 - b))
-    opt_viol = [0.0]
-    for _ in range(100):
-        scale_c = (1.0 + x0n) * 10.0 ** rng.uniform(-8.0, 0.0)
-        g = gaussian(rng, n, fld)
-        rc = float(np.linalg.norm(a @ (x0 + scale_c * g) - b))
-        opt_viol.append((r0 - rc) / (1.0 + r0))
-    norm_viol = [0.0]
-    for _ in range(20):
-        w = gaussian(rng, n, fld)
-        w_null = w - fa.v1 @ (fa.v1.conj().T @ w)
-        cand = x0 + w_null
-        rc = float(np.linalg.norm(a @ cand - b))
-        # candidates stay least-squares optimal, so the minimum-norm clause binds
-        norm_viol.append(abs(rc - r0) / (1.0 + r0))
-        norm_viol.append((x0n - float(np.linalg.norm(cand))) / (1.0 + x0n))
+    x0n = np.linalg.norm(x0)
+    na = p.fa.norm2
+    normal = np.linalg.norm(conj_transpose(a) @ (a @ x0 - b))
+    leak = np.linalg.norm(x0 - v1 @ (conj_transpose(v1) @ x0))
     return [
-        ("lstsq_residual_optimal", np.maximum.reduce(opt_viol)),
-        ("lstsq_min_norm", np.maximum.reduce(norm_viol)),
+        ("lstsq_residual_optimal", _ratio(normal, na * (na * x0n + np.linalg.norm(b)))),
+        ("lstsq_min_norm", _ratio(leak, x0n)),
     ]
 
 

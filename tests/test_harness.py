@@ -126,6 +126,17 @@ def test_haar_frame_orthonormal(field):
     # past m columns, QR returned an m x m frame
     with pytest.raises(ValueError, match=r"m=3, k=4"):
         haar_frame(3, 4, rng, field)
+    # numpy's own errors named neither argument
+    with pytest.raises(ValueError, match=r"m=3, k=-1"):
+        haar_frame(3, -1, rng, field)
+    for m, k, message in (
+        (3, 1.5, "k must be an integer, got 1.5"),
+        (3, True, "k must be an integer, got True"),
+        (2.0, 1, "m must be an integer, got 2.0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            haar_frame(m, k, rng, field)
+    assert haar_frame(np.int64(3), np.int64(0), rng, field).shape == (3, 0)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -459,6 +470,46 @@ def test_lstsq_residuals_keep_a_nan():
     q = PerturbationPair(p.a, p.b, p.e, p.fa, p.fb, np.full_like(p.pinv_a, np.nan), p.pinv_b)
     for name, resid in _lstsq_residuals(q, np.random.default_rng(0)):
         assert np.isnan(resid), name
+
+
+def _lstsq(p):
+    return dict(_lstsq_residuals(p, np.random.default_rng(0)))
+
+
+def _with_pinv_a(p, pinv_a):
+    return PerturbationPair(p.a, p.b, p.e, p.fa, p.fb, pinv_a, p.pinv_b)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_lstsq_conditions_see_a_relative_error_of_1e_8(field):
+    # a+ scaled by 1 + 1e-8 breaks only the normal equations, and a 1e-8
+    # null-space leak only x0's place in range(a*): each condition sees its own
+    a = gen_fixed_rank(EnsembleSpec(4, 5, 3, 3, field, seed=0, condition_cap=10.0))
+    p = make_pair(a, a)
+    tol = suite.TOL_IDENTITY
+    assert max(_lstsq(p).values()) < tol
+    scaled = _lstsq(_with_pinv_a(p, p.pinv_a * (1.0 + 1e-8)))
+    assert scaled["lstsq_residual_optimal"] > tol and scaled["lstsq_min_norm"] < tol
+    rng = np.random.default_rng(1)
+    g = gaussian(rng, 5, field)
+    w = g - p.fa.v1 @ (p.fa.v1.conj().T @ g)  # in the null space of a
+    z = gaussian(rng, 4, field).conj()
+    leak = np.outer(w / np.linalg.norm(w), z / np.linalg.norm(z)) * np.linalg.norm(p.pinv_a, 2)
+    leaked = _lstsq(_with_pinv_a(p, p.pinv_a + 1e-8 * leak))
+    assert leaked["lstsq_min_norm"] > tol and leaked["lstsq_residual_optimal"] < tol
+
+
+def test_lstsq_conditions_are_scale_free():
+    # a pair and 2^k times it, with the same right-hand side, read the same bits
+    nonzero = 0
+    for t in range(100):
+        _, p = trial_pair(1729, t)
+        want = _lstsq(p)
+        nonzero += sum(r != 0.0 for r in want.values())
+        for k in (-400, -200, 200, 400):
+            s = np.ldexp(1.0, k)
+            assert _lstsq(make_pair(s * p.a, s * p.b)) == want, (t, k)
+    assert nonzero > 100
 
 
 def test_trial_and_trace_residuals_keep_a_nan(monkeypatch):

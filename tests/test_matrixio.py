@@ -46,6 +46,27 @@ def test_comment_parameter_keeps_file_valid():
 
 
 @pytest.mark.parametrize(
+    "comment,lines",
+    [
+        ("two\nlines", ["two", "lines"]),
+        ("cr\rx", ["cr", "x"]),
+        ("crlf\r\nx", ["crlf", "x"]),
+        ("sep\u2028x", ["sep", "x"]),
+        ("", [""]),
+    ],
+    ids=repr,
+)
+def test_comment_with_a_line_break_round_trips(comment, lines):
+    # one '# ' line per line of the comment, or loads read a piece of it as the header
+    a = np.array([[1.5, -2.0]])
+    text = dumps(a, comments=[comment, "last"])
+    assert text.splitlines()[: len(lines) + 1] == [f"# {line}" for line in [*lines, "last"]]
+    m, field = loads(text)
+    assert field == "real"
+    assert_allclose(m, a, atol=0.0)
+
+
+@pytest.mark.parametrize(
     "text,lineno",
     [
         ("", 1),
