@@ -81,13 +81,16 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     per round for all of them, until each has had a sweep with no rotation;
     after that it never changes, so each ends as it would alone.
 
-    A pair counts as orthogonal once |w_p* w_q| <= eps |w_p| |w_q|, tested
-    as ``eps * sqrt(alpha) * sqrt(beta)``: the product of the squared norms
-    would overflow for entries near 1e77 and pass every pair.  A pair whose
-    rotation has t == 0 (tau * tau overflowed, so the columns are parallel
-    to within far less than eps) is neither rotated nor counted as a
-    rotation: applied, it would only rescale column q by a phase, in every
-    sweep.
+    Each round rotates the pairs of one mask, ``(mag > eps * sqrt(alpha) *
+    sqrt(beta)) & (t != 0)``: the two tests of ``_jacobi.c``, in its order.
+    By the first, a pair is orthogonal once |w_p* w_q| <= eps |w_p| |w_q|,
+    tested with the square roots taken apart, since the product of the
+    squared norms would overflow for entries near 1e77 and pass every pair.  The
+    second drops a pair whose rotation has t == 0 (tau * tau overflowed, so
+    the columns are parallel to within far less than eps): applied, it would
+    only rescale column q by a phase, in every sweep.  Only the pairs of the
+    mask rotate, and only they count as rotations.  As C computes t only for
+    a pair past the first test, a round with no such pair computes no t.
 
     Each sweep first tests every pair of every matrix at once, with the
     ``zdotc`` bits its round computes.  A round before the first round that
@@ -114,8 +117,9 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     # where each pair (p, q) of the schedule sits in a raveled n x n table, round by round
     entries = (schedule[:, 0] * n + schedule[:, 1]).ravel()
     rounds = _stacked_rounds(n, len(wv))
-    # a matrix that cannot converge may overflow tau * tau; it reports -1, quietly
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a matrix that cannot converge may overflow tau * tau, and a pair with
+    # gamma == 0 divides by zero; both are masked out, quietly
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for sweep in range(max_sweeps):
             # entry [i, p, q] holds the bits of the test of pair (p, q) of
             # matrix i that its round computes while no rotation precedes it
@@ -134,29 +138,22 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
                 root = np.sqrt(norms)
                 gamma = np.vecdot(gw[:k], gw[k:])
                 mag = abs(gamma)
-                act = mag > eps * root[:k] * root[k:]
-                i = act.nonzero()[0]  # the pairs to rotate
-                if not i.size:
+                above = mag > eps * root[:k] * root[k:]
+                if not np.count_nonzero(above):  # most rounds: no tau to compute, as in C
                     continue
                 alpha, beta = norms[:k], norms[k:]
-                if i.size < k:
-                    p, q, x, y = p.take(i), q.take(i), x.take(i, axis=0), y.take(i, axis=0)
-                    alpha, beta = alpha.take(i), beta.take(i)
-                    gamma, mag = gamma.take(i), mag.take(i)
                 # unitary 2x2 that diagonalizes each Gram block
                 # [[alpha, gamma], [conj(gamma), beta]]
                 tau = (beta - alpha) / (2.0 * mag)
                 t = np.copysign(1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau)), tau)
-                if np.count_nonzero(t) < t.size:
-                    # t == 0 once tau * tau overflows, for columns parallel
-                    # far below eps: such a rotation would only rescale
-                    # column q by a phase, so it is neither applied nor counted
-                    moved = t != 0.0
-                    act[i[~moved]] = False
-                    if not moved.any():
-                        continue
-                    p, q, x, y, gamma, mag, t = (z[moved] for z in (p, q, x, y, gamma, mag, t))
+                act = above & (t != 0.0)
+                i = act.nonzero()[0]  # the pairs to rotate
+                if not i.size:
+                    continue
                 acts.append(act)
+                if i.size < k:
+                    p, q, x, y = p.take(i), q.take(i), x.take(i, axis=0), y.take(i, axis=0)
+                    gamma, mag, t = gamma.take(i), mag.take(i), t.take(i)
                 # the parts of gamma are divided by mag as in C, where numpy's
                 # complex division would multiply by 1/mag, which overflows
                 # once mag is subnormal
@@ -169,9 +166,9 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
             if not acts:  # a sweep without rotations: every matrix is done
                 sweeps[sweeps < 0] = sweep + 1
                 break
-            if len(wv) > 1:  # the first sweep without rotations of each matrix
-                rotated = np.concatenate(acts).reshape(len(acts), len(wv), -1).any(axis=(0, 2))
-                sweeps[~rotated & (sweeps < 0)] = sweep + 1
+            # the first sweep without rotations of each matrix
+            rotated = np.concatenate(acts).reshape(len(acts), len(wv), -1).any(axis=(0, 2))
+            sweeps[~rotated & (sweeps < 0)] = sweep + 1
     w[...] = wv[..., :m].reshape(w.shape)
     v[...] = wv[..., m:].reshape(v.shape)
     return sweep_summary(sweeps, counts)

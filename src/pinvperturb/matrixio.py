@@ -75,15 +75,14 @@ def loads(text):
             raise MatrixFormatError(lineno, f"bad number {bad!r}") from None
         if not all(math.isfinite(x) for x in nums):
             raise MatrixFormatError(lineno, "entries must be finite")
-        if field == "real":
-            rows.append([complex(x, 0.0) for x in nums])
-        else:
-            rows.append([complex(nums[2 * k], nums[2 * k + 1]) for k in range(n)])
+        rows.append(nums)
     if header is None:
         raise MatrixFormatError(max(lineno, 1), "missing 'm n field' header")
     if len(rows) != m:
         raise MatrixFormatError(lineno + 1, f"expected {m} data rows, got {len(rows)}")
-    return np.array(rows, dtype=np.complex128), field
+    table = np.array(rows, dtype=np.float64)
+    # a complex row's re/im pairs are the parts of its n entries, in place
+    return (table.view(np.complex128) if field == "complex" else table.astype(np.complex128)), field
 
 
 def _is_number(token):

@@ -90,8 +90,6 @@ def haar_unitary(k, rng, field="complex"):
 
 
 def _sigma_profile(rank, cap, rng):
-    if rank == 0:
-        return np.zeros(0)
     s = np.exp(rng.uniform(np.log(1.0 / cap), 0.0, size=rank))
     s = np.sort(s)[::-1]
     return s / s[0]

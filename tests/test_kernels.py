@@ -565,6 +565,39 @@ def test_kernel_alone_converges_on_a_constant_matrix(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_stack_does_not_count_a_pair_with_t_zero_as_a_rotation(backend):
+    # unpreconditioned, 0.45 * ones and the signed outer product end on a
+    # sweep whose only pair above the threshold has t = 0 (11 and 13 sweeps
+    # alone, on both kernels and on every BLAS core tried); in the stack the
+    # other matrices still rotate in those sweeps, and the pairs with t = 0
+    # keep failing the per-sweep test, so rounds run with such pairs among
+    # those that do rotate.  Counted as rotations, they would leave both
+    # matrices at -1
+    rng = np.random.default_rng(47)
+    mats = [
+        0.45 * np.ones((3, 3)),
+        0.1 * np.outer([5, 5, -3], [-4, -4, 3]),
+        rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
+    ]
+    kern = get_kernel(backend)
+    alone = []
+    for a in mats:
+        w = _by_columns([a])[0]
+        v = np.eye(3, dtype=np.complex128)
+        alone.append((w, v, kern.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS)))
+    w = _by_columns(mats)
+    v = _by_columns([np.eye(3)] * len(mats))
+    counts = np.zeros(len(mats), dtype=int)
+    got = kern.orthogonalize_columns(w, v, JACOBI_EPS, JACOBI_MAX_SWEEPS, counts=counts)
+    assert counts.tolist() == [c for _, _, c in alone]
+    assert (counts > 0).all() and counts[0] < counts.max()
+    assert got == counts.max()
+    for i, (wi, vi, _) in enumerate(alone):
+        assert_array_equal(w[i], wi)
+        assert_array_equal(v[i], vi)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_columns_orthogonal_up_to_roundoff_converge(backend):
     # the second matrix of trace trial 79 of suite seed 9: after the QR and
     # the Gram eigenvectors, its columns are orthogonal to about 1e-16, and at

@@ -62,7 +62,7 @@ SPECIAL_PAIRS = (
 
 
 def _spec_pairs():
-    for t in range(len(default_specs(DEFAULT_SEED))):
+    for t in range(len(default_specs())):
         yield trial_pair(DEFAULT_SEED, t)[1]
 
 
