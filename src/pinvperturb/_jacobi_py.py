@@ -16,8 +16,8 @@ every matrix of a stack at once, where ``_jacobi.c`` loops over the same
 pairs one by one.  Both take each matrix stored by columns, its columns
 being the rows of a C-ordered array, and a whole stack in one call.
 
-The dot products of this kernel are ``np.vecdot``, one BLAS ``zdotc`` per
-pair of columns, so their last bits, and with them this kernel's output,
+The dot products of this kernel are ``np.vecdot``, one BLAS ``ddot`` or
+``zdotc`` per pair of columns, so their last bits, and with them this kernel's output,
 depend on the CPU kernel that numpy's BLAS picks as well as on numpy.
 """
 
@@ -91,9 +91,13 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     only rescale column q by a phase, in every sweep.  Only the pairs of the
     mask rotate, and only they count as rotations.  As C computes t only for
     a pair past the first test, a round with no such pair computes no t.
+    A pair past the first test with alpha or beta 0 is tested again, and
+    solved, from its columns scaled to unit size (``_rescaled``).  ``w`` and
+    ``v`` are float64 or complex128, and a real pair's phase is
+    gamma / |gamma|.
 
     Each sweep first tests every pair of every matrix at once, with the
-    ``zdotc`` bits its round computes.  A round before the first round that
+    ``ddot`` or ``zdotc`` bits its round computes.  A round before the first round that
     holds a failing pair reads only columns that no rotation has changed
     yet, so it would find nothing to rotate, and the sweep starts after it.
     A sweep in which no pair fails the test runs no round at all.  The test
@@ -142,6 +146,8 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
                 if not np.count_nonzero(above):  # most rounds: no tau to compute, as in C
                     continue
                 alpha, beta = norms[:k], norms[k:]
+                if np.count_nonzero(norms) < norms.size:
+                    _rescaled(g, m, alpha, beta, gamma, mag, above, eps)
                 # unitary 2x2 that diagonalizes each Gram block
                 # [[alpha, gamma], [conj(gamma), beta]]
                 tau = (beta - alpha) / (2.0 * mag)
@@ -154,11 +160,14 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
                 if i.size < k:
                     p, q, x, y = p.take(i), q.take(i), x.take(i, axis=0), y.take(i, axis=0)
                     gamma, mag, t = gamma.take(i), mag.take(i), t.take(i)
-                # the parts of gamma are divided by mag as in C, where numpy's
-                # complex division would multiply by 1/mag, which overflows
-                # once mag is subnormal
-                parts = gamma.view(np.float64).reshape(-1, 2)
-                phase = (parts / mag[:, None]).view(np.complex128).conj()
+                if gamma.dtype == np.float64:
+                    phase = (gamma / mag)[:, None]
+                else:
+                    # the parts of gamma are divided by mag as in C, where numpy's
+                    # complex division would multiply by 1/mag, which overflows
+                    # once mag is subnormal
+                    parts = gamma.view(np.float64).reshape(-1, 2)
+                    phase = (parts / mag[:, None]).view(np.complex128).conj()
                 c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
                 s = t[:, None] * c
                 rows_of[p] = c * x - (s * phase) * y
@@ -172,6 +181,39 @@ def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
     w[...] = wv[..., :m].reshape(w.shape)
     v[...] = wv[..., m:].reshape(v.shape)
     return sweep_summary(sweeps, counts)
+
+
+def _rescaled(g, m, alpha, beta, gamma, mag, above, eps):
+    """Test and solve again, in place, each pair past the first test with alpha or beta 0.
+
+    ``g`` holds a round's rows p, then its rows q: a column of w in the first
+    ``m`` entries of each.  A squared norm that underflowed to 0 leaves a
+    threshold of 0, which a rotation that changes no bit passes in every
+    sweep.  So such a pair is tested from its columns scaled by 2^-ep and
+    2^-eq, ep and eq the exponents of their largest parts, which is exact;
+    alpha and beta are scaled back to a common 2^(ep + eq), and gamma and
+    mag are the scaled ones, so that tau and the phase come from them as
+    from any other pair.  ``_jacobi.c`` applies the same rule to each pair,
+    in the same order.
+    """
+    i = (above & ((alpha == 0.0) | (beta == 0.0))).nonzero()[0]
+    if not i.size:
+        return
+    # whole rows, so that each column keeps the alignment it has in g: on
+    # some CPU kernels BLAS sums a row that is not 16-byte aligned in
+    # another order, and a stack would not give each matrix its bits alone
+    cols = g.take(np.concatenate((i, i + len(alpha))), axis=0)[:, :m]
+    parts = cols.view(np.float64)
+    e = np.frexp(abs(parts).max(axis=-1))[1]
+    np.ldexp(parts, -e[:, None], out=parts)
+    norms = np.vecdot(cols, cols).real
+    a, b = norms[: i.size], norms[i.size :]
+    ep, eq = e[: i.size], e[i.size :]
+    gamma[i] = np.vecdot(cols[: i.size], cols[i.size :])
+    mag[i] = abs(gamma[i])
+    above[i] = mag[i] > eps * np.sqrt(a) * np.sqrt(b)
+    alpha[i] = np.ldexp(a, ep - eq)
+    beta[i] = np.ldexp(b, eq - ep)
 
 
 def sweep_summary(sweeps, counts):

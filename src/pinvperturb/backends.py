@@ -7,7 +7,11 @@ so their bits do not depend on it.  The
 compiled kernel, ``_jacobi.c`` built at install into ``_jacobi<EXT_SUFFIX>``
 next to this module and opened with ctypes, is preferred when present;
 nothing is compiled at import.  Both kernels take the same stack layout and
-factor a whole stack in one call.  The numpy twin is always available.
+factor a whole stack in one call, of float64 or of complex128, the two
+dtypes of ``core``'s one dtype rule: the numpy kernel by the dtype of its
+arrays, and the C kernel through the variant of the library built for that
+dtype, ``orthogonalize_rounds_real`` or ``orthogonalize_rounds_complex``.
+A library without both does not load.  The numpy twin is always available.
 ``PINVPERTURB_BACKEND`` (``compiled`` or ``python``) forces a choice and is
 the only way to make one; any other value is rejected.  When the library is
 missing or fails to load, the error is kept in ``compiled_load_error`` and
@@ -29,21 +33,32 @@ from . import _jacobi_py
 
 
 def load_compiled(path):
-    """Open a built ``_jacobi.c`` as a kernel module with ``orthogonalize_columns``."""
-    fn = ctypes.CDLL(str(path)).orthogonalize_rounds
-    # a float64, non-C-contiguous or read-only array is rejected before the C
-    # call; a matrix and a stack pass alike, so nothing is reshaped into a
-    # copy that would take the rotations in place of the caller's array
-    stack = np.ctypeslib.ndpointer(np.complex128, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    """Open a built ``_jacobi.c`` as a kernel module with ``orthogonalize_columns``.
+
+    Its ``orthogonalize_columns`` runs the library's variant for the dtype of
+    ``w``, float64 or complex128.
+    """
+    lib = ctypes.CDLL(str(path))
     indices = np.ctypeslib.ndpointer(np.intp, ndim=3, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.intc, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    fn.argtypes = [stack, stack] + [ctypes.c_ssize_t] * 6 + [indices, ctypes.c_double, ctypes.c_int, ints]
-    fn.restype = None
+    variants = {}
+    for field, dtype in (("real", np.float64), ("complex", np.complex128)):
+        fn = getattr(lib, f"orthogonalize_rounds_{field}")
+        # an array of another dtype, non-C-contiguous or read-only is rejected
+        # before the C call; a matrix and a stack pass alike, so nothing is
+        # reshaped into a copy that would take the rotations in place of the
+        # caller's array
+        stack = np.ctypeslib.ndpointer(dtype, flags=("C_CONTIGUOUS", "WRITEABLE"))
+        fn.argtypes = [stack, stack] + [ctypes.c_ssize_t] * 6 + [indices, ctypes.c_double, ctypes.c_int, ints]
+        fn.restype = None
+        variants[np.dtype(dtype)] = fn
 
     def orthogonalize_columns(w, v, eps, max_sweeps, counts=None):
         """The C loop of ``_jacobi_py.orthogonalize_columns``, one call for a whole stack."""
         if np.shape(v)[:-1] != np.shape(w)[:-1]:
             raise ValueError(f"rotation accumulator of shape {np.shape(v)} does not fit {np.shape(w)}")
+        # a w of any other dtype meets the complex variant's check
+        fn = variants.get(w.dtype, variants[np.dtype(np.complex128)])
         n, m = w.shape[-2:]
         schedule = _jacobi_py.round_robin(n)
         rounds, _, pairs = schedule.shape
@@ -61,7 +76,7 @@ def load_compiled(path):
 _LIBRARY = Path(__file__).with_name("_jacobi" + importlib.machinery.EXTENSION_SUFFIXES[0])
 try:
     _jacobi = load_compiled(_LIBRARY)
-except (OSError, AttributeError) as exc:  # not built, or without orthogonalize_rounds
+except (OSError, AttributeError) as exc:  # not built, or without both entry points
     _jacobi = None
     # kept so that a missing or broken build can say why it is unavailable
     compiled_load_error = exc

@@ -9,12 +9,15 @@ else.  On top of that sit the Moore-Penrose inverse,
 minimum-norm least squares and the residuals of the Penrose equations.
 ``spectral_norm`` gives the largest singular value alone, from the largest
 eigenvalue of a Gram matrix, with no kernel call; every other route to
-singular values is a full ``jacobi_svd``.  Everything works internally in
-complex128 and accepts any real or complex 2-d array-like with finite
-entries.  Every SVD entry point (``jacobi_svd``, ``spectral_norm``,
-``svd_factors``, ``pinv``) also takes a stack of same-shape matrices of any
-leading shape (``as_stack``), and each factorization takes one kernel call
-for the whole stack; a matrix is the one-element case.  A stack's thin
+singular values is a full ``jacobi_svd``.  Every entry point accepts any
+real or complex 2-d array-like with finite entries, and works in one dtype
+per call (``_field``): float64 when every input is real, complex128
+otherwise, so a real input is factored in real arithmetic and a real a
+with a complex b is a complex pair.  Every SVD entry point
+(``jacobi_svd``, ``spectral_norm``, ``svd_factors``, ``pinv``) also takes
+a stack of same-shape matrices of any leading shape (``as_stack``), and
+each factorization takes one kernel call for the whole stack; a matrix is
+the one-element case.  A stack's thin
 factors keep as many vectors as its largest count of nonzero singular
 values, with zero ``v`` (wide: ``u``) columns past each matrix's own count.
 Only the rank is shared, so ``factor_pair`` factors a and b as one stack,
@@ -68,23 +71,45 @@ def _finite(a):
     return a
 
 
-def _as_complex(x, ndims, what):
-    a = np.asarray(x)
-    if a.ndim not in ndims:
-        raise ShapeError(f"expected {what}, got shape {a.shape}")
-    if min(a.shape) < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got shape {a.shape}")
-    return _finite(a.astype(np.complex128, copy=False))
+def _field(*arrays):
+    """The package's one dtype rule: float64 when every array is real, complex128 otherwise.
+
+    Real means a bool, integer or float dtype.  The rule takes every input of
+    a call at once, so a real a with a complex b is a complex pair.
+    """
+    return np.float64 if all(a.dtype.kind in "biuf" for a in arrays) else np.complex128
 
 
-def as_matrix(x):
-    """Convert to a 2-d complex128 array, rejecting non-finite entries."""
-    return _as_complex(x, (2,), "a 2-d matrix")
+def _as_field(xs, ndims, what):
+    """The inputs ``xs`` of one call as arrays of the dtype ``_field`` picks for them all.
+
+    Each must have a dimension count in ``ndims``, positive sides and finite
+    entries.
+    """
+    arrays = [np.asarray(x) for x in xs]
+    for a in arrays:
+        if a.ndim not in ndims:
+            raise ShapeError(f"expected {what}, got shape {a.shape}")
+        if min(a.shape) < 1:
+            raise ShapeError(f"matrix dimensions must be positive, got shape {a.shape}")
+    dtype = _field(*arrays)
+    return tuple(_finite(a.astype(dtype, copy=False)) for a in arrays)
 
 
-def as_stack(x):
-    """``as_matrix``, or the same for a stack of same-shape matrices of any leading shape."""
-    return _as_complex(x, range(2, 65), "a matrix or a stack of them")  # numpy allows 64 axes
+def as_matrix(x, *more):
+    """Convert to a 2-d float64 or complex128 array, rejecting non-finite entries.
+
+    With ``more``, all the inputs of one call as a tuple of one dtype
+    (``_field``): float64 when every one is real, complex128 otherwise.
+    """
+    arrays = _as_field((x, *more), (2,), "a 2-d matrix")
+    return arrays if more else arrays[0]
+
+
+def as_stack(x, *more):
+    """``as_matrix``, or the same for stacks of same-shape matrices of any leading shape."""
+    arrays = _as_field((x, *more), range(2, 65), "a matrix or a stack of them")  # numpy allows 64 axes
+    return arrays if more else arrays[0]
 
 
 def _one_per_stack(values, what):
@@ -205,6 +230,24 @@ def _scaled_back(s, k, shape):
     return s
 
 
+def _row_norms(x):
+    """The 2-norm of each row of ``x``, with no square lost below the range.
+
+    A row whose norm is below 2^-450 may have lost squares to underflow, so
+    it is scaled by 2^-e, e the exponent of its largest real or imaginary
+    part, and its norm scaled back by 2^e; both steps are exact.  In any
+    other row a square that underflows lies far below half an ulp of the
+    sum, so ``np.linalg.norm`` gives it the bits of the scaled route.
+    """
+    norms = np.linalg.norm(x, axis=-1)
+    small = norms < 2.0**-450
+    if np.count_nonzero(small):
+        parts = x[small].view(np.float64)
+        e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))[1]
+        norms[small] = np.ldexp(np.linalg.norm(np.ldexp(parts, -e).view(x.dtype), axis=-1), e[:, 0])
+    return norms
+
+
 def spectral_norm(x):
     """Largest singular value of a matrix, or of each matrix of a stack of any leading shape.
 
@@ -247,7 +290,9 @@ def jacobi_svd(a):
     orthogonal columns up to roundoff, so few sweeps remain.  With two
     columns, the kernel's one rotation already solves the problem.  With
     r* v_j = u_w diag(sigma), where v_j is v0 times the kernel's rotations,
-    the factors are u = pr^T q v_j and v = pc u_w.  ``spectral_norm`` is
+    the factors are u = pr^T q v_j and v = pc u_w.  Each sigma is the norm
+    of a row of the rotated r*, taken at unit scale (``_row_norms``), so a
+    column whose squares underflow keeps its sigma.  ``spectral_norm`` is
     the one route to a singular value without the vectors.
     """
     a = as_stack(a)
@@ -274,7 +319,7 @@ def jacobi_svd(a):
         rt = v0t @ rt
         vt = np.array(v0t, order="C")
     else:
-        vt = np.empty(rt.shape, dtype=np.complex128)
+        vt = np.empty(rt.shape, dtype=rt.dtype)
         vt[...] = np.eye(n)
     kernel = backends.get_kernel()
     # every matrix in one call, as one stack (views, rotated in place)
@@ -286,15 +331,15 @@ def jacobi_svd(a):
         raise RuntimeError(
             f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {shape}"
         )
-    scaled = np.linalg.norm(rt, axis=-1)
+    scaled = _row_norms(rt)
     order = np.argsort(-scaled, axis=-1, kind="stable")
     scaled = scaled[stack + (order,)]
     sig = _scaled_back(scaled, k[..., 0], shape)
     # the stack's largest count; past its own, a matrix's v columns are zero
     nonzero = int((sig > 0.0).sum(axis=-1).max())
     keep = stack + (order[..., :nonzero],)
-    u = np.empty(q.shape[:-1] + (nonzero,), dtype=np.complex128)
-    v = np.empty(rt.shape[:-1] + (nonzero,), dtype=np.complex128)
+    u = np.empty(q.shape[:-1] + (nonzero,), dtype=q.dtype)
+    v = np.empty(rt.shape[:-1] + (nonzero,), dtype=rt.dtype)
     u[stack + (pr,)] = q @ vt[keep].swapaxes(-1, -2)
     v[stack + (pc,)] = np.divide(
         rt[keep].swapaxes(-1, -2),
@@ -336,8 +381,8 @@ def svd_factors(a, tol=None):
 def factor_pair(a, b, tol=None):
     """``(svd_factors(a, tol), svd_factors(b, tol))``, bit for bit, from one kernel call.
 
-    ``a`` and ``b`` are same-shape complex128 matrices or stacks, as
-    ``as_stack`` returns them, factored as one stack.  Each side is cut at
+    ``a`` and ``b`` are same-shape matrices or stacks of one dtype, as
+    ``as_stack(a, b)`` returns them, factored as one stack.  Each side is cut at
     its own rank, which never exceeds its own count of nonzero singular
     values, so the zero ``v`` columns of the joint factors are never kept.
     """
@@ -367,7 +412,9 @@ def lstsq_min_norm(a, b, tol=None):
     entries must be finite, like those of ``a``.
     """
     a = as_matrix(a)
-    bb = _finite(np.asarray(b, dtype=np.complex128))
+    bb = np.asarray(b)
+    dtype = _field(a, bb)
+    a, bb = a.astype(dtype, copy=False), _finite(bb.astype(dtype, copy=False))
     vec = bb.ndim == 1
     if vec:
         bb = bb[:, None]
@@ -385,8 +432,7 @@ def penrose_residuals(a, x):
     Returns (a x a - a, x a x - x, hermiticity of a x, hermiticity of x a),
     each one value per matrix of a stack ``a`` with its stack of candidates.
     """
-    a = as_stack(a)
-    x = as_stack(x)
+    a, x = as_stack(a, x)
     if x.shape != conj_transpose(a).shape:
         raise ShapeError(f"candidate shape {x.shape} does not match {conj_transpose(a).shape}")
     ax = a @ x

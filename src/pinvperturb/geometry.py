@@ -43,9 +43,24 @@ from .core import (
 )
 
 def _fro2(x):
-    """Squared Frobenius norm, summed row-major as ``np.vdot(x, x)`` sums it; 0.0 for empty blocks."""
+    """Squared Frobenius norm, one per matrix of a stack; 0.0 for empty blocks.
+
+    A complex block is summed row-major as ``np.vdot(x, x)`` sums it, a real
+    one by ``_real_dot``.
+    """
     f = x.reshape(x.shape[:-2] + (-1,))
-    return np.vecdot(f, f).real
+    return np.vecdot(f, f).real if np.iscomplexobj(f) else _real_dot(f, f)
+
+
+def _real_dot(x, y, axis=-1):
+    """sum_i x_i y_i along ``axis`` of real x and y, by numpy's pairwise sum.
+
+    Not ``np.vecdot``, which calls BLAS ddot on contiguous float64 rows: on
+    some CPU kernels (OpenBLAS's Prescott) ddot sums a row that is not
+    16-byte aligned in another order, and the matrices of a stack sit at
+    every alignment, so a stack would not give each pair its bits alone.
+    """
+    return np.add.reduce(x * y, axis=axis)
 
 
 def _outside(q, p):
@@ -242,8 +257,7 @@ def make_pair(a, b, tol=None):
     pseudoinverses are compared.  An e beyond the double range is an
     ArithmeticError that names the perturbation.
     """
-    a = as_stack(a)
-    b = as_stack(b)
+    a, b = as_stack(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"pair shapes differ: {a.shape} vs {b.shape}")
     fa, fb = factor_pair(a, b, tol)
@@ -253,11 +267,11 @@ def make_pair(a, b, tol=None):
     return PerturbationPair(a=a, b=b, e=e, fa=fa, fb=fb, pinv_a=pinv(fa), pinv_b=pinv(fb))
 
 
-def _weighted(sq, s):
-    """sum_i (1 - (s_r/s_i)^2) sq_i and sum_i ((s_1/s_i)^2 - 1) sq_i, over decreasing ``s``."""
+def _weighted(sq, s, dot):
+    """sum_i (1 - (s_r/s_i)^2) sq_i and sum_i ((s_1/s_i)^2 - 1) sq_i by ``dot``, over decreasing ``s``."""
     low = s[..., -1:] / s
     high = s[..., :1] / s
-    return np.vecdot((1.0 - low) * (1.0 + low), sq), np.vecdot((high - 1.0) * (high + 1.0), sq)
+    return dot((1.0 - low) * (1.0 + low), sq), dot((high - 1.0) * (high + 1.0), sq)
 
 
 def _oriented(e, fa, fb):
@@ -283,8 +297,12 @@ def _oriented(e, fa, fb):
     vbh = conj_transpose(vb)
     ac = c / sa  # its column i has the norm of a+ e v_i
     cb = c / sb  # its row i has the norm of u_i* e b+
-    aebb_r, aebb_1 = _weighted(np.vecdot(ac, ac, axis=-2).real, fb.sigma1)
-    aaeb_r, aaeb_1 = _weighted(np.vecdot(cb, cb).real, fa.sigma1)
+    if np.iscomplexobj(c):
+        cols, rows, dot = np.vecdot(ac, ac, axis=-2).real, np.vecdot(cb, cb).real, np.vecdot
+    else:
+        cols, rows, dot = _real_dot(ac, ac, axis=-2), _real_dot(cb, cb), _real_dot
+    aebb_r, aebb_1 = _weighted(cols, fb.sigma1, dot)
+    aaeb_r, aaeb_1 = _weighted(rows, fa.sigma1, dot)
     return {
         "ae": _fro2(f / sa),
         "eb": _fro2(g / sb),
@@ -420,8 +438,7 @@ def _sandwich(u2, v2, n):
 
 def _trace_pairing(m_, n_):
     """Both operands as matrices, which must have the same shape."""
-    m_ = as_matrix(m_)
-    n_ = as_matrix(n_)
+    m_, n_ = as_matrix(m_, n_)
     if m_.shape != n_.shape:
         raise ShapeError(f"trace pairing needs equal shapes, got {m_.shape} and {n_.shape}")
     return m_, n_
@@ -446,7 +463,7 @@ def von_neumann_sum(m_, n_):
 def _complete(q):
     """Square unitary whose leading columns are the orthonormal ``q``."""
     if q.shape[1] == 0:
-        return np.eye(q.shape[0], dtype=np.complex128)
+        return np.eye(q.shape[0], dtype=q.dtype)
     full = np.linalg.qr(q, mode="complete")[0]
     full[:, : q.shape[1]] = q  # the same span, so the rest stays orthogonal to it
     return full

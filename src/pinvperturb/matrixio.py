@@ -4,7 +4,8 @@ Line 1 is a header ``m n field`` with field ``real`` or ``complex``; then m
 data rows follow.  A real row holds n numbers; a complex row holds 2n
 numbers as re/im pairs.  Lines whose first non-blank character is ``#`` are
 comments; blank lines are skipped.  Files are UTF-8 and numbers round-trip
-at full double precision.
+at full double precision.  A ``real`` file reads as a float64 matrix and a
+``complex`` one as complex128, the two dtypes of ``core``'s dtype rule.
 
 Every number the package writes goes through ``format_float`` or
 ``format_floats``: ``%.17g``, which reads back bit for bit.
@@ -32,7 +33,11 @@ class MatrixFormatError(ValueError):
 
 
 def loads(text):
-    """Parse a matrix from text; returns (matrix, field)."""
+    """Parse a matrix from text; returns (matrix, field).
+
+    A ``real`` file gives a float64 matrix and a ``complex`` one a complex128
+    matrix, so a real file is factored in real arithmetic (``core._field``).
+    """
     header = None
     m = n = need = 0
     field = ""
@@ -82,7 +87,7 @@ def loads(text):
         raise MatrixFormatError(lineno + 1, f"expected {m} data rows, got {len(rows)}")
     table = np.array(rows, dtype=np.float64)
     # a complex row's re/im pairs are the parts of its n entries, in place
-    return (table.view(np.complex128) if field == "complex" else table.astype(np.complex128)), field
+    return (table.view(np.complex128) if field == "complex" else table), field
 
 
 def _is_number(token):

@@ -73,7 +73,8 @@ def haar_frame(m, k, rng, field="real"):
     """m x k matrix with orthonormal columns, uniformly distributed.
 
     The phases of the QR diagonal are absorbed so the frame's distribution
-    is exactly invariant under left multiplication by unitaries.
+    is exactly invariant under left multiplication by unitaries.  It is
+    float64 for the ``real`` field and complex128 for ``complex``.
     """
     check_integer("m", m)
     check_integer("k", k)
@@ -82,7 +83,7 @@ def haar_frame(m, k, rng, field="real"):
     q, r = np.linalg.qr(gaussian(rng, (m, k), field))
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
-    return (q * (np.conj(d) / np.abs(d))).astype(np.complex128)
+    return q * (np.conj(d) / np.abs(d))
 
 
 def haar_unitary(k, rng, field="complex"):
@@ -103,7 +104,7 @@ def gen_fixed_rank(spec, rank=None, rng=None):
         raise ValueError(f"rank must be in 0..{min(spec.m, spec.n)}, got {rank}")
     rng = np.random.default_rng(spec.seed) if rng is None else rng
     if rank == 0:
-        return np.zeros((spec.m, spec.n), dtype=np.complex128)
+        return np.zeros((spec.m, spec.n), dtype=complex if spec.field == "complex" else float)
     s = _sigma_profile(rank, spec.condition_cap, rng)
     cut = default_cutoff((spec.m, spec.n), s[0])
     if s[-1] <= SEPARATION * cut:

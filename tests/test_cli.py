@@ -16,7 +16,9 @@ import pytest
 
 import pinvperturb.cli as cli
 from pinvperturb import backends
+from pinvperturb.bounds import full_report, report_csv
 from pinvperturb.core import pinv
+from pinvperturb.geometry import make_pair
 from pinvperturb.matrixio import dumps, loads
 from pinvperturb.suite import PropertyResult, SuiteResult
 
@@ -82,6 +84,21 @@ def test_bounds_csv(pair_files, capsys):
     assert len(lines) == 30
     exact = next(ln for ln in lines if ln.startswith("exact_squared_frobenius,"))
     assert float(exact.split(",")[5]) == pytest.approx(25.16, rel=1e-12)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_bounds_on_real_files_is_the_report_of_the_float64_arrays(tmp_path, capsys, backend):
+    # a real file loads as float64, so the command's report is byte for byte
+    # the in-process report of the real arrays, not of complex copies
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((4, 3))
+    b = a + 1e-2 * rng.standard_normal((4, 3))
+    files = [_write(tmp_path, name, x) for name, x in (("a.mat", a), ("b.mat", b))]
+    assert cli.main(["bounds", *files]) == 0
+    assert capsys.readouterr().out == report_csv(full_report(make_pair(a, b)))
+    assert cli.main(["pinv", files[0]]) == 0
+    x, field = loads(capsys.readouterr().out)
+    assert field == "real" and x.tobytes() == pinv(a).tobytes()
 
 
 def test_bounds_table(pair_files, capsys):

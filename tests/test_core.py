@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from pinvperturb.core import (
     ShapeError,
     as_matrix,
+    as_stack,
     default_cutoff,
     jacobi_svd,
     lstsq_min_norm,
@@ -32,8 +33,41 @@ def test_as_matrix_validation():
         as_matrix([[np.inf, 1.0]])
     with pytest.raises(ValueError):
         as_matrix([[np.nan]])
-    a = as_matrix([[1, 2], [3, 4]])
-    assert a.dtype == np.complex128
+    # one dtype per call: float64 when every input is real, complex128 otherwise
+    for x in ([[1, 2], [3, 4]], [[True]], np.ones((2, 2), dtype=np.float32), np.eye(2)):
+        assert as_matrix(x).dtype == np.float64
+    for x in ([[1j]], np.ones((2, 2), dtype=np.complex64)):
+        assert as_matrix(x).dtype == np.complex128
+    a, b = as_matrix(np.eye(2), [[1j, 0], [0, 1]])
+    assert a.dtype == b.dtype == np.complex128 and a.tolist() == np.eye(2).tolist()
+    assert [x.dtype for x in as_stack(np.eye(2), np.zeros((3, 2, 2)))] == [np.float64] * 2
+    with pytest.raises(ShapeError):
+        as_matrix(np.eye(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_real_input_is_factored_in_real_arithmetic(backend):
+    rng = np.random.default_rng(29)
+    stack = np.array([lowrank(rng, 5, 4, 4, False) for _ in range(2)])
+    for a in (lowrank(rng, 6, 4, 3, False), lowrank(rng, 3, 5, 3, False), stack):
+        u, sigma, v = jacobi_svd(a)
+        f = svd_factors(a)
+        assert {x.dtype for x in (u, sigma, v, f.u1, f.v1, pinv(a))} == {np.dtype(np.float64)}
+        assert_allclose(sigma, np.linalg.svd(a, compute_uv=False), rtol=0, atol=1e-13 * sigma.max())
+    b = rng.standard_normal(6)
+    assert lstsq_min_norm(lowrank(rng, 6, 4, 3, False), b).dtype == np.float64
+
+
+def test_real_matrix_with_a_complex_operand_is_a_complex_call():
+    rng = np.random.default_rng(31)
+    a = lowrank(rng, 5, 3, 2, False)
+    z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    x = lstsq_min_norm(a, z)
+    assert x.tobytes() == lstsq_min_norm(a.astype(complex), z).tobytes()
+    p = pinv(a.astype(complex))
+    assert [r.tobytes() for r in penrose_residuals(a, p)] == [
+        r.tobytes() for r in penrose_residuals(a.astype(complex), p)
+    ]
 
 
 def _huge(field):

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pinvperturb import geometry
-from pinvperturb.bounds import full_report
+from pinvperturb.bounds import full_report, report_csv
 from pinvperturb.geometry import (
     PerturbationPair,
     ProductNorms,
@@ -343,6 +343,26 @@ def test_stacked_aligning_unitaries_equal_those_of_each_matrix_alone(backend):
                 assert u.tobytes() == ref_u.tobytes() and v.tobytes() == ref_v.tobytes()
                 vn = von_neumann_sum(x, y)
                 assert trace_real(u @ x @ v, y) == pytest.approx(vn, abs=1e-12 * (1 + vn))
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_real_matrix_with_a_complex_one_is_the_complex_pair(backend):
+    # one dtype rule for the whole call: a real a with a complex b gives
+    # every bit of the pair with a taken as complex, on either side
+    rng = np.random.default_rng(89)
+    for m, n, ra, rb in [(4, 3, 3, 2), (3, 5, 2, 3), (4, 4, 0, 4)]:
+        a = lowrank(rng, m, n, ra, False)
+        b = lowrank(rng, m, n, rb, True)
+        for x, y in ((a, b), (b, a)):
+            mixed, pure = make_pair(x, y), make_pair(x.astype(complex), y.astype(complex))
+            for f in ("a", "b", "e", "pinv_a", "pinv_b"):
+                assert getattr(mixed, f).dtype == np.complex128
+                assert getattr(mixed, f).tobytes() == getattr(pure, f).tobytes(), f
+            assert report_csv(full_report(mixed)) == report_csv(full_report(pure))
+            assert identity_checks(mixed) == identity_checks(pure)
+            assert von_neumann_sum(x, y) == von_neumann_sum(x.astype(complex), y)
+            for got, want in zip(aligning_unitaries(x, y), aligning_unitaries(x.astype(complex), y)):
+                assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 
 
 def test_trace_helpers_reject_mismatched_shapes():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import shutil
 import subprocess
 import sysconfig
@@ -49,9 +50,10 @@ def test_both_backends_present_when_built():
 
 
 def test_compiled_kernel_rejects_misfit_arrays(compiled_kernel):
-    # the ctypes signature stands where a typed memoryview would: a float64,
-    # Fortran-ordered, strided or read-only w or v raises before the C loop
-    # can misread its memory, or rotate a copy in place of the caller's array
+    # the ctypes signature stands where a typed memoryview would: a w of
+    # another dtype than float64 or complex128, a v of another dtype than w,
+    # or a Fortran-ordered, strided or read-only w or v raises before the C
+    # loop can misread its memory, or rotate a copy in place of the caller's array
     if compiled_kernel is None:
         pytest.skip(NO_COMPILED)
     rng = np.random.default_rng(3)
@@ -61,6 +63,9 @@ def test_compiled_kernel_rejects_misfit_arrays(compiled_kernel):
     read_only.flags.writeable = False
     misfits = [
         (np.ones((2, 3)), eyes[0]),
+        (stack[0], np.eye(2)),
+        (np.ones((2, 3), dtype=np.float32), np.eye(2, dtype=np.float32)),
+        (stack.astype(np.complex64), eyes.astype(np.complex64)),
         (np.asfortranarray(stack[0]), eyes[0]),
         (stack[::2], eyes[:2]),
         (stack[:2], eyes[::2]),
@@ -80,12 +85,13 @@ def test_compiled_kernel_rejects_misfit_arrays(compiled_kernel):
 
 def test_a_build_of_older_source_is_not_loaded(tmp_path):
     # a library that exports only the entry point of earlier builds, the
-    # per-matrix one or the stack one that computed its own pair order,
-    # would take other arguments; it fails to load, and the numpy kernel
-    # serves in its place
+    # per-matrix one, the stack one that computed its own pair order or the
+    # complex-only one with no real variant, would take other arguments or
+    # miss the real inputs; it fails to load, and the numpy kernel serves in
+    # its place
     if shutil.which("cc") is None:
         pytest.skip("no cc to compile a stand-in for an older build")
-    for name in ("orthogonalize_columns", "orthogonalize_stack"):
+    for name in ("orthogonalize_columns", "orthogonalize_stack", "orthogonalize_rounds"):
         src = tmp_path / f"{name}.c"
         src.write_text(f"int {name}(void) {{ return 1; }}\n")
         lib = tmp_path / f"{name}.so"
@@ -565,6 +571,34 @@ def test_kernel_alone_converges_on_a_constant_matrix(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("phase", [None, 1.0, np.exp(0.3j)], ids=["real", "complex", "phase"])
+def test_pair_whose_squared_norm_underflows_converges(backend, phase):
+    # column q's squared norm underflows to 0 while gamma = 2^-1000 does not,
+    # so the threshold eps |w_p| |w_q| reads 0; every product is exact and
+    # the dot product one addition, so gamma has these bits on every BLAS
+    # core.  Tested unscaled, the pair stayed above the threshold after its
+    # rotation in every sweep, up to the pass limit: the numpy kernel on all
+    # three, C on the third.  Tested and solved from the columns scaled to
+    # unit size, it converges
+    x = np.ldexp([2.0, 3.0], -335)
+    y = np.ldexp([2199023255522.0, -1466015503681.0], -665)
+    assert 2.0 * 2199023255522 - 3.0 * 1466015503681 == 1.0 and y @ y == 0.0
+    w = np.array([x, y]) if phase is None else np.array([x, y * phase], dtype=np.complex128)
+    v = np.eye(2, dtype=w.dtype)
+    w_in = w.copy()
+    assert get_kernel(backend).orthogonalize_columns(w, v, jacobi_threshold(2), JACOBI_MAX_SWEEPS) > 0
+    assert w.dtype == v.dtype == w_in.dtype
+    parts = w.view(np.float64)
+    unit = np.ldexp(parts, -np.frexp(abs(parts).max(axis=-1))[1][:, None]).view(w.dtype)
+    cosine = abs(np.vdot(unit[0], unit[1])) / np.prod(np.linalg.norm(unit, axis=-1))
+    assert cosine <= jacobi_threshold(2)
+    assert_allclose(v.conj() @ v.T, np.eye(2), atol=1e-15)
+    # the rotations are accumulated: v @ w_in == w, row by row at its own scale
+    for got, want in zip(v @ w_in, w):
+        assert_allclose(got, want, rtol=0, atol=1e-15 * abs(want).max())
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_stack_does_not_count_a_pair_with_t_zero_as_a_rotation(backend):
     # unpreconditioned, 0.45 * ones and the signed outer product end on a
     # sweep whose only pair above the threshold has t = 0 (11 and 13 sweeps
@@ -693,6 +727,36 @@ def test_graded_columns_keep_relative_accuracy(backend, field):
         ref = np.sort([float(x) for x in ref])[::-1]
         err = np.abs(jacobi_svd(a)[1] - ref) / (ref * np.finfo(np.float64).eps)
         assert err.max() <= 8.0, (m, n, err)
+
+
+def _graded_columns(seed, cplx):
+    """A Gaussian 3 x 4 with columns scaled by 1e-150 to 1e150, real or with random phases."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, 4)) * np.logspace(-150, 150, 4)
+    return a * np.exp(2j * np.pi * rng.uniform(size=a.shape)) if cplx else a
+
+
+@functools.cache
+def _graded_reference(seed, cplx):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(360):
+        svd = mpmath.svd_c if cplx else mpmath.svd_r
+        sigma = svd(mpmath.matrix(_graded_columns(seed, cplx).tolist()), compute_uv=False)
+        return np.sort([float(x) for x in sigma])[::-1]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_columns_graded_over_300_decades_converge_accurately(backend, cplx):
+    # the squared norm of the 1e-50 column, scaled by 2^-500 with the matrix,
+    # underflows to 0: every real input stalled with "no convergence" and the
+    # complex ones stalled or gave a singular value of exactly 0.  Now the
+    # worst relative error is 1.1e-14 real and 9.1e-16 complex, on the
+    # SkylakeX, Haswell and Prescott BLAS cores and on both kernels
+    for seed in range(50):
+        sigma = jacobi_svd(_graded_columns(seed, cplx))[1]
+        ref = _graded_reference(seed, cplx)
+        assert (np.abs(sigma - ref) <= 1e-13 * ref).all(), (seed, sigma, ref)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)

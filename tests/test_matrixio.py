@@ -31,6 +31,20 @@ def test_complex_detection_and_roundtrip():
     assert_allclose(m, a, atol=0.0)
 
 
+def test_real_file_loads_as_float64_and_round_trips_bit_for_bit():
+    # a real file is a real matrix, so it is factored in real arithmetic
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((3, 4)) * np.logspace(-300, 300, 4)
+    a[0, 0], a[1, 1], a[2, 2] = -0.0, 5e-324, -2.2250738585072014e-308
+    text = dumps(a)
+    m, field = loads(text)
+    assert field == "real" and m.dtype == np.float64 and m.shape == (3, 4)
+    assert m.tobytes() == a.tobytes() and dumps(m) == text
+    z, field = loads(dumps(a + 0.5j * a))
+    assert field == "complex" and z.dtype == np.complex128
+    assert z.tobytes() == (a + 0.5j * a).tobytes()
+
+
 def test_comments_and_blank_lines_skipped():
     text = "# leading comment\n\n  # indented comment\n2 1 real\n4\n\n# mid comment\n5\n"
     m, _ = loads(text)
