@@ -50,8 +50,7 @@ def _emit(text, out):
 
 
 def cmd_pinv(args):
-    a, _field = load(args.matrix)
-    f = svd_factors(a, tol=args.tol)
+    f = svd_factors(load(args.matrix), tol=args.tol)
     x = pinv(f)
     comments = [
         f"rank {f.rank}",
@@ -67,9 +66,7 @@ def cmd_pinv(args):
 
 
 def cmd_bounds(args):
-    a, _ = load(args.a)
-    b, _ = load(args.b)
-    p = make_pair(a, b, tol=args.tol)
+    p = make_pair(load(args.a), load(args.b), tol=args.tol)
     rep = full_report(p)
     text = report_csv(rep) if args.format == "csv" else report_table(rep)
     _emit(text, args.out)
@@ -83,9 +80,7 @@ def cmd_bounds(args):
 
 
 def cmd_verify_identities(args):
-    a, _ = load(args.a)
-    b, _ = load(args.b)
-    p = make_pair(a, b, tol=args.tol)
+    p = make_pair(load(args.a), load(args.b), tol=args.tol)
     bad = 0
     for name, resid in identity_checks(p):
         tol = PROPERTIES[name].tol

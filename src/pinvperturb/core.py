@@ -231,21 +231,28 @@ def _scaled_back(s, k, shape):
 
 
 def _row_norms(x):
-    """The 2-norm of each row of ``x``, with no square lost below the range.
+    """``(norms, units)``: the 2-norm of each row of ``x``, with no square lost below the range.
 
     A row whose norm is below 2^-450 may have lost squares to underflow, so
-    it is scaled by 2^-e, e the exponent of its largest real or imaginary
-    part, and its norm scaled back by 2^e; both steps are exact.  In any
-    other row a square that underflows lies far below half an ulp of the
-    sum, so ``np.linalg.norm`` gives it the bits of the scaled route.
+    it is scaled in place by 2^-e, e the exponent of its largest real or
+    imaginary part; its norm at that scale goes to ``units`` and, scaled
+    back by 2^e, to ``norms``.  Both steps are exact, and a row divided by
+    its unit is the row divided by its norm, with no 1/norm beyond the
+    range.  Every other row is its own unit: there a square that underflows
+    lies far below half an ulp of the sum, so ``np.linalg.norm`` gives it
+    the bits of the scaled route.
     """
     norms = np.linalg.norm(x, axis=-1)
-    small = norms < 2.0**-450
-    if np.count_nonzero(small):
+    units = norms
+    small = np.nonzero(norms < 2.0**-450)
+    if small[0].size:
         parts = x[small].view(np.float64)
         e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))[1]
-        norms[small] = np.ldexp(np.linalg.norm(np.ldexp(parts, -e).view(x.dtype), axis=-1), e[:, 0])
-    return norms
+        x[small] = unit = np.ldexp(parts, -e).view(x.dtype)
+        units = norms.copy()
+        units[small] = unit_norms = np.linalg.norm(unit, axis=-1)
+        norms[small] = np.ldexp(unit_norms, e[:, 0])
+    return norms, units
 
 
 def spectral_norm(x):
@@ -292,7 +299,8 @@ def jacobi_svd(a):
     r* v_j = u_w diag(sigma), where v_j is v0 times the kernel's rotations,
     the factors are u = pr^T q v_j and v = pc u_w.  Each sigma is the norm
     of a row of the rotated r*, taken at unit scale (``_row_norms``), so a
-    column whose squares underflow keeps its sigma.  ``spectral_norm`` is
+    column whose squares underflow keeps its sigma, and its column of v,
+    the row over its norm at that scale, stays finite.  ``spectral_norm`` is
     the one route to a singular value without the vectors.
     """
     a = as_stack(a)
@@ -331,10 +339,9 @@ def jacobi_svd(a):
         raise RuntimeError(
             f"no convergence in {JACOBI_MAX_SWEEPS} jacobi sweeps for shape {shape}"
         )
-    scaled = _row_norms(rt)
+    scaled, units = _row_norms(rt)
     order = np.argsort(-scaled, axis=-1, kind="stable")
-    scaled = scaled[stack + (order,)]
-    sig = _scaled_back(scaled, k[..., 0], shape)
+    sig = _scaled_back(scaled[stack + (order,)], k[..., 0], shape)
     # the stack's largest count; past its own, a matrix's v columns are zero
     nonzero = int((sig > 0.0).sum(axis=-1).max())
     keep = stack + (order[..., :nonzero],)
@@ -343,7 +350,7 @@ def jacobi_svd(a):
     u[stack + (pr,)] = q @ vt[keep].swapaxes(-1, -2)
     v[stack + (pc,)] = np.divide(
         rt[keep].swapaxes(-1, -2),
-        scaled[..., None, :nonzero],
+        units[keep][..., None, :],
         out=np.zeros_like(v),
         where=sig[..., None, :nonzero] > 0.0,
     )

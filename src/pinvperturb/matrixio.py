@@ -33,42 +33,39 @@ class MatrixFormatError(ValueError):
 
 
 def loads(text):
-    """Parse a matrix from text; returns (matrix, field).
+    """Parse a matrix from text: float64 for a ``real`` file, complex128 for a ``complex`` one.
 
-    A ``real`` file gives a float64 matrix and a ``complex`` one a complex128
-    matrix, so a real file is factored in real arithmetic (``core._field``).
+    The dtype is the file's field, so a real file is factored in real
+    arithmetic (``core._field``).
     """
-    header = None
-    m = n = need = 0
-    field = ""
+    lines = text.splitlines()
+    # every line that is neither blank nor a comment, stripped, with its line number
+    content = [
+        (lineno, line)
+        for lineno, raw in enumerate(lines, start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    if not content:
+        raise MatrixFormatError(max(len(lines), 1), "missing 'm n field' header")
+    (lineno, line), *data = content
+    parts = line.split()
+    if len(parts) != 3:
+        raise MatrixFormatError(lineno, "header must be 'm n field'")
+    try:
+        m, n = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MatrixFormatError(
+            lineno, f"dimensions must be integers, got {parts[0]!r} {parts[1]!r}"
+        ) from None
+    if m < 1 or n < 1:
+        raise MatrixFormatError(lineno, f"dimensions must be positive, got {m} {n}")
+    field = parts[2]
+    if field not in ("real", "complex"):
+        raise MatrixFormatError(lineno, f"field must be 'real' or 'complex', got {field!r}")
+    need = n if field == "real" else 2 * n
     rows = []
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data[:m]:
         parts = line.split()
-        if header is None:
-            if len(parts) != 3:
-                raise MatrixFormatError(lineno, "header must be 'm n field'")
-            try:
-                m, n = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MatrixFormatError(
-                    lineno, f"dimensions must be integers, got {parts[0]!r} {parts[1]!r}"
-                ) from None
-            if m < 1 or n < 1:
-                raise MatrixFormatError(lineno, f"dimensions must be positive, got {m} {n}")
-            field = parts[2]
-            if field not in ("real", "complex"):
-                raise MatrixFormatError(
-                    lineno, f"field must be 'real' or 'complex', got {field!r}"
-                )
-            header = (m, n)
-            need = n if field == "real" else 2 * n
-            continue
-        if len(rows) == m:
-            raise MatrixFormatError(lineno, f"expected {m} data rows, found extra data")
         if len(parts) != need:
             raise MatrixFormatError(
                 lineno, f"expected {need} numbers in data row, got {len(parts)}"
@@ -81,13 +78,13 @@ def loads(text):
         if not all(math.isfinite(x) for x in nums):
             raise MatrixFormatError(lineno, "entries must be finite")
         rows.append(nums)
-    if header is None:
-        raise MatrixFormatError(max(lineno, 1), "missing 'm n field' header")
+    if len(data) > m:
+        raise MatrixFormatError(data[m][0], f"expected {m} data rows, found extra data")
     if len(rows) != m:
-        raise MatrixFormatError(lineno + 1, f"expected {m} data rows, got {len(rows)}")
+        raise MatrixFormatError(len(lines) + 1, f"expected {m} data rows, got {len(rows)}")
     table = np.array(rows, dtype=np.float64)
     # a complex row's re/im pairs are the parts of its n entries, in place
-    return (table.view(np.complex128) if field == "complex" else table), field
+    return table.view(np.complex128) if field == "complex" else table
 
 
 def _is_number(token):
@@ -138,7 +135,7 @@ def dumps(a, comments=()):
 
 
 def load(path):
-    """Read a matrix file, skipping a leading UTF-8 byte-order mark; returns (matrix, field).
+    """Read a matrix file as ``loads`` reads text, skipping a leading UTF-8 byte-order mark.
 
     A parse error, or a byte that is not UTF-8, names the file and the line.
     """

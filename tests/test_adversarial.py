@@ -8,11 +8,15 @@ subnormal entries (Gaussian times 1e-310).  The contract: the command exits
 overflow; it never raises, never emits a warning and never reports "no
 convergence".
 
-Two classes stay out until their fixes land, each with its own class:
-column- and row-graded inputs, which the Jacobi kernel does not yet handle
-across the exponent range, and rank-k pairs moved by an ulp, whose exact
-rows lose their accuracy to cancellation.  Neither is here as skipped or
-expected to fail.
+Graded inputs, a Gaussian with its rows or its columns times 2^j for j
+from -s to s, s <= 1000, are in for ``pinv`` and ``bounds``, and only for
+their exit codes: the kernel does not yet get their smallest singular
+values right (ROADMAP item 12), so their sigma oracle waits on that fix.
+``verify-identities`` stays out of the graded class: a kept singular value
+at the default rank cutoff is known only to about 1/8, and the identity
+checks then fail (ROADMAP items 10 and 14).  Rank-k pairs moved by an ulp,
+whose exact rows lose their accuracy to cancellation, stay out until their
+fix lands.  Neither is here as skipped or expected to fail.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pinvperturb.cli as cli
@@ -52,8 +56,7 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue(), caught
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@settings(
+SETTINGS = settings(
     max_examples=150,
     derandomize=True,
     database=None,
@@ -61,19 +64,21 @@ def _run(argv):
     # the files are rewritten for every example, so one tmp_path serves them all
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(
-    m=st.integers(1, 6),
-    n=st.integers(1, 6),
-    field=st.sampled_from(["real", "complex"]),
-    scale=scales,
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_command_exits_cleanly(tmp_path, command, m, n, field, scale, seed):
-    rng = np.random.default_rng(seed)
+
+
+def _graded(rng, m, n, field, spread, axis):
+    """``_matrix`` at unit scale with its rows (axis 0) or columns (axis 1) times 2^j, j from -spread to spread."""
+    g = _matrix(rng, m, n, field, 1.0)
+    j = np.round(np.linspace(-spread, spread, g.shape[axis])).astype(int)
+    return g * np.ldexp(1.0, j[:, None] if axis == 0 else j)
+
+
+def _check_exits_cleanly(tmp_path, command, draw):
+    """Run ``command`` on files of ``draw()`` (one for ``pinv``, else two) and check the contract."""
     paths = []
     for name in ("a.mat", "b.mat")[: 1 if command == "pinv" else 2]:
         path = tmp_path / name
-        path.write_text(dumps(_matrix(rng, m, n, field, scale)), encoding="utf-8")
+        path.write_text(dumps(draw()), encoding="utf-8")
         paths.append(str(path))
     code, out, err, caught = _run([command, *paths])
     assert not caught, [str(w.message) for w in caught]
@@ -87,3 +92,34 @@ def test_command_exits_cleanly(tmp_path, command, m, n, field, scale, seed):
         assert len(errors) == 1, err
         # a finite input fails only where a quantity leaves the double range
         assert "overflow" in errors[0], err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@SETTINGS
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    field=st.sampled_from(["real", "complex"]),
+    scale=scales,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_command_exits_cleanly(tmp_path, command, m, n, field, scale, seed):
+    rng = np.random.default_rng(seed)
+    _check_exits_cleanly(tmp_path, command, lambda: _matrix(rng, m, n, field, scale))
+
+
+@pytest.mark.parametrize("command", ["pinv", "bounds"])
+@SETTINGS
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    field=st.sampled_from(["real", "complex"]),
+    spread=st.integers(0, 1000),
+    axis=st.sampled_from([0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# complex rows from 2^-520 to 2^520: a subnormal row norm overflowed 1/norm in v, with a warning
+@example(m=4, n=4, field="complex", spread=520, axis=0, seed=0)
+def test_graded_input_exits_cleanly(tmp_path, command, m, n, field, spread, axis, seed):
+    rng = np.random.default_rng(seed)
+    _check_exits_cleanly(tmp_path, command, lambda: _graded(rng, m, n, field, spread, axis))

@@ -759,6 +759,43 @@ def test_columns_graded_over_300_decades_converge_accurately(backend, cplx):
         assert (np.abs(sigma - ref) <= 1e-13 * ref).all(), (seed, sigma, ref)
 
 
+def _graded_rows(rng, spread, cplx):
+    """A Gaussian 4 x 4 with its rows scaled by 2^-spread to 2^spread, real or complex."""
+    e = np.round(np.linspace(-spread, spread, 4)).astype(int)[:, None]
+    g = rng.standard_normal((4, 4))
+    return np.ldexp(g, e) + 1j * np.ldexp(rng.standard_normal((4, 4)), e) if cplx else np.ldexp(g, e)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.filterwarnings("error")
+def test_complex_rows_below_the_normal_range_give_a_finite_v(backend):
+    # the smallest row of the rotated r* has a subnormal norm s, and numpy
+    # divides a complex row by s as its parts times 1/s, which overflowed:
+    # one column of v was non-finite, with a warning, and pinv(a, tol=0)
+    # failed on every seed.  The row is now divided at unit scale.  Its
+    # sigma is still too large (graded rows, ROADMAP item 12), so only
+    # finiteness is checked
+    for seed in range(40):
+        a = _graded_rows(np.random.default_rng(seed), 520, cplx=True)
+        v = jacobi_svd(a)[2]
+        assert np.isfinite(v).all(), seed
+        assert np.isfinite(pinv(a, tol=0)).all(), seed
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.xfail(
+    strict=True,
+    reason="_scaled divides by 2^542, so the smallest entries underflow to 0 (ROADMAP item 12)",
+)
+def test_rows_graded_over_2_to_the_1080_keep_full_rank(backend, cplx):
+    # sigma_4 is 9.3075e-164 real and 1.1222e-163 complex (450-digit mpmath);
+    # the entries of the 2^-540 row flush to 0 in exact arithmetic when the
+    # matrix is scaled to its largest entry, so sigma_4 reads 0 and the rank 3
+    a = _graded_rows(np.random.default_rng(0), 540, cplx)
+    assert svd_factors(a, tol=0).rank == 4
+
+
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("example", [1, 2])
 def test_sweep_columns_equal_per_point_reports(backend, example):

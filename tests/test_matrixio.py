@@ -17,8 +17,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 def test_real_roundtrip_simple():
     a = np.array([[1.0, -2.5], [0.0, 3.0e-17]])
-    m, field = loads(dumps(a))
-    assert field == "real"
+    m = loads(dumps(a))
+    assert m.dtype == np.float64
     assert_allclose(m, a, atol=0.0)
 
 
@@ -26,8 +26,8 @@ def test_complex_detection_and_roundtrip():
     a = np.array([[1.0 + 2.0j, 0.0], [0.0, -1.0]])
     text = dumps(a)
     assert text.splitlines()[0] == "2 2 complex"
-    m, field = loads(text)
-    assert field == "complex"
+    m = loads(text)
+    assert m.dtype == np.complex128
     assert_allclose(m, a, atol=0.0)
 
 
@@ -37,17 +37,17 @@ def test_real_file_loads_as_float64_and_round_trips_bit_for_bit():
     a = rng.standard_normal((3, 4)) * np.logspace(-300, 300, 4)
     a[0, 0], a[1, 1], a[2, 2] = -0.0, 5e-324, -2.2250738585072014e-308
     text = dumps(a)
-    m, field = loads(text)
-    assert field == "real" and m.dtype == np.float64 and m.shape == (3, 4)
+    m = loads(text)
+    assert m.dtype == np.float64 and m.shape == (3, 4)
     assert m.tobytes() == a.tobytes() and dumps(m) == text
-    z, field = loads(dumps(a + 0.5j * a))
-    assert field == "complex" and z.dtype == np.complex128
+    z = loads(dumps(a + 0.5j * a))
+    assert z.dtype == np.complex128
     assert z.tobytes() == (a + 0.5j * a).tobytes()
 
 
 def test_comments_and_blank_lines_skipped():
     text = "# leading comment\n\n  # indented comment\n2 1 real\n4\n\n# mid comment\n5\n"
-    m, _ = loads(text)
+    m = loads(text)
     assert_allclose(m, [[4.0], [5.0]], atol=0.0)
 
 
@@ -55,7 +55,7 @@ def test_comment_parameter_keeps_file_valid():
     a = np.array([[1.5]])
     text = dumps(a, comments=["rank 1", "sigma 1.5"])
     assert text.startswith("# rank 1\n# sigma 1.5\n1 1 real\n")
-    m, _ = loads(text)
+    m = loads(text)
     assert_allclose(m, a, atol=0.0)
 
 
@@ -75,8 +75,8 @@ def test_comment_with_a_line_break_round_trips(comment, lines):
     a = np.array([[1.5, -2.0]])
     text = dumps(a, comments=[comment, "last"])
     assert text.splitlines()[: len(lines) + 1] == [f"# {line}" for line in [*lines, "last"]]
-    m, field = loads(text)
-    assert field == "real"
+    m = loads(text)
+    assert m.dtype == np.float64
     assert_allclose(m, a, atol=0.0)
 
 
@@ -122,8 +122,8 @@ def test_file_roundtrip(tmp_path):
     a = np.array([[1.0 + 1.0j, 2.0], [0.0, -3.25]])
     path = tmp_path / "m.txt"
     path.write_text(dumps(a), encoding="utf-8")
-    m, field = load(path)
-    assert field == "complex"
+    m = load(path)
+    assert m.dtype == np.complex128
     assert_allclose(m, a, atol=0.0)
 
 
@@ -145,7 +145,7 @@ def test_roundtrip_bit_exact(rows, cols, data, cplx):
         a = re + 1j * im
     else:
         a = re.astype(complex)
-    m, _ = loads(dumps(a))
+    m = loads(dumps(a))
     # 17 significant digits reproduce doubles exactly
     assert np.array_equal(m, a)
 
