@@ -263,7 +263,7 @@ def _epsilon_lower(nm):
 ESTIMATORS = (
     Estimator(
         "wedin_spectral", "upper",
-        lambda nm, p: MU["spectral"] * np.maximum(nm.nai2, nm.nbi2) * nm.es,
+        lambda nm, p: MU["spectral"] * np.maximum(nm.nai2, nm.nbi2) * p.spectral_norms[0],
         target=NORM, norm="spectral",
     ),
     Estimator(
@@ -277,7 +277,7 @@ ESTIMATORS = (
     ),
     Estimator(
         "wedin_equal_rank_spectral", "upper",
-        lambda nm, p: _nu(p, "spectral") * nm.nai * nm.nbi * nm.es,
+        lambda nm, p: _nu(p, "spectral") * nm.nai * nm.nbi * p.spectral_norms[0],
         (_equal_ranks,), target=NORM, norm="spectral",
     ),
     Estimator(
@@ -321,6 +321,9 @@ ESTIMATORS = (
     Estimator("delta_lower", "lower", _lower(_delta_lower), (_any_nonzero,)),
     Estimator("epsilon_lower", "lower", _lower(_epsilon_lower), (_equal_ranks, _spectral_nonzero)),
 )
+
+# every row by its name, for a caller that evaluates only the rows it needs
+ESTIMATOR_BY_NAME = {row.name: row for row in ESTIMATORS}
 
 
 def evaluate_all(p):

@@ -18,7 +18,9 @@ Everything that takes a pair also takes a stack of same-shape pairs, one
 pair per leading index, and gives one value per pair, with the bits that
 pair gets alone; only the trace helpers take two matrices instead.
 ``ProductNorms`` stores the norms that need the factors or a product, and
-derives the squares, fourth powers and |e|_F from them on first use.
+derives the squares, fourth powers and |e|_F from them on first use.  The
+spectral norms |e|_2 and |b+ - a+|_2 need neither; a pair computes them
+together on first read, in ``PerturbationPair.spectral_norms``.
 """
 
 from __future__ import annotations
@@ -80,14 +82,13 @@ def _square(name):
 
 
 class _ProductNormFields(NamedTuple):
-    """The 32 fields of ``ProductNorms``, the norms that need the factors or a product."""
+    """The 31 fields of ``ProductNorms``, the norms that need the factors or a product."""
 
     na: float
     nb: float
     nai: float
     nbi: float
     e2: float
-    es: float
     ae: float    # |a+ e|^2
     ea: float    # |e a+|^2
     be: float    # |b+ e|^2
@@ -119,15 +120,16 @@ class _ProductNormFields(NamedTuple):
 class ProductNorms(_ProductNormFields):
     """Ingredients shared by the deviation estimators, one value per pair.
 
-    The 32 fields are what needs the factors or a product; the rest is
+    The 31 fields are what needs the factors or a product; the rest is
     derived from them on first use and cached.  ``na``/``nb``/``nai``/``nbi``
     are the spectral norms of a, b and their pseudoinverses; their squares
     ``na2`` and so on and fourth powers ``na4`` and so on are derived, as
     products: a power of a numpy scalar goes through the C library's pow(),
     which would give a pair other bits than its stack.  ``e2`` is |e|_F^2,
-    ``es`` |e|_2, and the derived ``ef`` the square root of ``e2``.  The
-    other fields are the squared Frobenius norms of the projected perturbation
-    products named beside them.  With a = ua Sa va* and b = ub Sb vb* at
+    and the derived ``ef`` its square root; |e|_2 needs no factor, and is
+    ``PerturbationPair.spectral_norms[0]``.  The other fields are the
+    squared Frobenius norms of the projected perturbation products named
+    beside them.  With a = ua Sa va* and b = ub Sb vb* at
     their ranks, those through (a, e) are read from three thin blocks,
     F = ua* e, G = e vb and C = ua* e vb (``_oriented``); their mirrors
     from the same blocks with a and b exchanged.  A ``_c`` field is a
@@ -169,7 +171,7 @@ class ProductNorms(_ProductNormFields):
 
 
 # a field's counterpart under a <-> b swaps a with b and x with y in its name;
-# e2 and es are their own, and the derived values follow their fields
+# e2 is its own, and the derived values follow their fields
 _SWAP_AB = str.maketrans("abxy", "bayx")
 # the mirror's field values in ProductNorms' positional order
 _mirrored_fields = attrgetter(*(name.translate(_SWAP_AB) for name in ProductNorms._fields))
@@ -206,14 +208,21 @@ class PerturbationPair:
 
     @cached_property
     def spectral_norms(self):
-        """``(|e|_2, |b+ - a+|_2)`` from one ``spectral_norm`` call, whichever is asked for first.
+        """``(|e|_2, |b+ - a+|_2)`` from one ``spectral_norm`` call on first read of either.
 
         ``b+ - a+`` is stacked with ``e`` as it is when the pair is square and
         as its conjugate transpose otherwise: ``spectral_norm`` gives a wide
         matrix the bits of its conjugate transpose and a stack those of its
         matrices, so the values are those of two separate calls.  No kernel
-        runs.  An arithmetic error names the exact deviation.
+        runs.  Only the spectral rows of a report and ``deviation_spectral``
+        read them, so a pair that prints neither never computes them.  A pair
+        and its ``swapped`` share the tuple of whichever is read first, since
+        no norm sees the sign of e or of b+ - a+.  An arithmetic error names
+        the exact deviation.
         """
+        mirror = vars(self).get("swapped")
+        if mirror is not None and "spectral_norms" in vars(mirror):
+            return mirror.spectral_norms
         e = self.e
 
         def with_e(d):
@@ -232,8 +241,8 @@ class PerturbationPair:
     def swapped(self):
         """The pair (b, a), whose norms are ``norms.swapped``; its own ``swapped`` is this pair."""
         q = PerturbationPair(self.b, self.a, -self.e, self.fb, self.fa, self.pinv_b, self.pinv_a)
-        # no norm sees the sign of e or of b+ - a+, so nothing is recomputed
-        vars(q).update(norms=self.norms.swapped, spectral_norms=self.spectral_norms, swapped=self)
+        # no norm sees the sign of e, so nothing is recomputed
+        vars(q).update(norms=self.norms.swapped, swapped=self)
         return q
 
     @cached_property
@@ -330,7 +339,6 @@ def _product_norms(p):
         nai=fa.pinv_norm2,
         nbi=fb.pinv_norm2,
         e2=_fro2(e),
-        es=p.spectral_norms[0],
         **_oriented(e, fa, fb),
         **{k.translate(_SWAP_AB): v for k, v in mirror.items()},
     )

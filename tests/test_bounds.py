@@ -9,6 +9,7 @@ import pytest
 
 from pinvperturb import bounds
 from pinvperturb.bounds import (
+    ESTIMATOR_BY_NAME,
     ESTIMATORS,
     MU,
     BoundReport,
@@ -26,6 +27,7 @@ from pinvperturb.bounds import (
 from pinvperturb.core import ShapeError, svd_factors
 from pinvperturb.geometry import make_pair
 from pinvperturb.suite import default_specs, trial_pair
+from pinvperturb.sweeps import CLOSED_FORMS
 
 from helpers import lowrank
 
@@ -329,12 +331,21 @@ def test_zero_pair_degenerates_cleanly():
 def test_evaluate_all_order_is_stable():
     p = make_pair(np.eye(2), 2.0 * np.eye(2))
     assert [v.name for v in evaluate_all(p)] == EXPECTED_ORDER
+    # one row per name, so the name mapping drops none
+    assert list(ESTIMATOR_BY_NAME) == EXPECTED_ORDER
 
 
 def test_by_name_unknown_raises():
     rep = full_report(make_pair(np.eye(2), 2.0 * np.eye(2)))
     with pytest.raises(KeyError):
         rep.by_name("no_such_estimator")
+
+
+@pytest.mark.parametrize("example", sorted(CLOSED_FORMS))
+def test_every_tracked_sweep_column_names_an_estimator(example):
+    # a renamed row fails here rather than at the first sweep that prints it
+    tracked = set(CLOSED_FORMS[example]) - {"exact"}
+    assert tracked <= set(ESTIMATOR_BY_NAME), tracked - set(ESTIMATOR_BY_NAME)
 
 
 def _random_reports(count=40):

@@ -33,6 +33,7 @@ from pinvperturb.geometry import (
 )
 from pinvperturb.core import ShapeError, jacobi_svd, lstsq_min_norm, penrose_residuals
 from pinvperturb.suite import _factor_contract_residuals, identity_checks
+from pinvperturb.sweeps import SweepSpec, sweep_example
 
 from helpers import BACKENDS, lowrank
 
@@ -402,7 +403,30 @@ def test_identity_checks_form_each_leak_block_once(monkeypatch):
         assert len(calls) == 4, (ra, rb)
         assert p.swapped.swapped is p
         assert p.swapped.norms is p.norms.swapped
+        # the mirror read first; then a fresh pair read before its mirror
         assert p.swapped.spectral_norms is p.spectral_norms
+        q = make_pair(p.a, p.b)
+        assert q.spectral_norms is q.swapped.spectral_norms
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_spectral_norms_are_computed_only_when_read(backend, monkeypatch):
+    # the identities, the mirror and a sweep read no spectral norm
+    def refuse(x):
+        raise AssertionError("spectral_norm called")
+
+    monkeypatch.setattr(geometry, "spectral_norm", refuse)
+    rng = np.random.default_rng(53)
+    for ra, rb, count in [(3, 3, 1), (2, 3, 1), (3, 2, 4)]:
+        a = np.array([lowrank(rng, 5, 4, ra, True) for _ in range(count)])
+        b = np.array([lowrank(rng, 5, 4, rb, True) for _ in range(count)])
+        p = make_pair(a, b)
+        identity_checks(p)
+        identity_checks(p.swapped)
+        with pytest.raises(AssertionError, match="spectral_norm called"):
+            deviation_spectral(p)
+    for example in (1, 2):
+        sweep_example(SweepSpec(example=example))
 
 
 class _CountedSubtractions(np.ndarray):

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from pinvperturb import _jacobi_py, backends
 from pinvperturb.backends import available_backends, default_backend, get_kernel
-from pinvperturb.bounds import full_report
+from pinvperturb.bounds import Estimator, full_report
 from pinvperturb.core import (
     JACOBI_EPS,
     JACOBI_MAX_SWEEPS,
@@ -798,14 +798,36 @@ def test_rows_graded_over_2_to_the_1080_keep_full_rank(backend, cplx):
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("example", [1, 2])
-def test_sweep_columns_equal_per_point_reports(backend, example):
-    res = sweep_example(SweepSpec(example=example, steps=25))
+def test_sweep_columns_equal_per_point_reports(backend, example, monkeypatch):
+    # a sweep evaluates only the rows it prints, each with the bits of the same
+    # row of its stack's full report, and so of every grid point's own report
+    rows = []
+    evaluate = Estimator.evaluate
+    monkeypatch.setattr(
+        Estimator, "evaluate", lambda row, p: rows.append(row.name) or evaluate(row, p)
+    )
+    specs = [
+        SweepSpec(example=example),
+        SweepSpec(example=example, steps=1),
+        SweepSpec(example=example, tau_min=0.2, tau_max=0.3, steps=7),
+        SweepSpec(example=example, tau_min=0.45, tau_max=0.45, steps=3),
+        SweepSpec(example=example, steps=25),
+    ]
+    for spec in specs:
+        del rows[:]
+        res = sweep_example(spec)
+        assert rows == [name for name in CLOSED_FORMS[example] if name != "exact"]
+        rep = full_report(make_pair(*case_matrices(example, res.taus)))
+        for name, form in CLOSED_FORMS[example].items():
+            want = rep.exact_sq if name == "exact" else rep.by_name(name).value
+            assert res.columns[name].tobytes() == np.asarray(want).tobytes(), (spec, name)
+            assert_array_equal(res.columns[f"{name}_closed"], form(res.taus), err_msg=name)
+    # the last, 25-point sweep against each point's own report
     reps = [full_report(make_pair(*case_matrices(example, t))) for t in res.taus.tolist()]
     assert res.columns["exact"].tolist() == [r.exact_sq for r in reps]
-    for name, form in CLOSED_FORMS[example].items():
+    for name in CLOSED_FORMS[example]:
         if name != "exact":
             assert res.columns[name].tolist() == [r.by_name(name).value for r in reps], name
-        assert_array_equal(res.columns[f"{name}_closed"], form(res.taus), err_msg=name)
 
 
 def _joint_factor_cases(rng):
@@ -902,7 +924,7 @@ def test_spectral_norm_of_e_is_the_same_on_both_kernels(kernels, monkeypatch):
         es = []
         for name in ("compiled", "python"):
             monkeypatch.setenv("PINVPERTURB_BACKEND", name)
-            es.append(np.asarray(make_pair(a, b).norms.es).tobytes())
+            es.append(np.asarray(make_pair(a, b).spectral_norms[0]).tobytes())
         assert es[0] == es[1], a.shape
 
 
@@ -914,9 +936,9 @@ def test_spectral_deviation_is_the_same_whichever_norm_runs_first(backend):
         b = a + 0.1 * rng.standard_normal(shape)
         first = make_pair(a, b)
         d_first = deviation_spectral(first)
-        es_after = first.norms.es
+        es_after = first.spectral_norms[0]
         after = make_pair(a, b)
-        es_first = after.norms.es
+        es_first = after.spectral_norms[0]
         d_after = deviation_spectral(after)
         assert np.asarray(d_first).tobytes() == np.asarray(d_after).tobytes()
         assert np.asarray(es_first).tobytes() == np.asarray(es_after).tobytes()

@@ -24,7 +24,7 @@ stacks, so a column swap or sign error that u and v share, which no report
 sees, still moves a digest.  ``identities`` holds one ``name residual``
 line (``%.17g``) per ``identity_checks`` row of the same pairs, every bit
 of the exact identities that the suite shows only to three digits.
-``spectral_e`` holds |e|_2 (``norms.es``, ``%.17g``) of every reported
+``spectral_e`` holds |e|_2 (``spectral_norms[0]``, ``%.17g``) of every reported
 pair, one line each; no kernel computes it, so it is the same on both.
 ``trace`` holds, for the same pairs, the ``%.17g`` of
 ``von_neumann_sum(a, b)`` and of the real and imaginary parts of every
@@ -85,7 +85,7 @@ def _identity_lines(pairs):
 
 
 def _spectral_e_lines(pairs):
-    return "".join(f"{p.norms.es:.17g}\n" for p in pairs)
+    return "".join(f"{p.spectral_norms[0]:.17g}\n" for p in pairs)
 
 
 def _trace_lines(pairs):
