@@ -76,107 +76,6 @@ def _read_only(record, name, *value):
     raise AttributeError(f"{type(record).__name__} is read-only, cannot change {name!r}")
 
 
-def _square(name):
-    """A derived ``ProductNorms`` value: the square of ``name``, as a product."""
-    return cached_property(lambda nm: getattr(nm, name) * getattr(nm, name))
-
-
-class _ProductNormFields(NamedTuple):
-    """The 31 fields of ``ProductNorms``, the norms that need the factors or a product."""
-
-    na: float
-    nb: float
-    nai: float
-    nbi: float
-    e2: float
-    ae: float    # |a+ e|^2
-    ea: float    # |e a+|^2
-    be: float    # |b+ e|^2
-    eb: float    # |e b+|^2
-    x: float     # |b+ e a+|^2
-    y: float     # |a+ e b+|^2
-    aaeb: float  # |a a+ e b+|^2
-    aebb: float  # |a+ e b+ b|^2
-    bbea: float  # |b b+ e a+|^2
-    beaa: float  # |b+ e a+ a|^2
-    aebb_c: float  # |a+ e (I - b+ b)|^2 = ae - aebb
-    aaeb_c: float  # |(I - a a+) e b+|^2 = eb - aaeb
-    beaa_c: float  # |b+ e (I - a+ a)|^2 = be - beaa
-    bbea_c: float  # |(I - b b+) e a+|^2 = ea - bbea
-    ebb_c: float   # |e (I - b+ b)|^2 = e2 - |e b+ b|^2
-    aae_c: float   # |(I - a a+) e|^2 = e2 - |a a+ e|^2
-    eaa_c: float   # |e (I - a+ a)|^2 = e2 - |e a+ a|^2
-    bbe_c: float   # |(I - b b+) e|^2 = e2 - |b b+ e|^2
-    aebb_r: float  # aebb - y / nbi2
-    aaeb_r: float  # aaeb - y / nai2
-    beaa_r: float  # beaa - x / nai2
-    bbea_r: float  # bbea - x / nbi2
-    aebb_1: float  # nb2 y - aebb
-    aaeb_1: float  # na2 y - aaeb
-    beaa_1: float  # na2 x - beaa
-    bbea_1: float  # nb2 x - bbea
-
-
-class ProductNorms(_ProductNormFields):
-    """Ingredients shared by the deviation estimators, one value per pair.
-
-    The 31 fields are what needs the factors or a product; the rest is
-    derived from them on first use and cached.  ``na``/``nb``/``nai``/``nbi``
-    are the spectral norms of a, b and their pseudoinverses; their squares
-    ``na2`` and so on and fourth powers ``na4`` and so on are derived, as
-    products: a power of a numpy scalar goes through the C library's pow(),
-    which would give a pair other bits than its stack.  ``e2`` is |e|_F^2,
-    and the derived ``ef`` its square root; |e|_2 needs no factor, and is
-    ``PerturbationPair.spectral_norms[0]``.  The other fields are the
-    squared Frobenius norms of the projected perturbation products named
-    beside them.  With a = ua Sa va* and b = ub Sb vb* at
-    their ranks, those through (a, e) are read from three thin blocks,
-    F = ua* e, G = e vb and C = ua* e vb (``_oriented``); their mirrors
-    from the same blocks with a and b exchanged.  A ``_c`` field is a
-    Pythagorean complement, taken as the norm of a projected block, such
-    as Sa^-1 (F - C vb*) for ``aebb_c``, rather than as the equal
-    difference noted beside it, which cancels.  A ``_r`` or ``_1`` field
-    is such a difference too, taken as a sum of non-negative terms.  With
-    c_i the columns of Sa^-1 C and s_1 >= ... >= s_r the singular values of
-    b, ``aebb`` = sum_i |c_i|^2 and ``y`` = sum_i |c_i|^2 / s_i^2, so
-    ``aebb_r`` = sum_i (1 - (s_r/s_i)^2) |c_i|^2 and ``aebb_1`` =
-    sum_i ((s_1/s_i)^2 - 1) |c_i|^2; ``aaeb_r`` and ``aaeb_1`` weigh the
-    rows of C Sb^-1 by the singular values of a in the same way.  Since
-    ae = aebb_c + aebb, ae - y / nbi2 = aebb_c + aebb_r and
-    ae - nb2 y = aebb_c - aebb_1, and the same holds for eb with the
-    ``aaeb`` fields.  So ``gamma_upper`` adds the non-negative ``aebb_r``
-    and ``aaeb_r`` to the complements that ``alpha_upper`` scales, and
-    ``gamma_lower`` subtracts the non-negative ``aebb_1`` and ``aaeb_1``
-    from those that ``alpha_lower`` scales.  Rounding is monotone, so
-    gamma_upper >= alpha_upper and gamma_lower <= alpha_lower hold by
-    construction, whatever the rounding of the blocks.
-    """
-
-    na2 = _square("na")
-    nb2 = _square("nb")
-    nai2 = _square("nai")
-    nbi2 = _square("nbi")
-    na4 = _square("na2")
-    nb4 = _square("nb2")
-    nai4 = _square("nai2")
-    nbi4 = _square("nbi2")
-    ef = cached_property(lambda nm: np.sqrt(nm.e2))
-
-    __setattr__ = __delattr__ = _read_only
-
-    @cached_property
-    def swapped(self):
-        """The same norms for the pair with a and b exchanged."""
-        return ProductNorms(*_mirrored_fields(self))
-
-
-# a field's counterpart under a <-> b swaps a with b and x with y in its name;
-# e2 is its own, and the derived values follow their fields
-_SWAP_AB = str.maketrans("abxy", "bayx")
-# the mirror's field values in ProductNorms' positional order
-_mirrored_fields = attrgetter(*(name.translate(_SWAP_AB) for name in ProductNorms._fields))
-
-
 class PerturbationPair:
     """A same-shape pair, or a stack of them, with both factorizations and pseudoinverses.
 
@@ -283,20 +182,39 @@ def _weighted(sq, s, dot):
     return dot((1.0 - low) * (1.0 + low), sq), dot((high - 1.0) * (high + 1.0), sq)
 
 
-def _oriented(e, fa, fb):
-    """The squared product norms of one orientation, by their a-side names.
+# The squared product norms of one orientation, in the order ``_oriented``
+# returns them: each with its product, and the thin block it is read from.
+_ORIENTED = (
+    "ae",      # |a+ e|^2 = |Sa^-1 F|^2
+    "eb",      # |e b+|^2 = |G Sb^-1|^2
+    "y",       # |a+ e b+|^2 = |Sa^-1 C Sb^-1|^2
+    "aaeb",    # |a a+ e b+|^2 = |C Sb^-1|^2
+    "aebb",    # |a+ e b+ b|^2 = |Sa^-1 C|^2
+    "aebb_c",  # |a+ e (I - b+ b)|^2 = ae - aebb, as |Sa^-1 (F - C vb*)|^2
+    "aaeb_c",  # |(I - a a+) e b+|^2 = eb - aaeb, as |(G - ua C) Sb^-1|^2
+    "ebb_c",   # |e (I - b+ b)|^2 = e2 - |e b+ b|^2, as |e - G vb*|^2
+    "aae_c",   # |(I - a a+) e|^2 = e2 - |a a+ e|^2, as |e - ua F|^2
+    "aebb_r",  # aebb - y / nbi2, as a sum over the columns of Sa^-1 C
+    "aebb_1",  # nb2 y - aebb, as a sum over the columns of Sa^-1 C
+    "aaeb_r",  # aaeb - y / nai2, as a sum over the rows of C Sb^-1
+    "aaeb_1",  # na2 y - aaeb, as a sum over the rows of C Sb^-1
+)
+# a norm's mirror, the same norm of the pair (b, a), swaps a with b and x
+# with y in its name; e2 is its own, and the derived values follow their fields
+_SWAP_AB = str.maketrans("abxy", "bayx")
 
-    ``fa`` and ``fb`` are the factors of a and b, with a+ = va Sa^-1 ua* and
-    b+ = vb Sb^-1 ub*.  Every norm is read from three thin blocks,
-    F = ua* e (r_a x n), G = e vb (m x r_b) and C = F vb = ua* e vb
-    (r_a x r_b): the orthonormal columns of va and ub drop out of a
-    Frobenius norm, and a a+ = ua ua*, b+ b = vb vb*.  So |a+ e|^2 =
-    |Sa^-1 F|^2, |e b+|^2 = |G Sb^-1|^2, |a+ e b+|^2 = |Sa^-1 C Sb^-1|^2,
-    |a a+ e b+|^2 = |C Sb^-1|^2, |a+ e b+ b|^2 = |Sa^-1 C|^2, and the
-    complements are |Sa^-1 (F - C vb*)|^2, |(G - ua C) Sb^-1|^2,
-    |e - G vb*|^2 and |e - ua F|^2.  The ``_r`` and ``_1`` sums weigh the
-    columns of Sa^-1 C and the rows of C Sb^-1 (see ``ProductNorms``).  No
-    block is larger than e.
+
+def _oriented(e, fa, fb):
+    """The ``_ORIENTED`` norms of the pair with factors ``fa`` and ``fb``, as a tuple in that order.
+
+    With a+ = va Sa^-1 ua* and b+ = vb Sb^-1 ub*, every norm is read from
+    three thin blocks, F = ua* e (r_a x n), G = e vb (m x r_b) and
+    C = F vb = ua* e vb (r_a x r_b): the orthonormal columns of va and ub
+    drop out of a Frobenius norm, and a a+ = ua ua*, b+ b = vb vb*.  No
+    block is larger than e.  A ``_c`` norm is the norm of its projected
+    block, not the equal difference, which cancels; a ``_r`` or ``_1`` norm
+    is such a difference too, taken as a sum of non-negative terms (see
+    ``ProductNorms``).
     """
     ua, vb = fa.u1, fb.v1
     sa, sb = fa.sigma1[..., :, None], fb.sigma1[..., None, :]
@@ -310,37 +228,88 @@ def _oriented(e, fa, fb):
         cols, rows, dot = np.vecdot(ac, ac, axis=-2).real, np.vecdot(cb, cb).real, np.vecdot
     else:
         cols, rows, dot = _real_dot(ac, ac, axis=-2), _real_dot(cb, cb), _real_dot
-    aebb_r, aebb_1 = _weighted(cols, fb.sigma1, dot)
-    aaeb_r, aaeb_1 = _weighted(rows, fa.sigma1, dot)
-    return {
-        "ae": _fro2(f / sa),
-        "eb": _fro2(g / sb),
-        "y": _fro2(ac / sb),
-        "aaeb": _fro2(cb),
-        "aebb": _fro2(ac),
-        "aebb_c": _fro2((f - c @ vbh) / sa),
-        "aaeb_c": _fro2((g - ua @ c) / sb),
-        "ebb_c": _fro2(e - g @ vbh),
-        "aae_c": _fro2(e - ua @ f),
-        "aebb_r": aebb_r,
-        "aaeb_r": aaeb_r,
-        "aebb_1": aebb_1,
-        "aaeb_1": aaeb_1,
-    }
+    return (
+        _fro2(f / sa),
+        _fro2(g / sb),
+        _fro2(ac / sb),
+        _fro2(cb),
+        _fro2(ac),
+        _fro2((f - c @ vbh) / sa),
+        _fro2((g - ua @ c) / sb),
+        _fro2(e - g @ vbh),
+        _fro2(e - ua @ f),
+        *_weighted(cols, fb.sigma1, dot),
+        *_weighted(rows, fa.sigma1, dot),
+    )
+
+
+def _square(name):
+    """A derived ``ProductNorms`` value: the square of ``name``, as a product.
+
+    Not a power: a power of a numpy scalar goes through the C library's
+    pow(), which would give a pair other bits than its stack.
+    """
+    return cached_property(lambda nm: getattr(nm, name) * getattr(nm, name))
+
+
+# na, nb, nai and nbi are the spectral norms of a, b, a+ and b+, and e2 is
+# |e|_F^2; the oriented norms of the pair (a, b) follow, then their mirrors
+_ProductNormFields = NamedTuple(
+    "_ProductNormFields",
+    [
+        (name, float)
+        for name in ("na", "nb", "nai", "nbi", "e2", *_ORIENTED, *(n.translate(_SWAP_AB) for n in _ORIENTED))
+    ],
+)
+
+
+class ProductNorms(_ProductNormFields):
+    """Ingredients shared by the deviation estimators, one value per pair.
+
+    Why ``gamma_upper`` >= ``alpha_upper`` and ``gamma_lower`` <=
+    ``alpha_lower`` whatever the rounding of the blocks: with c_i the
+    columns of Sa^-1 C and s_1 >= ... >= s_r the singular values of b,
+    ``aebb`` = sum_i |c_i|^2 and ``y`` = sum_i |c_i|^2 / s_i^2, so
+    ``aebb_r`` = sum_i (1 - (s_r/s_i)^2) |c_i|^2 and ``aebb_1`` =
+    sum_i ((s_1/s_i)^2 - 1) |c_i|^2; ``aaeb_r`` and ``aaeb_1`` weigh the
+    rows of C Sb^-1 by the singular values of a in the same way.  Since
+    ae = aebb_c + aebb, ae - y / nbi2 = aebb_c + aebb_r and
+    ae - nb2 y = aebb_c - aebb_1, and the same holds for eb with the
+    ``aaeb`` fields.  So ``gamma_upper`` adds the non-negative ``aebb_r``
+    and ``aaeb_r`` to the complements that ``alpha_upper`` scales, and
+    ``gamma_lower`` subtracts the non-negative ``aebb_1`` and ``aaeb_1``
+    from those that ``alpha_lower`` scales.  Rounding is monotone, so both
+    orderings hold by construction.
+    """
+
+    na2 = _square("na")
+    nb2 = _square("nb")
+    nai2 = _square("nai")
+    nbi2 = _square("nbi")
+    na4 = _square("na2")
+    nb4 = _square("nb2")
+    nai4 = _square("nai2")
+    nbi4 = _square("nbi2")
+    ef = cached_property(lambda nm: np.sqrt(nm.e2))
+
+    __setattr__ = __delattr__ = _read_only
+
+    @cached_property
+    def swapped(self):
+        """The same norms for the pair with a and b exchanged."""
+        return ProductNorms(*_mirrored_fields(self))
+
+
+# the mirror's field values in ProductNorms' positional order
+_mirrored_fields = attrgetter(*(name.translate(_SWAP_AB) for name in ProductNorms._fields))
 
 
 def _product_norms(p):
     fa, fb, e = p.fa, p.fb, p.e
     # the mirror's perturbation is -e, whose sign no squared norm sees
-    mirror = _oriented(e, fb, fa)
     return ProductNorms(
-        na=fa.norm2,
-        nb=fb.norm2,
-        nai=fa.pinv_norm2,
-        nbi=fb.pinv_norm2,
-        e2=_fro2(e),
-        **_oriented(e, fa, fb),
-        **{k.translate(_SWAP_AB): v for k, v in mirror.items()},
+        fa.norm2, fb.norm2, fa.pinv_norm2, fb.pinv_norm2, _fro2(e),
+        *_oriented(e, fa, fb), *_oriented(e, fb, fa),
     )
 
 

@@ -6,8 +6,6 @@ import ctypes
 import functools
 import shutil
 import subprocess
-import sysconfig
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,13 +33,10 @@ from pinvperturb.sweeps import CLOSED_FORMS, SweepSpec, case_matrices, sweep_exa
 
 from helpers import BACKENDS, NO_COMPILED, lowrank
 
-# the name setuptools gives the built kernel
-BUILT_KERNEL = Path(backends.__file__).with_name("_jacobi" + sysconfig.get_config_var("EXT_SUFFIX"))
-
 
 @pytest.mark.skipif(
-    not BUILT_KERNEL.exists(),
-    reason=f"no built {BUILT_KERNEL.name} next to backends.py (setup.py build not run)",
+    not backends._LIBRARY.exists(),
+    reason=f"no built {backends._LIBRARY.name} next to backends.py (setup.py build not run)",
 )
 def test_both_backends_present_when_built():
     assert "python" in available_backends()
