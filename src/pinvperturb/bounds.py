@@ -9,6 +9,12 @@ applicable, with the first such reason.  ``full_report`` evaluates the
 whole table, forms the tightest envelope from the applicable squared
 estimates, and can check it against the exact deviation.
 
+The eight unsquared rows follow one rule, ``_unsquared``: Wedin's
+general-rank bound mu * max(|a+|, |b+|)^2 * |e| and its equal-rank
+refinement nu * |a+| * |b+| * |e| in the spectral, Frobenius and unitarily
+invariant norms, then both with constant 1 in the Frobenius norm (Meng and
+Zheng).  The unitarily invariant rows are declared, never evaluated.
+
 The table is evaluated on arrays: for a stack of pairs, each value is an
 array with one entry per pair, from the same arithmetic as one pair's.  A
 requirement reads only the shape and the two ranks, which every pair of a
@@ -112,14 +118,6 @@ def _full_column_rank_both(m, n, ra, rb):
     return "" if ra == rb == n else f"needs both ranks equal to {n}, got {ra} and {rb}"
 
 
-def _no_single_norm(constant):
-    """Never met: the bound holds with ``constant`` for every unitarily invariant norm."""
-    return lambda m, n, ra, rb: (
-        f"constant {constant(m, n, ra, rb):g} holds for every unitarily "
-        "invariant norm; no single norm to evaluate"
-    )
-
-
 class Estimator(NamedTuple):
     """One row of the family; ``formula(p.norms, p)`` runs only when every hypothesis is met."""
 
@@ -139,10 +137,6 @@ class Estimator(NamedTuple):
         if self.kind == "lower":
             value = np.maximum(value, 0.0)
         return BoundValue(self.name, self.kind, self.target, self.norm, value)
-
-
-def _nu(p, norm):
-    return equal_rank_multiplier(*p.shape, p.rank_a, norm)
 
 
 def _li_refined(nm, p):
@@ -257,46 +251,39 @@ def _epsilon_lower(nm):
     return (nm.e2 - np.minimum(nm.na2 * nm.bbea, nm.nb2 * nm.beaa)) / pref + nm.x
 
 
-# The whole family in its fixed report order.  The unsquared rows are the
-# general-rank bound mu * max(|a+|, |b+|)^2 * |e|, its equal-rank refinement
-# nu * |a+| * |b+| * |e|, and both again with constant 1 in the Frobenius norm.
+def _unsquared(name, constant, norm, equal_rank=False):
+    """One unsquared upper bound in ``norm``, with c = ``constant(m, n, rank_a, norm)``.
+
+    The row reads c * max(|a+|_2, |b+|_2)^2 * |e|, or with ``equal_rank``
+    c * |a+|_2 * |b+|_2 * |e| for pairs of equal rank.  A unitarily invariant
+    row is declared only: its constant holds for every such norm, so its
+    requirement is never met and names the constant.
+    """
+    requires = (_equal_ranks,) if equal_rank else ()
+    if norm == UI:
+
+        def no_single_norm(m, n, ra, rb):
+            return (
+                f"constant {constant(m, n, ra, UI):g} holds for every unitarily "
+                "invariant norm; no single norm to evaluate"
+            )
+
+        return Estimator(name, "upper", None, (*requires, no_single_norm), NORM, UI)
+
+    def formula(nm, p):
+        c = constant(*p.shape, p.rank_a, norm)
+        scale = c * nm.nai * nm.nbi if equal_rank else c * np.maximum(nm.nai2, nm.nbi2)
+        return scale * (p.spectral_norms[0] if norm == "spectral" else nm.ef)
+
+    return Estimator(name, "upper", formula, requires, NORM, norm)
+
+
+# The whole family in its fixed report order, the unsquared rows first.
 ESTIMATORS = (
-    Estimator(
-        "wedin_spectral", "upper",
-        lambda nm, p: MU["spectral"] * np.maximum(nm.nai2, nm.nbi2) * p.spectral_norms[0],
-        target=NORM, norm="spectral",
-    ),
-    Estimator(
-        "wedin_frobenius", "upper",
-        lambda nm, p: MU["frobenius"] * np.maximum(nm.nai2, nm.nbi2) * nm.ef,
-        target=NORM,
-    ),
-    Estimator(
-        "wedin_unitarily_invariant", "upper", None,
-        (_no_single_norm(lambda m, n, ra, rb: MU[UI]),), target=NORM, norm=UI,
-    ),
-    Estimator(
-        "wedin_equal_rank_spectral", "upper",
-        lambda nm, p: _nu(p, "spectral") * nm.nai * nm.nbi * p.spectral_norms[0],
-        (_equal_ranks,), target=NORM, norm="spectral",
-    ),
-    Estimator(
-        "wedin_equal_rank_frobenius", "upper",
-        lambda nm, p: _nu(p, "frobenius") * nm.nai * nm.nbi * nm.ef,
-        (_equal_ranks,), target=NORM,
-    ),
-    Estimator(
-        "wedin_equal_rank_unitarily_invariant", "upper", None,
-        (_equal_ranks, _no_single_norm(lambda m, n, ra, rb: equal_rank_multiplier(m, n, ra, UI))),
-        target=NORM, norm=UI,
-    ),
-    Estimator(
-        "meng_zheng", "upper", lambda nm, p: np.maximum(nm.nai2, nm.nbi2) * nm.ef, target=NORM
-    ),
-    Estimator(
-        "meng_zheng_equal_rank", "upper", lambda nm, p: nm.nai * nm.nbi * nm.ef,
-        (_equal_ranks,), target=NORM,
-    ),
+    *(_unsquared(f"wedin_{norm}", lambda m, n, r, nrm: MU[nrm], norm) for norm in MU),
+    *(_unsquared(f"wedin_equal_rank_{norm}", equal_rank_multiplier, norm, True) for norm in MU),
+    _unsquared("meng_zheng", lambda m, n, r, nrm: 1.0, "frobenius"),
+    _unsquared("meng_zheng_equal_rank", lambda m, n, r, nrm: 1.0, "frobenius", True),
     Estimator("li_refined", "upper", _li_refined, (_pinv_nonzero,)),
     Estimator(
         "li_full_column_rank", "upper", _li_full_column_rank,

@@ -114,14 +114,9 @@ class PerturbationPair:
         matrix the bits of its conjugate transpose and a stack those of its
         matrices, so the values are those of two separate calls.  No kernel
         runs.  Only the spectral rows of a report and ``deviation_spectral``
-        read them, so a pair that prints neither never computes them.  A pair
-        and its ``swapped`` share the tuple of whichever is read first, since
-        no norm sees the sign of e or of b+ - a+.  An arithmetic error names
-        the exact deviation.
+        read them, so a pair that prints neither never computes them.  An
+        arithmetic error names the exact deviation.
         """
-        mirror = vars(self).get("swapped")
-        if mirror is not None and "spectral_norms" in vars(mirror):
-            return mirror.spectral_norms
         e = self.e
 
         def with_e(d):

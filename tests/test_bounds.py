@@ -12,6 +12,8 @@ from pinvperturb.bounds import (
     ESTIMATOR_BY_NAME,
     ESTIMATORS,
     MU,
+    NORM,
+    UI,
     BoundReport,
     Estimator,
     envelope_ok,
@@ -29,7 +31,7 @@ from pinvperturb.geometry import make_pair
 from pinvperturb.suite import default_specs, trial_pair
 from pinvperturb.sweeps import CLOSED_FORMS
 
-from helpers import lowrank
+from helpers import BACKENDS, lowrank
 
 EXPECTED_ORDER = [
     "wedin_spectral",
@@ -187,6 +189,51 @@ def _ui_reason(constant):
     return f"constant {constant} holds for every unitarily invariant norm; no single norm to evaluate"
 
 
+# each unsquared row: its norm, its constant c(m, n, rank) and whether it
+# reads |a+|_2 |b+|_2 (equal ranks) or max(|a+|_2, |b+|_2)^2
+UNSQUARED = {
+    "wedin_spectral": ("spectral", lambda m, n, r: MU["spectral"], False),
+    "wedin_frobenius": ("frobenius", lambda m, n, r: MU["frobenius"], False),
+    "wedin_unitarily_invariant": (UI, lambda m, n, r: MU[UI], False),
+    "wedin_equal_rank_spectral": (
+        "spectral", lambda m, n, r: equal_rank_multiplier(m, n, r, "spectral"), True
+    ),
+    "wedin_equal_rank_frobenius": (
+        "frobenius", lambda m, n, r: equal_rank_multiplier(m, n, r, "frobenius"), True
+    ),
+    "wedin_equal_rank_unitarily_invariant": (
+        UI, lambda m, n, r: equal_rank_multiplier(m, n, r, UI), True
+    ),
+    "meng_zheng": ("frobenius", lambda m, n, r: 1.0, False),
+    "meng_zheng_equal_rank": ("frobenius", lambda m, n, r: 1.0, True),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_unsquared_rows_equal_their_formulas(backend):
+    assert [row.name for row in ESTIMATORS if row.target == NORM] == list(UNSQUARED)
+    rng = np.random.default_rng(37)
+    for (m, n), cplx in itertools.product([(3, 3), (4, 3), (3, 5)], [False, True]):
+        for ra, rb in itertools.product(range(min(m, n) + 1), repeat=2):
+            a, b = lowrank(rng, m, n, ra, cplx), lowrank(rng, m, n, rb, cplx)
+            p = make_pair(a, b)
+            assert (p.rank_a, p.rank_b) == (ra, rb)
+            rep = full_report(p)
+            nai, nbi = (np.linalg.norm(np.linalg.pinv(x, rtol=1e-10), 2) for x in (a, b))
+            e = {"spectral": np.linalg.norm(b - a, 2), "frobenius": np.linalg.norm(b - a)}
+            for name, (norm, constant, equal_rank) in UNSQUARED.items():
+                v, c = rep.by_name(name), constant(m, n, ra)
+                assert (v.norm_used, v.target, v.kind) == (norm, NORM, "upper")
+                if equal_rank and ra != rb:
+                    assert v.reason == f"needs equal ranks, got {ra} and {rb}"
+                elif norm == UI:
+                    assert v.reason == _ui_reason(f"{c:g}"), (name, m, n, ra)
+                else:
+                    scale = c * nai * nbi if equal_rank else c * max(nai, nbi) ** 2
+                    expected = scale * e[norm]
+                    assert v.value == pytest.approx(expected, rel=1e-10), (name, m, n, ra, rb)
+
+
 PINV_ZERO = "needs both operands nonzero, a pseudoinverse norm is 0"
 SPECTRAL_ZERO = "needs both operands nonzero, a spectral norm is 0"
 
@@ -309,7 +356,8 @@ def test_requirements_give_no_reason_exactly_when_met():
     used = {req for row in ESTIMATORS for req in row.requires}
     assert set(HYPOTHESES) <= used
     for req in used:
-        holds = HYPOTHESES.get(req, lambda m, n, ra, rb: False)  # _no_single_norm is never met
+        # the requirement of a unitarily invariant row is never met
+        holds = HYPOTHESES.get(req, lambda m, n, ra, rb: False)
         for f in facts:
             reason = req(*f)
             assert isinstance(reason, str) and (reason == "") == holds(*f), (req.__name__, f)
@@ -364,6 +412,56 @@ def test_envelope_and_norm_domination_random():
     for _, rep in _random_reports():
         assert envelope_ok(rep)
         assert norm_bounds_ok(rep)
+
+
+def _row_graded_pair():
+    rng = np.random.default_rng(4043160076)
+    rows = np.array([-51, 0, 51])[:, None]
+    a = np.ldexp(rng.standard_normal((3, 4)), rows)
+    return a, np.ldexp(rng.standard_normal((3, 4)), rows)
+
+
+def _small_rank_one_pair():
+    rng = np.random.default_rng(0)
+    a = np.outer(rng.standard_normal(3), rng.standard_normal(2))
+    return a, 1e-12 * np.outer(rng.standard_normal(3), rng.standard_normal(2))
+
+
+def _one_ulp_pair():
+    rng = np.random.default_rng(0)
+    m, n = rng.integers(2, 7, 2)
+    a = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    b = a.copy()
+    b[0, 0] = np.nextafter(a[0, 0], np.inf)
+    return 1e-20 * a, 1e-20 * b
+
+
+def _known_miss(pair, reason):
+    miss = pytest.mark.xfail(raises=AssertionError, strict=True, reason=reason)
+    return pytest.param(pair, marks=miss, id=pair.__name__)
+
+
+# known envelope misses, each pinned until its ROADMAP item lands and flips it
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+@pytest.mark.parametrize(
+    "pair",
+    [
+        _known_miss(
+            _row_graded_pair,
+            "ROADMAP item 19: the complement norms cancel on this row-graded pair (0.118)",
+        ),
+        _known_miss(
+            _small_rank_one_pair,
+            "ROADMAP item 19: the complement norms cancel when b is 1e-12 beside a (4.2e-6)",
+        ),
+        _known_miss(
+            _one_ulp_pair,
+            "ROADMAP item 8: the exact b+ - a+ of this one-ulp pair subtracts to 0.0",
+        ),
+    ],
+)
+def test_known_envelope_misses(backend, pair):
+    assert envelope_ok(full_report(make_pair(*pair())))
 
 
 def test_sharpness_orderings_random():
