@@ -16,6 +16,8 @@ All numbers print with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
 
@@ -183,17 +185,27 @@ def build_parser():
     return parser
 
 
+def _file_error(exc):
+    """Print the one ``error:`` line for an ``OSError``; return exit status 2."""
+    # a failed read names its file; a failed write is an OutputError, or names none (stdout)
+    verb = "write" if exc.filename is None or isinstance(exc, OutputError) else "read"
+    path = sys.stdout.name if exc.filename is None else exc.filename
+    print(f"error: cannot {verb} {path}: {exc.strerror}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
+    """Run one command line in this process and return its exit status.
+
+    A usage error raises ``SystemExit(2)``.  The garbage collector is left as
+    it is: ``run`` is the entry of a process.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:
-        # a failed read names its file; a failed write is an OutputError, or names none (stdout)
-        verb = "write" if exc.filename is None or isinstance(exc, OutputError) else "read"
-        path = sys.stdout.name if exc.filename is None else exc.filename
-        print(f"error: cannot {verb} {path}: {exc.strerror}", file=sys.stderr)
-        return 2
+        return _file_error(exc)
     except ValueError as exc:  # a MatrixFormatError and a ShapeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -202,5 +214,33 @@ def main(argv=None):
         return 3
 
 
+def run():
+    """The entry of a ``pinvperturb`` process: ``main()`` on ``sys.argv``, then its exit status.
+
+    The ``pinvperturb`` script, ``python -m pinvperturb`` and ``python -m
+    pinvperturb.cli`` start here.  It freezes the objects that the imports
+    left (``gc.freeze``), so that the collections at interpreter exit do not
+    walk them, the largest part of a short process's exit.  It flushes
+    standard output itself, so that a closed pipe there gives the one
+    ``error: cannot write <stdout>:`` line and exit 2, not a failed flush at
+    interpreter exit.
+    """
+    gc.freeze()
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        status = exc.code
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        # what is left in the buffer cannot be written: send it to devnull, so
+        # that the interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # a command that failed has said so already
+        return status or _file_error(exc)
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

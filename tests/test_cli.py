@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import io
 import os
 import subprocess
@@ -416,13 +417,100 @@ def test_sweep_stdout(capsys):
     assert len(lines) == 4
 
 
-def _fresh_python(*argv):
+def _fresh_python(*argv, stdout=subprocess.PIPE, unbuffered=False):
     """A new interpreter on ``argv``, importing the package from this checkout's ``src``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60, check=False
+        [sys.executable, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        timeout=60, check=False,
     )
+
+
+# every way a process starts; the script's target is checked against pyproject.toml below
+PROCESS_ENTRIES = {
+    "python-m-cli": ["-m", "pinvperturb.cli"],
+    "python-m-package": ["-m", "pinvperturb"],
+    "console-script": ["-c", "import sys\nfrom pinvperturb.cli import run\nsys.exit(run())"],
+}
+
+
+@pytest.mark.parametrize("entry", PROCESS_ENTRIES.values(), ids=PROCESS_ENTRIES)
+@pytest.mark.parametrize("case", ["bounds", "missing-file", "usage"])
+def test_process_entries_match_in_process_main(pair_files, capsys, monkeypatch, entry, case):
+    # argparse wraps its usage line to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    a, b = pair_files
+    argv = {
+        "bounds": ["bounds", a, b],
+        "missing-file": ["bounds", a, "/no/such/file.mat"],
+        "usage": ["bounds", a],
+    }[case]
+    proc = _fresh_python(*entry, *argv)
+    try:
+        status = cli.main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, captured.out, captured.err)
+
+
+@pytest.mark.parametrize(
+    "command, unbuffered",
+    [
+        ("bounds", False), ("bounds", True),
+        ("verify-identities", False), ("verify-identities", True),
+        ("sweep", False), ("sweep", True),
+        ("--help", False),
+    ],
+    ids=lambda v: {False: "buffered", True: "unbuffered"}.get(v, v),
+)
+def test_closed_stdout_pipe_exit2_with_one_error_line(pair_files, command, unbuffered):
+    # a report shorter than the stdout buffer fails only when it is flushed; a sweep table
+    # fills the buffer and fails while it is written
+    argv = {
+        "bounds": ["bounds", *pair_files],
+        "verify-identities": ["verify-identities", *pair_files],
+        "sweep": ["sweep", "--example", "1"],
+        "--help": ["--help"],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_python("-m", "pinvperturb.cli", *argv, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write <stdout>: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_process_without_stdout_still_writes_its_file(tmp_path, pair_files):
+    # a process started with fd 1 closed (`>&-`) has sys.stdout None, and print() skips it
+    out = tmp_path / "x.mat"
+    script = "import sys\nsys.stdout = None\nfrom pinvperturb.cli import run\nsys.exit(run())"
+    proc = _fresh_python("-c", script, "pinv", pair_files[0], "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_text(encoding="utf-8").endswith("2 2 real\n1 0\n0 0\n")
+
+
+def test_only_the_process_entry_freezes_the_heap(pair_files, capsys):
+    frozen = gc.get_freeze_count()
+    assert cli.main(["bounds", *pair_files]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+    script = (
+        "import gc, sys\n"
+        "from pinvperturb.cli import run\n"
+        "status = run()\n"
+        "print(status, gc.get_freeze_count() > 0, gc.isenabled(), file=sys.stderr)\n"
+    )
+    proc = _fresh_python("-c", script, "bounds", *pair_files)
+    assert proc.returncode == 0
+    assert proc.stderr == "0 True True\n"
 
 
 def test_python_m_runs_uninstalled_checkout(capsys):
@@ -552,9 +640,9 @@ def test_console_entry_point_registered():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
-    assert scripts.get("pinvperturb") == "pinvperturb.cli:main"
+    assert scripts.get("pinvperturb") == "pinvperturb.cli:run"
     ep = metadata.EntryPoint(name="pinvperturb", value=scripts["pinvperturb"], group="console_scripts")
-    assert ep.load() is cli.main
+    assert ep.load() is cli.run
 
 
 def _installed():
@@ -570,4 +658,5 @@ def test_console_entry_point_installed():
     eps = metadata.entry_points(group="console_scripts")
     match = [ep for ep in eps if ep.name == "pinvperturb"]
     assert match
-    assert match[0].value == "pinvperturb.cli:main"
+    assert match[0].value == "pinvperturb.cli:run"
+    assert match[0].load() is cli.run
