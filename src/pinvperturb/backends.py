@@ -100,7 +100,7 @@ def default_backend():
                 f"PINVPERTURB_BACKEND={forced!r} is not a backend, expected 'compiled' or 'python'"
             )
         return forced
-    return "compiled" if _jacobi is not None else "python"
+    return available_backends()[0]
 
 
 def get_kernel(backend=None):

@@ -7,9 +7,9 @@ Subcommands:
   suite               randomized property suite
   sweep               closed-form parameter sweep (cases 1 and 2)
 
-Exit codes: 0 success, 2 usage, input or file error (an unknown
-``PINVPERTURB_BACKEND`` included), 3 numerical invariant violation or
-numerical failure (no convergence, overflow, a missing kernel backend).
+Exit codes: 0 success; 2 usage, input or file error (an unknown
+``PINVPERTURB_BACKEND``, ``--help`` into a closed pipe); 3 numerical invariant
+violation or failure (no convergence, overflow, no kernel backend, no memory).
 All numbers print with 17 significant digits.
 """
 
@@ -85,7 +85,7 @@ def cmd_verify_identities(args):
     p = make_pair(load(args.a), load(args.b), tol=args.tol)
     bad = 0
     for name, resid in identity_checks(p):
-        tol = PROPERTIES[name].tol
+        tol = PROPERTIES[name]
         ok = resid <= tol
         status = "ok" if ok else "VIOLATION"
         print(f"{status} {name} residual={format_float(resid)} tol={format_float(tol)}")
@@ -136,8 +136,17 @@ def _integer_from(low):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that raises the ``OSError`` of a failed write to stdout, which argparse drops."""
+
+    def _print_message(self, message, file=None):
+        if file is None or file is sys.stderr:  # nothing could report a failed write there
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pinvperturb",
         description=(
             "Moore-Penrose inverses via one-sided Jacobi SVD, and the family "
@@ -200,16 +209,15 @@ def main(argv=None):
     A usage error raises ``SystemExit(2)``.  The garbage collector is left as
     it is: ``run`` is the entry of a process.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         return _file_error(exc)
     except ValueError as exc:  # a MatrixFormatError and a ShapeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -47,11 +47,15 @@ from .core import (
 def _fro2(x):
     """Squared Frobenius norm, one per matrix of a stack; 0.0 for empty blocks.
 
-    A complex block is summed row-major as ``np.vdot(x, x)`` sums it, a real
-    one by ``_real_dot``.
+    A block is summed row-major by ``_field_dot``, a complex one as ``np.vdot(x, x)`` sums it.
     """
     f = x.reshape(x.shape[:-2] + (-1,))
-    return np.vecdot(f, f).real if np.iscomplexobj(f) else _real_dot(f, f)
+    return _field_dot(f)(f, f).real
+
+
+def _field_dot(x):
+    """The dot product for the field of ``x``: ``np.vecdot`` if complex, else ``_real_dot``."""
+    return np.vecdot if np.iscomplexobj(x) else _real_dot
 
 
 def _real_dot(x, y, axis=-1):
@@ -219,10 +223,8 @@ def _oriented(e, fa, fb):
     vbh = conj_transpose(vb)
     ac = c / sa  # its column i has the norm of a+ e v_i
     cb = c / sb  # its row i has the norm of u_i* e b+
-    if np.iscomplexobj(c):
-        cols, rows, dot = np.vecdot(ac, ac, axis=-2).real, np.vecdot(cb, cb).real, np.vecdot
-    else:
-        cols, rows, dot = _real_dot(ac, ac, axis=-2), _real_dot(cb, cb), _real_dot
+    dot = _field_dot(c)
+    cols, rows = dot(ac, ac, axis=-2).real, dot(cb, cb).real
     return (
         _fro2(f / sa),
         _fro2(g / sb),

@@ -14,7 +14,6 @@ may drop, so a nan fails its property; only the sentinel drops one.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,56 +41,45 @@ DEFAULT_TRIALS = 500
 DEFAULT_VN_TRIALS = 200
 SUITE_CONDITION_CAP = 1e4
 
-TOL_UNITARY = 1e-12
-TOL_RECON = 1e-12
-TOL_PENROSE = 1e-10
 TOL_IDENTITY = 1e-9
+SENTINEL = "mutation_sentinel"  # corrupted_alpha_upper's property: it passes only when violated
 
-
-class Property(NamedTuple):
-    """Registry entry: the residual tolerance, and whether violations are the goal."""
-
-    tol: float
-    expect_violation: bool = False
-
-
-# every property in report order, with its tolerance; the sentinel passes
-# only when it is violated somewhere
+# every property in report order, with its tolerance
 PROPERTIES = {
-    "svd_unitarity": Property(TOL_UNITARY),
-    "svd_reconstruction": Property(TOL_RECON),
-    "penrose": Property(TOL_PENROSE),
-    "pinv_involution": Property(TOL_IDENTITY),
-    "pinv_spectral_reciprocal": Property(TOL_IDENTITY),
-    "lstsq_residual_optimal": Property(TOL_IDENTITY),
-    "lstsq_min_norm": Property(TOL_IDENTITY),
-    "identity_sum_a": Property(TOL_IDENTITY),
-    "identity_sum_b": Property(TOL_IDENTITY),
-    "cross_term_blocks": Property(TOL_IDENTITY),
-    "proof_identity_u": Property(TOL_IDENTITY),
-    "proof_identity_v": Property(TOL_IDENTITY),
-    "energy_split_a": Property(TOL_IDENTITY),
-    "energy_split_b": Property(TOL_IDENTITY),
-    "equal_rank_angles": Property(TOL_IDENTITY),
-    "angle_sandwich": Property(TOL_IDENTITY),
-    "bound_sandwich": Property(TOL_BOUND),
-    "norm_bound_domination": Property(TOL_BOUND),
-    "bound_orderings": Property(TOL_BOUND),
-    "scale_covariance": Property(TOL_IDENTITY),
-    "rank_jump_witness": Property(TOL_BOUND),
-    "von_neumann_upper": Property(TOL_IDENTITY),
-    "von_neumann_attainment": Property(TOL_IDENTITY),
-    "mutation_sentinel": Property(TOL_BOUND, expect_violation=True),
+    "svd_unitarity": 1e-12,
+    "svd_reconstruction": 1e-12,
+    "penrose": 1e-10,
+    "pinv_involution": TOL_IDENTITY,
+    "pinv_spectral_reciprocal": TOL_IDENTITY,
+    "lstsq_residual_optimal": TOL_IDENTITY,
+    "lstsq_min_norm": TOL_IDENTITY,
+    "identity_sum_a": TOL_IDENTITY,
+    "identity_sum_b": TOL_IDENTITY,
+    "cross_term_blocks": TOL_IDENTITY,
+    "proof_identity_u": TOL_IDENTITY,
+    "proof_identity_v": TOL_IDENTITY,
+    "energy_split_a": TOL_IDENTITY,
+    "energy_split_b": TOL_IDENTITY,
+    "equal_rank_angles": TOL_IDENTITY,
+    "angle_sandwich": TOL_IDENTITY,
+    "bound_sandwich": TOL_BOUND,
+    "norm_bound_domination": TOL_BOUND,
+    "bound_orderings": TOL_BOUND,
+    "scale_covariance": TOL_IDENTITY,
+    "rank_jump_witness": TOL_BOUND,
+    "von_neumann_upper": TOL_IDENTITY,
+    "von_neumann_attainment": TOL_IDENTITY,
+    SENTINEL: TOL_BOUND,
 }
 
 
 class PropertyResult:
-    """Aggregate of one property across all trials."""
+    """Aggregate of one property across all trials; ``SENTINEL``'s expects violations."""
 
-    def __init__(self, name, tol, expect_violation=False):
+    def __init__(self, name, tol):
         self.name = name
         self.tol = tol
-        self.expect_violation = expect_violation
+        self.expect_violation = name == SENTINEL
         self.trials = 0
         self.failures = 0
         self.worst = 0.0
@@ -380,7 +368,7 @@ def trial_residuals(pair, aux):
     corrupted = corrupted_alpha_upper(pair)
     if corrupted != rep.by_name("alpha_upper").value:
         dev = rep.exact_sq
-        yield "mutation_sentinel", max(0.0, dev - corrupted) / (1.0 + dev)
+        yield SENTINEL, max(0.0, dev - corrupted) / (1.0 + dev)
 
 
 def trace_residuals(seed, t):
@@ -404,10 +392,7 @@ def run_property_suite(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, vn_trials=DEFAU
     Pair trials are recorded under their trial seed (see ``trial_pair``),
     trace trials under their index.
     """
-    props = {
-        n: PropertyResult(name=n, tol=pr.tol, expect_violation=pr.expect_violation)
-        for n, pr in PROPERTIES.items()
-    }
+    props = {n: PropertyResult(n, tol) for n, tol in PROPERTIES.items()}
     for t in range(trials):
         spec, pair = trial_pair(seed, t)
         aux = np.random.default_rng([spec.seed, 3])

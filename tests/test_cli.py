@@ -153,6 +153,16 @@ def test_numerical_failure_exit3(pair_files, capsys, monkeypatch, command, targe
     assert captured.out == ""
 
 
+def test_failed_allocation_exit3_with_one_error_line(capsys):
+    # 10^16 float64 values exceed any 64-bit address space, so numpy fails
+    # before any memory is touched
+    assert cli.main(["sweep", "--example", "1", "--steps", "10000000000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("command", ["pinv", "bounds"])
@@ -464,7 +474,8 @@ def test_process_entries_match_in_process_main(pair_files, capsys, monkeypatch, 
         ("bounds", False), ("bounds", True),
         ("verify-identities", False), ("verify-identities", True),
         ("sweep", False), ("sweep", True),
-        ("--help", False),
+        ("--help", False), ("--help", True),
+        ("bounds --help", False), ("bounds --help", True),
     ],
     ids=lambda v: {False: "buffered", True: "unbuffered"}.get(v, v),
 )
@@ -476,6 +487,7 @@ def test_closed_stdout_pipe_exit2_with_one_error_line(pair_files, command, unbuf
         "verify-identities": ["verify-identities", *pair_files],
         "sweep": ["sweep", "--example", "1"],
         "--help": ["--help"],
+        "bounds --help": ["bounds", "--help"],
     }[command]
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -23,6 +23,8 @@ from pinvperturb.randmat import (
 )
 from pinvperturb.bounds import TOL_BOUND
 from pinvperturb.suite import (
+    PROPERTIES,
+    SENTINEL,
     PropertyResult,
     _lstsq_residuals,
     _trial_seed,
@@ -221,7 +223,10 @@ def test_suite_short_run_passes():
     lines = res.format_lines()
     assert len(lines) == SUITE_PROPERTY_COUNT
     assert all(ln.startswith("PASS") for ln in lines)
-    sentinel = next(r for r in res.results if r.name == "mutation_sentinel")
+    # every registered property is checked, in report order, on some trial
+    assert [r.name for r in res.results] == list(PROPERTIES)
+    assert all(r.trials > 0 for r in res.results)
+    sentinel = next(r for r in res.results if r.name == SENTINEL)
     assert sentinel.expect_violation
     assert sentinel.failures > 0
     assert "violations expected" in lines[-1]
