@@ -10,12 +10,15 @@ Subcommands:
 Exit codes: 0 success; 2 usage, input or file error (an unknown
 ``PINVPERTURB_BACKEND``, ``--help`` into a closed pipe); 3 numerical invariant
 violation or failure (no convergence, overflow, no kernel backend, no memory).
+A failure prints one ``error:`` line, on standard error only; a standard
+error that cannot be written loses the line and changes no exit status.
 All numbers print with 17 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -64,7 +67,6 @@ def cmd_pinv(args):
     if args.out:
         for c in comments:
             print(c)
-    return 0
 
 
 def cmd_bounds(args):
@@ -73,12 +75,7 @@ def cmd_bounds(args):
     text = report_csv(rep) if args.format == "csv" else report_table(rep)
     _emit(text, args.out)
     if not (envelope_ok(rep) and norm_bounds_ok(rep)):
-        print(
-            "error: bound envelope does not bracket the exact deviation",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+        raise RuntimeError("bound envelope does not bracket the exact deviation")
 
 
 def cmd_verify_identities(args):
@@ -91,9 +88,7 @@ def cmd_verify_identities(args):
         print(f"{status} {name} residual={format_float(resid)} tol={format_float(tol)}")
         bad += 0 if ok else 1
     if bad:
-        print(f"error: {bad} identity check(s) violated", file=sys.stderr)
-        return 3
-    return 0
+        raise RuntimeError(f"{bad} identity check(s) violated")
 
 
 def cmd_suite(args):
@@ -104,9 +99,7 @@ def cmd_suite(args):
     good = sum(1 for r in res.results if r.passed)
     print(f"{good}/{n} properties passed (backend={default_backend()})")
     if not res.passed:
-        print("error: property suite failed", file=sys.stderr)
-        return 3
-    return 0
+        raise RuntimeError("property suite failed")
 
 
 def cmd_sweep(args):
@@ -118,7 +111,6 @@ def cmd_sweep(args):
     )
     res = sweep_example(spec)
     _emit(sweep_csv(res), args.out)
-    return 0
 
 
 def _integer_from(low):
@@ -194,32 +186,35 @@ def build_parser():
     return parser
 
 
-def _file_error(exc):
-    """Print the one ``error:`` line for an ``OSError``; return exit status 2."""
-    # a failed read names its file; a failed write is an OutputError, or names none (stdout)
-    verb = "write" if exc.filename is None or isinstance(exc, OutputError) else "read"
-    path = sys.stdout.name if exc.filename is None else exc.filename
-    print(f"error: cannot {verb} {path}: {exc.strerror}", file=sys.stderr)
-    return 2
+def _error(exc, status):
+    """Print the one ``error:`` line of a failed command, if stderr takes it; return ``status``."""
+    message = exc
+    if isinstance(exc, OSError):
+        # a failed read names its file; a failed write is an OutputError, or names none (stdout)
+        verb = "write" if exc.filename is None or isinstance(exc, OutputError) else "read"
+        path = sys.stdout.name if exc.filename is None else exc.filename
+        message = f"cannot {verb} {path}: {exc.strerror}"
+    if sys.stderr is not None:  # print() would write to stdout
+        with contextlib.suppress(OSError):
+            print(f"error: {message}", file=sys.stderr)
+    return status
 
 
 def main(argv=None):
     """Run one command line in this process and return its exit status.
 
-    A usage error raises ``SystemExit(2)``.  The garbage collector is left as
-    it is: ``run`` is the entry of a process.
+    A command returns or raises; its exception picks the status here, and a
+    usage error raises ``SystemExit(2)``.  The garbage collector is left as it
+    is: ``run`` is the entry of a process.
     """
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except OSError as exc:
-        return _file_error(exc)
-    except ValueError as exc:  # a MatrixFormatError and a ShapeError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args.func(args)
+    except (OSError, ValueError) as exc:  # a MatrixFormatError and a ShapeError included
+        return _error(exc, 2)
     except (RuntimeError, ArithmeticError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
+    return 0
 
 
 def run():
@@ -228,25 +223,25 @@ def run():
     The ``pinvperturb`` script, ``python -m pinvperturb`` and ``python -m
     pinvperturb.cli`` start here.  It freezes the objects that the imports
     left (``gc.freeze``), so that the collections at interpreter exit do not
-    walk them, the largest part of a short process's exit.  It flushes
-    standard output itself, so that a closed pipe there gives the one
-    ``error: cannot write <stdout>:`` line and exit 2, not a failed flush at
-    interpreter exit.
+    walk them, the largest part of a short process's exit.  It flushes stdout,
+    then stderr, so that a closed pipe is not a failed flush at interpreter
+    exit: a failed stdout turns status 0 into 2 with the one ``error: cannot
+    write <stdout>:`` line; a failed stderr changes no status.
     """
     gc.freeze()
     try:
         status = main()
     except SystemExit as exc:  # argparse's --help and usage errors
         status = exc.code
-    try:
-        if sys.stdout is not None:  # None when the process started with fd 1 closed
-            sys.stdout.flush()
-    except OSError as exc:
-        # what is left in the buffer cannot be written: send it to devnull, so
-        # that the interpreter's own flush at exit does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        # a command that failed has said so already
-        return status or _file_error(exc)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when the process started with its fd closed
+                stream.flush()
+        except OSError as exc:
+            # what is left cannot be written: to devnull, so the flush at exit cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            if stream is sys.stdout and not status:  # a command that failed has said so
+                status = _error(exc, 2)
     return status
 
 

@@ -427,7 +427,7 @@ def test_sweep_stdout(capsys):
     assert len(lines) == 4
 
 
-def _fresh_python(*argv, stdout=subprocess.PIPE, unbuffered=False):
+def _fresh_python(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unbuffered=False):
     """A new interpreter on ``argv``, importing the package from this checkout's ``src``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -435,7 +435,7 @@ def _fresh_python(*argv, stdout=subprocess.PIPE, unbuffered=False):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
-        [sys.executable, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        [sys.executable, *argv], env=env, stdout=stdout, stderr=stderr, text=True,
         timeout=60, check=False,
     )
 
@@ -499,6 +499,45 @@ def test_closed_stdout_pipe_exit2_with_one_error_line(pair_files, command, unbuf
     assert proc.stderr == f"error: cannot write <stdout>: {os.strerror(errno.EPIPE)}\n"
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "case, status",
+    [
+        ("missing-file", 2), ("usage", 2), ("bad-range", 2),
+        ("overflow-python", 3), ("overflow-compiled", 3), ("both-closed", 2),
+    ],
+)
+def test_closed_stderr_pipe_keeps_the_exit_status(tmp_path, pair_files, monkeypatch, case, status,
+                                                  unbuffered):
+    # the error line is lost, and neither its write nor the flush at exit may change the status
+    if case.startswith("overflow-"):
+        kernel = case.partition("-")[2]
+        if kernel == "compiled" and backends._jacobi is None:
+            pytest.skip("no _jacobi library built next to backends.py for a new process to load")
+        monkeypatch.setenv("PINVPERTURB_BACKEND", kernel)
+        # a = 1e308 I and b = -a: e = b - a overflows
+        big = _write(tmp_path, "big.mat", 1e308 * np.eye(3))
+        argv = ["bounds", big, _write(tmp_path, "neg.mat", -1e308 * np.eye(3))]
+    else:
+        argv = {
+            "missing-file": ["bounds", "/no/a", "/no/b"],
+            "usage": ["bounds", pair_files[0]],
+            "bad-range": ["sweep", "--example", "1", "--tau-min", "0.6"],
+            "both-closed": ["bounds", *pair_files],
+        }[case]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = write_end if case == "both-closed" else subprocess.PIPE
+    try:
+        proc = _fresh_python(
+            "-m", "pinvperturb.cli", *argv, stdout=stdout, stderr=write_end, unbuffered=unbuffered
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == status
+    assert proc.stdout in (None, "")
+
+
 def test_process_without_stdout_still_writes_its_file(tmp_path, pair_files):
     # a process started with fd 1 closed (`>&-`) has sys.stdout None, and print() skips it
     out = tmp_path / "x.mat"
@@ -554,6 +593,26 @@ def test_sweep_bad_range_exit2(capsys):
 def test_missing_file_exit2(capsys):
     assert cli.main(["pinv", "/no/such/file.mat"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_no_stderr_keeps_the_error_line_off_stdout(capsys, monkeypatch):
+    # with sys.stderr None, print(..., file=sys.stderr) writes to stdout
+    monkeypatch.setattr(sys, "stderr", None)
+    assert cli.main(["pinv", "/no/such/file.mat"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("case, status", [("missing-file", 2), ("envelope", 3)])
+def test_unwritable_stderr_keeps_the_exit_status(pair_files, capsys, monkeypatch, case, status):
+    class BrokenStderr(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    if case == "envelope":
+        monkeypatch.setattr(cli, "envelope_ok", lambda rep: False)
+    monkeypatch.setattr(sys, "stderr", BrokenStderr())
+    argv = ["pinv", "/no/such/file.mat"] if case == "missing-file" else ["bounds", *pair_files]
+    assert cli.main(argv) == status
 
 
 @pytest.mark.parametrize(

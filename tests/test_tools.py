@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +37,26 @@ def test_output_hashes_covers_the_suite_trial_pairs():
     texts = dict(_output_hashes().output_texts())
     assert list(texts) == [
         "report_csv", "report_table", "special_csv", "special_table", "sweep_csv_1", "sweep_csv_2",
-        "factors", "identities", "spectral_e", "trace",
+        "factors", "identities", "spectral_e", "trace", "cli",
     ]
     # the hashed reports are those of the suite's first trials, one per spec
     pairs = [trial_pair(DEFAULT_SEED, t)[1] for t in range(len(default_specs()))]
     assert texts["report_csv"] == "".join(report_csv(full_report(p)) for p in pairs)
+
+
+def test_output_hashes_cli_row_reads_neither_the_terminal_nor_the_working_directory(
+    tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "200")
+    script = _output_hashes()
+    records = [json.loads(line) for line in script._cli_lines().splitlines()]
+    assert (Path.cwd(), os.environ["COLUMNS"], list(tmp_path.iterdir())) == (tmp_path, "200", [])
+    assert [r[0] for r in records] == list(script.CLI_LINES)
+    # a command that succeeds prints no error; one that fails prints only its one error line
+    for line, status, out, err in records:
+        assert (err == "") if status == 0 else (out == "" and err.count("error:") == 1), line
+    assert {r[1] for r in records} == {0, 2, 3}
+    monkeypatch.delenv("COLUMNS")
+    assert script._cli_lines() == "".join(json.dumps(r) + "\n" for r in records)
+    assert "COLUMNS" not in os.environ

@@ -30,6 +30,11 @@ pair, one line each; no kernel computes it, so it is the same on both.
 ``von_neumann_sum(a, b)`` and of the real and imaginary parts of every
 entry of both ``aligning_unitaries(a, b)``, one line per pair: every bit of
 the trace helpers, which the suite shows only to three digits.
+``cli`` holds one JSON line per ``CLI_LINES`` entry, ``[argv, exit status,
+stdout, stderr]``, each run through ``cli.main`` in a temporary directory on
+relative file names with ``COLUMNS=80`` (argparse wraps its help to the
+terminal's width): every command's output, its help, and its ``error:`` line
+and exit status for a usage, file, input and numerical failure.
 ``--suite`` adds the stdout of
 ``pinvperturb suite --trials 500 --seed 1729`` followed by its exit code.
 """
@@ -40,8 +45,12 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from numpy._core import _multiarray_umath
@@ -50,6 +59,7 @@ from pinvperturb import cli
 from pinvperturb.backends import default_backend
 from pinvperturb.bounds import full_report, report_csv, report_table
 from pinvperturb.geometry import aligning_unitaries, make_pair, von_neumann_sum
+from pinvperturb.matrixio import dumps
 from pinvperturb.suite import DEFAULT_SEED, default_specs, identity_checks, trial_pair
 from pinvperturb.sweeps import SweepSpec, case_matrices, sweep_csv, sweep_example
 
@@ -58,6 +68,33 @@ SPECIAL_PAIRS = (
     (np.eye(2), 2.0 * np.eye(2)),
     (np.diag([1.0, 0.0]), np.diag([1.0 / 1.4, 0.2])),
     (np.eye(3)[:, :2], np.zeros((3, 2))),
+)
+
+# the files that CLI_LINES name, written into the temporary directory; "d" is a directory
+CLI_FILES = {
+    "a.mat": SPECIAL_PAIRS[2][0],
+    "b.mat": SPECIAL_PAIRS[2][1],
+    "big.mat": 1e308 * np.eye(3),
+    "neg.mat": -1e308 * np.eye(3),
+}
+CLI_LINES = (
+    "pinv a.mat",
+    "pinv a.mat --out x.mat",
+    "bounds a.mat b.mat",
+    "bounds a.mat b.mat --format table",
+    "verify-identities a.mat b.mat",
+    "suite --trials 1",
+    "sweep --example 1 --steps 5",
+    "sweep --example 2 --steps 5",
+    "--help",
+    "bounds --help",
+    "bounds a.mat",
+    "bounds a.mat missing.mat",
+    "pinv d",
+    "pinv a.mat --out d",
+    "sweep --example 1 --tau-min 0.6",
+    "suite --trials 0",
+    "bounds big.mat neg.mat",
 )
 
 
@@ -97,6 +134,31 @@ def _trace_lines(pairs):
     return "".join(lines)
 
 
+def _run_cli(argv):
+    """(exit status, stdout, stderr) of ``cli.main(argv)``, a ``SystemExit`` code included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def _cli_lines():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
+        os.chdir(tmp)
+        try:
+            os.mkdir("d")
+            for name, a in CLI_FILES.items():
+                Path(name).write_text(dumps(a), encoding="utf-8")
+            records = [[line, *_run_cli(line.split())] for line in CLI_LINES]
+        finally:
+            os.chdir(cwd)
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
 def _digest(data):
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
@@ -118,12 +180,12 @@ def output_texts(suite=False):
         ("identities", _identity_lines(pairs + special_pairs)),
         ("spectral_e", _spectral_e_lines(pairs + special_pairs)),
         ("trace", _trace_lines(pairs + special_pairs)),
+        ("cli", _cli_lines()),
     ]
     if suite:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["suite", "--trials", "500", "--seed", "1729"])
-        texts.append(("suite_1729", f"{out.getvalue()}exit {code}\n"))
+        code, out, err = _run_cli(["suite", "--trials", "500", "--seed", "1729"])
+        sys.stderr.write(err)
+        texts.append(("suite_1729", f"{out}exit {code}\n"))
     return texts
 
 
