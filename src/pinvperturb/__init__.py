@@ -8,6 +8,16 @@ ctypes, and a pure numpy one; one of them serves the whole process; see
 deviation identities, ``bounds`` the estimator family, ``suite`` the
 randomized property harness, and ``sweeps`` two closed-form parameter
 studies.
+
+The records are ``typing.NamedTuple``s: ``SvdFactors``, ``ProductNorms``
+(from the functional form, since its fields are built from a table),
+``BoundValue``, ``Estimator``, ``BoundReport``, ``EnsembleSpec``,
+``SweepSpec`` and ``SweepResult``.  They unpack and compare like tuples,
+assigning to a field is an AttributeError, and ``_replace`` gives a changed
+copy, checked as the constructor checks on ``EnsembleSpec`` and
+``SweepSpec``.  ``PerturbationPair`` is a plain read-only class.  No module
+imports ``dataclasses``, whose classes compile their methods at import, a
+cost that every process would pay.
 """
 
 from .backends import available_backends, default_backend

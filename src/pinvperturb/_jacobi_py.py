@@ -4,7 +4,9 @@ Used when the C kernel ``_jacobi.c`` is not built (or forced via
 ``PINVPERTURB_BACKEND=python``).  Semantics are identical: plane rotations
 are applied to column pairs of ``w`` until all columns are pairwise
 orthogonal, and every rotation is mirrored into ``v`` so that
-``w_in @ v == w_out`` throughout.
+``w_in @ v == w_out`` throughout.  One sweep on either kernel gives the same
+``w`` and ``v`` to roundoff, and the singular values agree to machine
+precision.
 
 Both kernels run the round-robin schedule (Brent & Luk, SIAM J. Sci.
 Stat. Comput. 1985) that ``round_robin`` builds, the one place that orders

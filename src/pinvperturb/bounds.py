@@ -327,7 +327,9 @@ class BoundReport(NamedTuple):
     """Exact deviation plus every estimator and the squared envelope.
 
     The report of a stack holds an array over its pairs wherever that of a
-    pair holds a float; only the report of a pair renders as text.
+    pair holds a float; only the report of a pair renders as text, and a
+    stack's is a ShapeError.  ``exact_fro`` is ``sqrt(exact_sq)`` exactly, as
+    every Frobenius norm of the package is the square root of its square.
     """
 
     exact_sq: float | np.ndarray

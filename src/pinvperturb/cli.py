@@ -204,8 +204,8 @@ def main(argv=None):
     """Run one command line in this process and return its exit status.
 
     A command returns or raises; its exception picks the status here, and a
-    usage error raises ``SystemExit(2)``.  The garbage collector is left as it
-    is: ``run`` is the entry of a process.
+    usage error raises ``SystemExit(2)``.  The garbage collector and the file
+    descriptors are left as they are: ``run`` is the entry of a process.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -226,7 +226,8 @@ def run():
     walk them, the largest part of a short process's exit.  It flushes stdout,
     then stderr, so that a closed pipe is not a failed flush at interpreter
     exit: a failed stdout turns status 0 into 2 with the one ``error: cannot
-    write <stdout>:`` line; a failed stderr changes no status.
+    write <stdout>:`` line; a failed stderr changes no status.  It does not
+    end with ``os._exit``, which would skip ``atexit`` handlers and finalizers.
     """
     gc.freeze()
     try:

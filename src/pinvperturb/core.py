@@ -9,11 +9,13 @@ else.  On top of that sit the Moore-Penrose inverse,
 minimum-norm least squares and the residuals of the Penrose equations.
 ``spectral_norm`` gives the largest singular value alone, from the largest
 eigenvalue of a Gram matrix, with no kernel call; every other route to
-singular values is a full ``jacobi_svd``.  Every entry point accepts any
-real or complex 2-d array-like with finite entries, and works in one dtype
-per call (``_field``): float64 when every input is real, complex128
-otherwise, so a real input is factored in real arithmetic and a real a
-with a complex b is a complex pair.  Every SVD entry point
+singular values is a full ``jacobi_svd``.  Factors are thin: no full
+unitary is built to factor, invert or solve.  Every entry point accepts any
+real or complex 2-d array-like with finite entries (a non-finite one is a
+ValueError, in a matrix or in the right-hand side of ``lstsq_min_norm``),
+and works in one dtype per call (``_field``): float64 when every input is
+real, complex128 otherwise, so a real input is factored in real arithmetic
+and a real a with a complex b is a complex pair.  Every SVD entry point
 (``jacobi_svd``, ``spectral_norm``, ``svd_factors``, ``pinv``) also takes
 a stack of same-shape matrices of any leading shape (``as_stack``), and
 each factorization takes one kernel call for the whole stack; a matrix is
@@ -297,11 +299,19 @@ def jacobi_svd(a):
     orthogonal columns up to roundoff, so few sweeps remain.  With two
     columns, the kernel's one rotation already solves the problem.  With
     r* v_j = u_w diag(sigma), where v_j is v0 times the kernel's rotations,
-    the factors are u = pr^T q v_j and v = pc u_w.  Each sigma is the norm
+    the factors are u = pr^T q v_j and v = pc u_w.  On a tall input the
+    kernel thus works on n x n rather than m x n.  Each sigma is the norm
     of a row of the rotated r*, taken at unit scale (``_row_norms``), so a
     column whose squares underflow keeps its sigma, and its column of v,
     the row over its norm at that scale, stays finite.  ``spectral_norm`` is
     the one route to a singular value without the vectors.
+
+    One-sided Jacobi keeps relative accuracy (Demmel & Veselic, SIMAX 1992):
+    the error of each sigma of a diag(2^j) grows with the condition number
+    of a with unit columns, not with the spread of the 2^j.  r* is graded by
+    rows and v0 mixes columns only within each row, so the eigh start keeps
+    that.  A matrix scaled by anything from 1e-300 to 1e300 keeps its rank
+    and accuracy.
     """
     a = as_stack(a)
     shape = a.shape[-2:]
@@ -376,9 +386,10 @@ def svd_factors(a, tol=None):
     """Factor ``a`` and resolve its numerical rank.
 
     ``tol=None`` applies the default cutoff from ``default_cutoff``; an
-    explicit ``tol`` is an absolute threshold, finite and non-negative.  The
-    matrices of a stack each get their own default cutoff, and must all
-    come out with the same rank.
+    explicit ``tol`` is an absolute threshold, finite and non-negative, or a
+    ValueError.  The matrices of a stack each get their own default cutoff,
+    and must all come out with the same rank; a stack that mixes ranks is a
+    ValueError that names them.
     """
     a = as_stack(a)
     _checked_cutoff(tol)
@@ -402,7 +413,9 @@ def pinv(a, tol=None):
     """Moore-Penrose inverse v1 @ diag(1/sigma1) @ u1*.
 
     Accepts a matrix, a stack or precomputed ``SvdFactors``.  A 1/sigma
-    or an entry beyond the double range is an ArithmeticError.
+    or an entry beyond the double range (any kept sigma below about
+    5.6e-309) is an ArithmeticError, ``pseudoinverse failed: overflow …``,
+    never a nan matrix.
     """
     f = a if isinstance(a, SvdFactors) else svd_factors(a, tol=tol)
     return checked("pseudoinverse", _inverse, f)
@@ -415,8 +428,10 @@ def _inverse(f):
 def lstsq_min_norm(a, b, tol=None):
     """Minimum-norm least-squares solution pinv(a) @ b.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides; its
-    entries must be finite, like those of ``a``.
+    ``a`` is one matrix, not a stack.  ``b`` may be a vector or a matrix of
+    stacked right-hand sides; its entries must be finite, like those of
+    ``a``.  A product beyond the double range is an ArithmeticError,
+    ``least-squares solution failed: …``.
     """
     a = as_matrix(a)
     bb = np.asarray(b)

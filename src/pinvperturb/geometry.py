@@ -3,7 +3,8 @@
 Both factorizations are split at their numerical rank and keep only u1,
 sigma1 and v1: a null block u2 only ever appears inside a Frobenius norm,
 which ``_outside`` takes through u2 u2* = I - u1 u1*, once per block in
-``PerturbationPair.leaks``.  The module exposes the exact decomposition of
+``PerturbationPair.leaks``; ``aligning_unitaries`` is the one place that
+completes full bases, by QR.  The module exposes the exact decomposition of
 the squared Frobenius deviation of the pseudoinverses, the matching
 decomposition of the perturbation energy, the principal-angle masses
 between range/null spaces, and the trace inequality that compares singular
@@ -65,6 +66,9 @@ def _real_dot(x, y, axis=-1):
     some CPU kernels (OpenBLAS's Prescott) ddot sums a row that is not
     16-byte aligned in another order, and the matrices of a stack sit at
     every alignment, so a stack would not give each pair its bits alone.
+    ``numpy.matmul`` still calls ddot or dgemv on a real product with a side
+    of 1, so on such a CPU kernel a real stack of single-row or
+    single-column pairs may differ from its pairs in the last bits.
     """
     return np.add.reduce(x * y, axis=axis)
 
@@ -116,10 +120,11 @@ class PerturbationPair:
         ``b+ - a+`` is stacked with ``e`` as it is when the pair is square and
         as its conjugate transpose otherwise: ``spectral_norm`` gives a wide
         matrix the bits of its conjugate transpose and a stack those of its
-        matrices, so the values are those of two separate calls.  No kernel
-        runs.  Only the spectral rows of a report and ``deviation_spectral``
-        read them, so a pair that prints neither never computes them.  An
-        arithmetic error names the exact deviation.
+        matrices, so the values are those of two separate calls, and a stack
+        whose e vanishes for some pairs only is reported like its pairs.  No
+        kernel runs.  Only the spectral rows of a report and
+        ``deviation_spectral`` read them, so a pair that prints neither never
+        computes them.  An arithmetic error names the exact deviation.
         """
         e = self.e
 
@@ -411,7 +416,7 @@ def _sandwich(u2, v2, n):
 
 
 def _trace_pairing(m_, n_):
-    """Both operands as matrices, which must have the same shape."""
+    """Both operands as matrices, which must have the same shape, or a ShapeError."""
     m_, n_ = as_matrix(m_, n_)
     if m_.shape != n_.shape:
         raise ShapeError(f"trace pairing needs equal shapes, got {m_.shape} and {n_.shape}")

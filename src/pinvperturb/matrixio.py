@@ -7,8 +7,11 @@ comments; blank lines are skipped.  Files are UTF-8 and numbers round-trip
 at full double precision.  A ``real`` file reads as a float64 matrix and a
 ``complex`` one as complex128, the two dtypes of ``core``'s dtype rule.
 
-Every number the package writes goes through ``format_float`` or
-``format_floats``: ``%.17g``, which reads back bit for bit.
+Every number the package writes at full precision goes through
+``format_float`` or ``format_floats``: ``%.17g``, which reads back bit for
+bit.  That is every number of a matrix file, a report, a sweep and the
+``pinv`` and ``verify-identities`` commands; the suite's summary lines print
+three digits.
 """
 
 from __future__ import annotations

@@ -31,7 +31,12 @@ class _EnsembleFields(NamedTuple):
 
 
 class EnsembleSpec(_EnsembleFields):
-    """Shape, ranks and sampling parameters for a random pair, checked on every construction."""
+    """Shape, ranks and sampling parameters for a random pair, checked on every construction.
+
+    Sides and ranks are integers, the seed a non-negative integer and the
+    cap a finite real of at least 1; numpy's integers and reals count, a
+    bool does not, and any other value is a ValueError that names it.
+    """
 
     __slots__ = ()
 

@@ -36,7 +36,11 @@ class _SweepFields(NamedTuple):
 
 
 class SweepSpec(_SweepFields):
-    """One case's grid of ``steps`` parameters, checked on every construction."""
+    """One case's grid of ``steps`` parameters, checked on every construction.
+
+    ``example`` and ``steps`` are integers and the two taus reals, numpy's
+    included but not a bool; any other value is a ValueError that names it.
+    """
 
     __slots__ = ()
 
@@ -145,6 +149,7 @@ def sweep_example(spec):
 
 
 def sweep_csv(result):
+    """The sweep as CSV: ``tau``, then every column, each number through ``format_floats``."""
     names = list(result.columns)
     table = np.column_stack([result.taus, *result.columns.values()])
     # a list, so that the per-value strings are freed before the file is joined

@@ -6,37 +6,58 @@ after it:
 
     PYTHONPATH=src python3 tools/output_hashes.py [--suite]
 
-Each line is ``<sha256>  <name>``.  The digests depend on the kernel, whose
-rotation order and arithmetic set the last bits, so the backend is named on
-stderr as ``# backend=<name>``.  They depend on numpy too: its version, the
-SIMD targets its dispatch enabled on this CPU (``NPY_DISABLE_CPU_FEATURES``
-lowers them) and its BLAS each move last bits, so stderr names those as
-``# numpy=``, ``# simd=`` and ``# blas=`` lines.  The numpy kernel's dot
-products are BLAS calls, whose bits also depend on the CPU kernel OpenBLAS
-picks (``OPENBLAS_CORETYPE`` forces one), named as
-``# openblas_coretype=<value or auto>``.  Digests compare only between runs
-whose five lines agree.  The reports cover the pairs of the
-suite's first trials, one per ``default_specs()`` entry (``trial_pair``),
-and four special pairs; the sweeps are both closed-form examples at their
-default 401 steps.  ``factors`` hashes the bytes of ``u1``, ``sigma`` and
-``v1`` of both factorizations of every reported pair and of both sweep
-stacks, so a column swap or sign error that u and v share, which no report
-sees, still moves a digest.  ``identities`` holds one ``name residual``
-line (``%.17g``) per ``identity_checks`` row of the same pairs, every bit
-of the exact identities that the suite shows only to three digits.
-``spectral_e`` holds |e|_2 (``spectral_norms[0]``, ``%.17g``) of every reported
-pair, one line each; no kernel computes it, so it is the same on both.
-``trace`` holds, for the same pairs, the ``%.17g`` of
-``von_neumann_sum(a, b)`` and of the real and imaginary parts of every
-entry of both ``aligning_unitaries(a, b)``, one line per pair: every bit of
-the trace helpers, which the suite shows only to three digits.
-``cli`` holds one JSON line per ``CLI_LINES`` entry, ``[argv, exit status,
-stdout, stderr]``, each run through ``cli.main`` in a temporary directory on
-relative file names with ``COLUMNS=80`` (argparse wraps its help to the
-terminal's width): every command's output, its help, and its ``error:`` line
-and exit status for a usage, file, input and numerical failure.
-``--suite`` adds the stdout of
-``pinvperturb suite --trials 500 --seed 1729`` followed by its exit code.
+Each line is ``<sha256>  <name>``, one per row, in this order.  The reported
+pairs are those of the suite's first trials, one per ``default_specs()``
+entry (``trial_pair``), then four special pairs (``SPECIAL_PAIRS``); every
+``%.17g`` row holds all the bits of its numbers.
+
+- ``report_csv`` and ``report_table``: ``report_csv`` and ``report_table``
+  of the trial pairs.
+- ``special_csv`` and ``special_table``: the same of the special pairs.
+- ``sweep_csv_1`` and ``sweep_csv_2``: ``sweep_csv`` of both closed-form
+  examples at their default 401 steps.
+- ``factors``: the bytes of ``u1``, ``sigma`` and ``v1`` of both
+  factorizations of every reported pair and of both sweep stacks, so a
+  column swap or sign error that u and v share, which no report sees,
+  still moves a digest.
+- ``identities``: one ``name residual`` line (``%.17g``) per
+  ``identity_checks`` row of every reported pair, which the suite shows
+  only to three digits.
+- ``spectral_e``: |e|_2 (``spectral_norms[0]``, ``%.17g``) of every
+  reported pair, one line each.
+- ``trace``: for every reported pair, one line with the ``%.17g`` of
+  ``von_neumann_sum(a, b)`` and of the real and imaginary parts of every
+  entry of both ``aligning_unitaries(a, b)``, which the suite shows only to
+  three digits.
+- ``cli``: one JSON line per ``CLI_LINES`` entry, ``[argv, exit status,
+  stdout, stderr]``, each run through ``cli.main`` in a temporary directory
+  on relative file names with ``COLUMNS=80`` (argparse wraps its help to
+  the terminal's width): every subcommand's output, ``--help``, ``bounds
+  --help``, and the ``error:`` line and exit status of a usage, file, input
+  and numerical failure.  ``--help`` lists the built kernels and ``suite``
+  names its backend, so this row differs by build and by backend.
+- ``suite_1729``, with ``--suite`` only: the stdout of ``pinvperturb suite
+  --trials 500 --seed 1729`` followed by its exit code.
+
+The digests depend on the kernel, whose rotation order and arithmetic set
+the last bits, so stderr names the backend as ``# backend=<name>``.  No
+kernel computes the rows of diagonal or zero pairs, where no rotation runs
+(``special_*`` and ``sweep_csv_*``), or ``spectral_e``, so those five are the
+same on both kernels; ``factors``, ``trace`` and the rest are not.  The
+digests depend on numpy too: its version, the SIMD targets its dispatch
+enabled on this CPU (``NPY_DISABLE_CPU_FEATURES`` lowers them) and its BLAS
+each move last bits, so stderr names those as ``# numpy=``, ``# simd=`` and
+``# blas=`` lines.  The numpy kernel's dot products are BLAS calls, whose
+bits also depend on the CPU kernel OpenBLAS picks (``OPENBLAS_CORETYPE``
+forces one), named as ``# openblas_coretype=<value or auto>``.  Digests
+compare only between runs whose five lines agree.
+
+A rerun in a new process writes the same bytes: the rows without the suite
+do not depend on ``PYTHONHASHSEED``, on the working directory or on the
+terminal's width, which CI checks by comparing runs under
+``PYTHONHASHSEED`` 0 and 1, the second from another directory with
+``COLUMNS=200``.  CI also requires the five kernel-independent rows to be
+equal on both kernels.
 """
 
 from __future__ import annotations
